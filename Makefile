@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test stress bench bench-concurrency bench-journal bench-recovery bench-shards churn crash check lint analyze san
+.PHONY: test stress bench bench-concurrency bench-journal bench-recovery bench-shards perf perf-trace perf-compare churn crash check lint analyze san
 
 test:            ## tier-1: fast unit/integration/property tests
 	$(PYTHON) -m pytest -x -q
@@ -24,6 +24,15 @@ bench-recovery:  ## recovery at scale: compaction vs journal size / restore time
 
 bench-shards:    ## sharded control plane: direct vs routed aggregate throughput
 	$(PYTHON) -m pytest benchmarks/test_bench_shard_scaling.py -q -s
+
+perf:            ## the repo's benchmark (BENCHMARK.json): five workloads, 20 s each; OUT=f.json appends the runs
+	$(PYTHON) benchmarks/perf/run.py $(if $(OUT),--out $(OUT))
+
+perf-trace:      ## the same workloads traced: the per-layer metrics
+	$(PYTHON) benchmarks/perf/run.py --trace $(if $(OUT),--out $(OUT))
+
+perf-compare:    ## medians, ratio (base A) and verdicts of two result files: make perf-compare A=a.json B=b.json
+	$(PYTHON) benchmarks/perf/compare.py $(A) $(B)
 
 churn:           ## connection-churn / lifecycle-leak lane under a hard deadline
 	timeout 600 $(PYTHON) -m pytest tests/ipc/test_connection_churn.py \

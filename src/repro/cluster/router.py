@@ -407,18 +407,18 @@ class ShardRouter:
         return protocol.make_reply(message, **payload)
 
     def _container_exit(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Forward the exit, then clean up (DESIGN.md §10 effect order).
+
+        The shard resumes its waiters inside the forwarded call, so the
+        router's own proxy tear-down comes after it — and only after an
+        ``ok``: while the shard is unreachable (or refused) the container
+        still lives there, and the placement stays so the retried exit
+        finds its proxy.  The owner is the ring's, as at registration (the
+        ring is fixed for the router's lifetime).
+        """
         container_id = message["container_id"]
-        with self._placements_lock:
-            placement = self._placements.pop(container_id, None)
-            _PLACED.set(len(self._placements))
-        shard_id = (
-            placement.shard_id
-            if placement is not None
-            else self.ring.shard_of(container_id)
-        )
+        shard_id = self.ring.shard_of(container_id)
         _ROUTED.labels(type=protocol.MSG_CONTAINER_EXIT).inc()
-        if placement is not None:
-            self._teardown_proxy(placement.proxy)
         try:
             reply = self._call_shard(
                 shard_id, protocol.MSG_CONTAINER_EXIT, container_id=container_id
@@ -431,6 +431,11 @@ class ShardRouter:
             return protocol.make_error_reply(
                 message, reply.get("error", f"shard {shard_id} refused")
             )
+        with self._placements_lock:
+            placement = self._placements.pop(container_id, None)
+            _PLACED.set(len(self._placements))
+        if placement is not None:
+            self._teardown_proxy(placement.proxy)
         payload = {
             key: value
             for key, value in reply.items()

@@ -104,21 +104,38 @@ class _ControlHandler:
     per-container sockets, and this thin wrapper (which forwards dispatch to
     ``SchedulerDaemon._handle_control`` and the batch hooks to the service)
     for the control socket.
+
+    ``container_exit`` effect order (DESIGN.md §10): the batch's exits are
+    torn down in :meth:`batch_commit`, *after* the service's commit made
+    the batch durable and delivered its resumes — a paused waiter never
+    sits out the exiting container's socket tear-down — and before the
+    dispatcher flushes the exit replies.
     """
 
-    __slots__ = ("_daemon",)
+    __slots__ = ("_daemon", "_batch")
 
     def __init__(self, daemon: "SchedulerDaemon") -> None:
         self._daemon = daemon
+        #: Per-thread list of container ids exited by the open batch (the
+        #: control socket's connections are served by several workers).
+        self._batch = threading.local()
 
     def __call__(self, message: dict[str, Any], reply_handle) -> Any:
-        return self._daemon._handle_control(message, reply_handle)
+        return self._daemon._handle_control(
+            message, reply_handle, getattr(self._batch, "exited", None)
+        )
 
     def batch_begin(self) -> None:
+        self._batch.exited = []
         self._daemon.service.batch_begin()
 
     def batch_commit(self) -> None:
-        self._daemon.service.batch_commit()
+        exited, self._batch.exited = self._batch.exited, None
+        try:
+            self._daemon.service.batch_commit()
+        finally:
+            for container_id in exited:
+                self._daemon._teardown_container_dir(container_id)
 
 
 class SchedulerDaemon:
@@ -438,8 +455,19 @@ class SchedulerDaemon:
 
     # -- control-plane handling ---------------------------------------------
 
-    def _handle_control(self, message: dict[str, Any], reply_handle) -> Any:
-        """Handle nvidia-docker / plugin traffic on the control socket."""
+    def _handle_control(
+        self,
+        message: dict[str, Any],
+        reply_handle,
+        exited: list[str] | None = None,
+    ) -> Any:
+        """Handle nvidia-docker / plugin traffic on the control socket.
+
+        ``exited`` is the open dispatch batch's tear-down list (see
+        :class:`_ControlHandler`); without one — the reaper — the service
+        call below has already waited for durability and delivered the
+        resumes when it returns, so the tear-down follows it directly.
+        """
         msg_type = message["type"]
         if msg_type == protocol.MSG_REGISTER_CONTAINER:
             reply = self.service.handle(message, reply_handle)
@@ -472,7 +500,10 @@ class SchedulerDaemon:
                     error=reply.get("error"),
                 )
                 return reply
-            self._teardown_container_dir(message["container_id"])
+            if exited is None:
+                self._teardown_container_dir(message["container_id"])
+            else:
+                exited.append(message["container_id"])
             reclaimed = reply.get("reclaimed") if isinstance(reply, dict) else None
             _REC.record(
                 _EV_EXIT, s=message["container_id"], a=int(reclaimed or 0)

@@ -197,6 +197,14 @@ class IoLoop:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
+    def on_worker(self) -> bool:
+        """True when the caller is one of this loop's pool workers.
+
+        A worker must never wait for work only the pool can do (a close, a
+        queued batch): with every worker waiting nothing is left to do it.
+        """
+        return threading.current_thread() in self._worker_threads
+
     def start(self) -> "IoLoop":
         if self._thread is not None:
             raise TransportError("IoLoop already started")

@@ -257,6 +257,8 @@ class _BaseSocketServer:
         self._conn_threads: set[threading.Thread] = set()
         self._conns: list[socket.socket] = []
         self._conns_lock = threading.Lock()
+        #: Signalled by ``_forget`` when the last connection leaves.
+        self._conns_empty = threading.Condition(self._conns_lock)
         self._stopping = threading.Event()
 
     # -- transport hooks -----------------------------------------------------
@@ -302,14 +304,17 @@ class _BaseSocketServer:
             for conn in conns:
                 self._loop.close_connection(conn)
             # The loop's workers complete the closes (after draining any
-            # frames already queued for those connections); wait briefly so
-            # stop() is observably complete for well-behaved peers.
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline:
+            # frames already queued for those connections).  An outside
+            # caller waits (bounded) for the last _forget so stop() is
+            # observably complete for well-behaved peers; a loop worker —
+            # container_exit tear-down runs on one — must not: the closes
+            # it would wait for need a worker of the same pool, and a full
+            # pool of waiting workers starves every connection on the loop.
+            if not self._loop.on_worker():
                 with self._conns_lock:
-                    if not self._conns:
-                        break
-                time.sleep(0.002)
+                    self._conns_empty.wait_for(
+                        lambda: not self._conns, timeout=2.0
+                    )
         else:
             if listener is not None:
                 try:
@@ -453,7 +458,11 @@ class _BaseSocketServer:
                 self._conns.remove(conn)
             except ValueError:
                 return  # stop() (or the other backend's path) already did
-        OPEN_CONNECTIONS.labels(transport=self.transport).dec()
+            # Under the lock, so a stop() woken below finds the gauge
+            # settled too (the loop closed the socket before calling here).
+            OPEN_CONNECTIONS.labels(transport=self.transport).dec()
+            if not self._conns:
+                self._conns_empty.notify_all()
         try:
             conn.shutdown(socket.SHUT_RDWR)
         except OSError:

@@ -7,12 +7,13 @@ lifecycle, per-container proxy socket for allocation traffic.
 
 from __future__ import annotations
 
+import os
 import urllib.request
 
 import pytest
 
 from repro.cluster import ShardEndpoint, ShardRouter, ShardSupervisor
-from repro.errors import ClusterError
+from repro.errors import ClusterError, IpcDisconnected
 from repro.ipc import protocol
 from repro.ipc.unix_socket import UnixSocketClient
 
@@ -157,6 +158,45 @@ def test_container_exit_tears_down_proxy(fleet):
     with pytest.raises(ClusterError):
         router.container_socket_path(cid)
     del path
+
+
+def test_container_exit_forwards_first_and_keeps_unreachable_placement(
+    fleet, monkeypatch
+):
+    _, router = fleet
+    cid = "cont-exit-order"
+    _register(router, cid)
+    path = router.container_socket_path(cid)
+    trail = []
+    real_call, real_teardown = router._call_shard, router._teardown_proxy
+
+    def shard_down(shard_id, msg_type, **payload):
+        trail.append("forward")
+        raise IpcDisconnected(f"shard {shard_id} is down")
+
+    def shard_up(shard_id, msg_type, **payload):
+        trail.append("forward")
+        return real_call(shard_id, msg_type, **payload)
+
+    def teardown(proxy):
+        trail.append("teardown")
+        real_teardown(proxy)
+
+    monkeypatch.setattr(router, "_teardown_proxy", teardown)
+    monkeypatch.setattr(router, "_call_shard", shard_down)
+    with _control(router) as control:
+        reply = control.call(protocol.MSG_CONTAINER_EXIT, container_id=cid)
+        assert reply["status"] == "error" and "unavailable" in reply["error"]
+        # Nothing was cleaned up: the retried exit still finds the shard.
+        assert trail == ["forward"]
+        assert cid in router.placements()
+        assert os.path.exists(path)
+        monkeypatch.setattr(router, "_call_shard", shard_up)
+        reply = control.call(protocol.MSG_CONTAINER_EXIT, container_id=cid)
+    assert reply["status"] == "ok"
+    assert trail == ["forward", "forward", "teardown"]
+    assert cid not in router.placements()
+    assert not os.path.exists(path)
 
 
 def test_unknown_container_has_no_proxy(fleet):

@@ -15,11 +15,12 @@ import pytest
 
 from repro.core.scheduler.core import GpuMemoryScheduler
 from repro.core.scheduler.daemon import SchedulerDaemon
+from repro.core.scheduler.journal import SchedulerJournal
 from repro.core.scheduler.liveness import HeartbeatMonitor
 from repro.core.scheduler.policies import make_policy
 from repro.errors import IpcDisconnected, UnknownContainerError
 from repro.ipc import protocol
-from repro.ipc.unix_socket import UnixSocketClient
+from repro.ipc.unix_socket import ReplyHandle, UnixSocketClient
 from repro.units import MiB
 
 TOTAL = 100 * MiB
@@ -43,6 +44,15 @@ def make_daemon(tmp_path, io, monitor=None):
         monitor=monitor,
         reap_interval=999.0,  # sweeps are driven explicitly by the tests
     )
+
+
+def wait_until_paused(daemon, container_id):
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if daemon.scheduler.container(container_id).pending:
+            return
+        time.sleep(0.01)
+    raise AssertionError("request never paused")
 
 
 @pytest.mark.parametrize("io", IO_BACKENDS)
@@ -86,12 +96,7 @@ class TestReapWhilePaused:
 
             thread = threading.Thread(target=blocked_alloc)
             thread.start()
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if daemon.scheduler.container("c1").pending:
-                    break
-                time.sleep(0.01)
-            assert daemon.scheduler.container("c1").pending, "request never paused"
+            wait_until_paused(daemon, "c1")
 
             # c1 goes silent past the heartbeat timeout; c2 stays live.
             clock.now = 6.0
@@ -211,3 +216,131 @@ class TestTeardownIdempotency:
         # The stranger's exit touched nothing that exists.
         assert os.path.isdir(directory)
         assert "c1" in daemon._container_dirs
+
+
+class _RecordingConn:
+    """Stands in for the control connection: logs each reply flush."""
+
+    def __init__(self, conn, events):
+        self._conn = conn
+        self._events = events
+
+    def sendall(self, data):
+        self._events.append("exit_reply")
+        self._conn.sendall(data)
+
+
+class TestExitEffectOrder:
+    """``container_exit`` effect order is a contract (DESIGN.md §10):
+    journal durable → resume deliveries → tear-down of the exiting
+    container's server → exit reply, batched and unbatched alike.  Pinned
+    by recorded sequences, never by the clock."""
+
+    @pytest.fixture
+    def paused(self, tmp_path, monkeypatch):
+        """A daemon where ``waiter`` is paused behind ``holder``; yields
+        ``(daemon, monitor clock, events)`` with every spy armed."""
+        clock = FakeClock()
+        monitor = HeartbeatMonitor(timeout=5.0, clock=clock)
+        scheduler = GpuMemoryScheduler(
+            TOTAL, make_policy("FIFO"), context_overhead=0
+        )
+        journal = SchedulerJournal(str(tmp_path / "wal.jsonl"), mode="group")
+        journal.attach(scheduler)
+        daemon = SchedulerDaemon(
+            scheduler,
+            base_dir=str(tmp_path / "convgpu"),
+            journal=journal,
+            monitor=monitor,
+            reap_interval=999.0,
+        ).start()
+        events = []
+        replies = []
+
+        def blocked_alloc():
+            with UnixSocketClient(daemon.container_socket_path("waiter")) as c:
+                replies.append(
+                    c.call(
+                        protocol.MSG_ALLOC_REQUEST,
+                        container_id="waiter", pid=1, size=80 * MiB,
+                        api="cudaMalloc",
+                    )
+                )
+
+        thread = threading.Thread(target=blocked_alloc)
+        try:
+            with UnixSocketClient(daemon.control_path) as control:
+                for container_id in ("holder", "waiter"):
+                    control.call(
+                        protocol.MSG_REGISTER_CONTAINER,
+                        container_id=container_id, limit=TOTAL,
+                    )
+            thread.start()
+            wait_until_paused(daemon, "waiter")
+
+            original_wait = journal.wait_durable
+            original_send = ReplyHandle.send
+            server = daemon._container_servers["holder"]
+            original_stop = server.stop
+            control_server = daemon._control_server
+            original_dispatch = control_server._dispatch_batch
+
+            def spy_wait():
+                events.append("wait_durable")
+                original_wait()
+
+            def spy_send(handle, reply):
+                events.append("resume_send")
+                original_send(handle, reply)
+
+            def spy_stop():
+                events.append("stop")
+                original_stop()
+
+            monkeypatch.setattr(journal, "wait_durable", spy_wait)
+            monkeypatch.setattr(ReplyHandle, "send", spy_send)
+            monkeypatch.setattr(server, "stop", spy_stop)
+            monkeypatch.setattr(
+                control_server,
+                "_dispatch_batch",
+                lambda conn, lock, ctx, frames: original_dispatch(
+                    _RecordingConn(conn, events), lock, ctx, frames
+                ),
+            )
+            yield daemon, clock, events
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), "paused client never resumed"
+            assert [r["decision"] for r in replies] == ["grant"]
+        finally:
+            monkeypatch.undo()
+            daemon.stop()
+
+    def test_batched_control_exit(self, paused):
+        daemon, _clock, events = paused
+        directory = daemon._container_dirs["holder"]
+        # codec="json": no hello round trip, so the only control flush the
+        # spy can see is the exit reply's.
+        with UnixSocketClient(daemon.control_path, codec="json") as control:
+            reply = control.call(
+                protocol.MSG_CONTAINER_EXIT, container_id="holder"
+            )
+            assert reply["status"] == "ok"
+            # The reply follows the tear-down: nothing of the container is
+            # left when the caller's container_exit returns.
+            assert not os.path.exists(directory)
+            assert events == [
+                "wait_durable", "resume_send", "stop", "exit_reply"
+            ]
+            # A repeated exit finds nothing to tear down.
+            control.call(protocol.MSG_CONTAINER_EXIT, container_id="holder")
+        assert events.count("stop") == 1
+
+    def test_reaper_exit_records_the_same_sequence(self, paused):
+        daemon, clock, events = paused
+        directory = daemon._container_dirs["holder"]
+        clock.now = 6.0
+        daemon.monitor.beat("waiter")
+        assert daemon.reap_orphans() == ["holder"]
+        # No reply on this path; the sweep returning is its analogue.
+        assert events == ["wait_durable", "resume_send", "stop"]
+        assert not os.path.exists(directory)

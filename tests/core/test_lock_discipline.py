@@ -17,13 +17,17 @@ actually detects an under-lock fsync — that mode *should* trip it.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.core.scheduler import journal as journal_mod
 from repro.core.scheduler.core import GpuMemoryScheduler
+from repro.core.scheduler.daemon import SchedulerDaemon
 from repro.core.scheduler.journal import SchedulerJournal
 from repro.core.scheduler.policies import FifoPolicy
+from repro.ipc import protocol
+from repro.ipc.unix_socket import ReplyHandle, UnixSocketClient
 from repro.units import MiB
 
 TOTAL = 1024 * MiB
@@ -170,6 +174,73 @@ def test_durability_precedes_the_resume_callback(tmp_path):
         journal.close()
 
     assert seen == [1], "resume reply left before its events were durable"
+
+
+def test_container_exit_tears_down_unlocked_after_fsync_and_resume(
+    tmp_path, monkeypatch
+):
+    # The same spies one layer up: a control-socket container_exit with a
+    # paused waiter fsyncs, then delivers the resume, then stops the
+    # exiting container's server — none of it under the scheduler lock.
+    scheduler, lock = _build_scheduler()
+    journal = SchedulerJournal(
+        str(tmp_path / "wal.jsonl"), fsync=True, mode="group"
+    )
+    journal.attach(scheduler)
+    daemon = SchedulerDaemon(
+        scheduler, base_dir=str(tmp_path / "convgpu"), journal=journal
+    ).start()
+    trail: list[tuple[str, bool]] = []
+
+    def paused_alloc() -> None:
+        with UnixSocketClient(daemon.container_socket_path("b")) as client:
+            client.call(
+                protocol.MSG_ALLOC_REQUEST,
+                container_id="b", pid=2, size=256 * MiB, api="cudaMalloc",
+            )
+
+    waiter = threading.Thread(target=paused_alloc)
+    try:
+        with UnixSocketClient(daemon.control_path) as control:
+            for container_id in ("a", "b"):
+                control.call(
+                    protocol.MSG_REGISTER_CONTAINER,
+                    container_id=container_id, limit=TOTAL,
+                )
+            waiter.start()
+            deadline = time.monotonic() + 10.0
+            while (
+                not scheduler.container("b").pending
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert scheduler.container("b").pending, "request never paused"
+
+            def spy(name, original):
+                def wrapper(*args):
+                    trail.append((name, lock.held_by_current_thread()))
+                    return original(*args)
+
+                return wrapper
+
+            server = daemon._container_servers["a"]
+            monkeypatch.setattr(
+                journal_mod.os, "fsync", spy("fsync", journal_mod.os.fsync)
+            )
+            monkeypatch.setattr(
+                ReplyHandle, "send", spy("resume", ReplyHandle.send)
+            )
+            monkeypatch.setattr(server, "stop", spy("stop", server.stop))
+            control.call(protocol.MSG_CONTAINER_EXIT, container_id="a")
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive(), "the paused allocation never resumed"
+    finally:
+        monkeypatch.undo()
+        daemon.stop()
+
+    names = [name for name, _ in trail]
+    assert names.index("fsync") < names.index("resume") < names.index("stop")
+    assert not any(held for _, held in trail), trail
 
 
 def test_unknown_journal_mode_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for live-mode experiments (real sockets) and the hybrid clock."""
 
+import socket
+import threading
 import time
 
 import pytest
@@ -31,28 +33,71 @@ class TestHybridClock:
         assert clock() == pytest.approx(clock.now(), abs=0.01)
 
 
+def _echo_round_trip(samples: int = 50) -> float:
+    """Mean bare AF_UNIX echo round trip (seconds) on this host, right now.
+
+    Each round trip starts from idle on both sides, so it pays the thread
+    wake-ups a daemon round trip pays — the cost that swings between host
+    phases — and nothing of the middleware.
+    """
+    near, far = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+
+    def echo():
+        while data := far.recv(4096):
+            far.sendall(data)
+
+    thread = threading.Thread(target=echo, daemon=True)
+    thread.start()
+    total = 0.0
+    try:
+        for _ in range(samples):
+            time.sleep(0.0005)
+            began = time.perf_counter()
+            near.sendall(b"x" * 64)
+            near.recv(4096)
+            total += time.perf_counter() - began
+    finally:
+        near.close()
+        thread.join(timeout=2.0)
+        far.close()
+    return total / samples
+
+
+#: A daemon round trip (client -> selector -> worker -> reply, JSON both
+#: ways) measures 4-20x the bare echo on an idle host; an absolute cap
+#: failed on slow host phases, a multiple of the echo follows them.
+MAX_ECHO_MULTIPLE = 100
+
+
 @pytest.mark.integration
 class TestLiveFig4:
     @pytest.fixture(scope="class")
     def live_fig4(self):
-        return api_response_experiment(repeats=5, mode="live")
+        """(result, bare echo round trip bracketing the measurement)."""
+        before = _echo_round_trip()
+        result = api_response_experiment(repeats=5, mode="live")
+        return result, (before + _echo_round_trip()) / 2
 
     def test_alloc_overhead_is_real_socket_cost(self, live_fig4):
         """With-minus-without cudaMalloc == one real round-trip + sends."""
-        overhead = live_fig4.overhead("cudaMalloc")
-        # A genuine AF_UNIX round-trip on any machine: 10 us .. 2 ms.
-        assert 10e-6 < overhead < 2e-3
+        result, echo = live_fig4
+        overhead = result.overhead("cudaMalloc")
+        # A genuine AF_UNIX round-trip: never under 10 us, and within a
+        # fixed multiple of what a bare echo costs on this host right now.
+        assert 10e-6 < overhead < MAX_ECHO_MULTIPLE * echo
 
     def test_qualitative_shape_holds_live(self, live_fig4):
-        assert live_fig4.with_convgpu["cudaMalloc"] > live_fig4.without_convgpu["cudaMalloc"]
+        result, _echo = live_fig4
+        assert result.with_convgpu["cudaMalloc"] > result.without_convgpu["cudaMalloc"]
         # cudaFree adds only a send (no reply wait): much cheaper than the
         # blocking alloc overhead.
-        assert live_fig4.overhead("cudaFree") < live_fig4.overhead("cudaMalloc")
+        assert result.overhead("cudaFree") < result.overhead("cudaMalloc")
 
     def test_mem_get_info_live(self, live_fig4):
         # Live mode: one measured round-trip vs the modelled native query;
         # the with-ConVGPU path must at least stay in the same magnitude.
-        assert live_fig4.with_convgpu["cudaMemGetInfo"] < 2e-3
+        result, echo = live_fig4
+        assert result.with_convgpu["cudaMemGetInfo"] < MAX_ECHO_MULTIPLE * echo
 
 
 @pytest.mark.integration

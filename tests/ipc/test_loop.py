@@ -10,14 +10,24 @@ oversized-frame hangups.
 import os
 import threading
 import time
+import types
 
 import pytest
 
+from repro.core.scheduler.core import GpuMemoryScheduler
+from repro.core.scheduler.daemon import SchedulerDaemon
+from repro.core.scheduler.policies import make_policy
 from repro.errors import IpcDisconnected, TransportError
-from repro.ipc import protocol
+from repro.ipc import protocol, unix_socket
 from repro.ipc.loop import IoLoop
 from repro.ipc.tcp_socket import TcpSocketClient, TcpSocketServer
-from repro.ipc.unix_socket import DEFER, UnixSocketClient, UnixSocketServer
+from repro.ipc.unix_socket import (
+    DEFER,
+    OPEN_CONNECTIONS,
+    UnixSocketClient,
+    UnixSocketServer,
+)
+from repro.units import MiB
 
 TRANSPORTS = ("unix", "tcp")
 
@@ -265,6 +275,116 @@ class TestSharedLoop:
     def test_workers_validated(self):
         with pytest.raises(TransportError):
             IoLoop(workers=0)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestStopNeverPolls:
+    """``stop()`` is event-driven: the last ``_forget`` wakes an outside
+    caller, and a loop worker never waits on its own pool (DESIGN.md §10)."""
+
+    def test_outside_stop_returns_with_every_connection_closed(
+        self, make_server, transport, monkeypatch
+    ):
+        def no_sleep(_seconds):
+            raise AssertionError("stop() fell back to a sleep-poll")
+
+        # The module's `time` only: the test's own waits keep the real one.
+        monkeypatch.setattr(
+            unix_socket,
+            "time",
+            types.SimpleNamespace(
+                sleep=no_sleep,
+                monotonic=time.monotonic,
+                perf_counter=time.perf_counter,
+            ),
+        )
+        gauge = OPEN_CONNECTIONS.labels(transport=transport)
+        before = gauge.value
+        server, connect = make_server(transport, echo_handler)
+        clients = [connect() for _ in range(3)]
+        for client in clients:
+            client.call(protocol.MSG_CONTAINER_EXIT, container_id="c")
+        assert gauge.value == before + 3
+        server.stop()
+        assert server._conns == []
+        assert gauge.value == before
+        for client in clients:
+            client.close()
+
+    def test_exit_storm_never_parks_the_pool(self, tmp_path, transport):
+        """``2 x io_workers`` concurrent exits of containers that each hold
+        a live data connection: every tear-down runs on a loop worker, and
+        the closes it hands off need a worker too.  Waiting for them there
+        starved the pool — every exit sat out the full 2 s deadline."""
+        scheduler = GpuMemoryScheduler(
+            1024 * MiB, make_policy("FIFO"), context_overhead=0
+        )
+        daemon = SchedulerDaemon(
+            scheduler, base_dir=str(tmp_path / "storm"), transport=transport
+        ).start()
+
+        def connect(container_id=None):
+            if transport == "unix":
+                return UnixSocketClient(
+                    daemon.control_path
+                    if container_id is None
+                    else daemon.container_socket_path(container_id)
+                )
+            return TcpSocketClient(
+                daemon.host,
+                daemon.control_port
+                if container_id is None
+                else daemon.container_port(container_id),
+            )
+
+        gauge = OPEN_CONNECTIONS.labels(transport=transport)
+        before = gauge.value
+        threads_before = threading.active_count()
+        ids = [f"storm{i}" for i in range(2 * daemon.io_workers)]
+        took = {}
+        start = threading.Barrier(len(ids))
+
+        def exit_one(container_id):
+            with connect() as control:
+                start.wait(timeout=10.0)
+                began = time.monotonic()
+                reply = control.call(
+                    protocol.MSG_CONTAINER_EXIT, container_id=container_id
+                )
+                took[container_id] = time.monotonic() - began
+                assert reply["status"] == "ok"
+
+        try:
+            with connect() as control:
+                for container_id in ids:
+                    control.call(
+                        protocol.MSG_REGISTER_CONTAINER,
+                        container_id=container_id, limit=MiB,
+                    )
+            data = [connect(container_id) for container_id in ids]
+            for container_id, client in zip(ids, data):
+                client.call(
+                    protocol.MSG_MEM_GET_INFO, container_id=container_id, pid=1
+                )
+            storm = [
+                threading.Thread(target=exit_one, args=(container_id,))
+                for container_id in ids
+            ]
+            for thread in storm:
+                thread.start()
+            for thread in storm:
+                thread.join(timeout=30.0)
+            assert all(not thread.is_alive() for thread in storm)
+            assert sorted(took) == ids
+            assert max(took.values()) < 1.0, took
+            # The handed-off closes complete on their own: nothing leaks.
+            _wait_until(lambda: gauge.value == before)
+            _wait_until(lambda: threading.active_count() == threads_before)
+            assert daemon._container_servers == {}
+            for client in data:
+                client.close()
+        finally:
+            daemon.stop()
 
 
 def _read_one_frame(client):
