@@ -13,7 +13,7 @@ stress:          ## deep randomized fault-injection lane
 bench:           ## regenerate every table & figure
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-concurrency:  ## loop-vs-threads scaling table (8/64/256 containers)
+bench-concurrency:  ## codec x pipeline-depth scaling table (8/64/256 containers)
 	$(PYTHON) -m pytest benchmarks/test_bench_concurrency.py -q -s
 
 bench-journal:   ## journal ablation: fsync-under-lock vs group commit

@@ -1,13 +1,14 @@
-"""Concurrency scaling — I/O backend x wire codec x pipeline depth.
+"""Concurrency scaling — wire codec x pipeline depth.
 
 The Fig. 4 setting scaled the number of co-resident containers; the seed's
 daemon spent two OS threads per container (accept + reader), so hundreds of
 containers meant hundreds of mostly-idle threads contending on the GIL.
-The selector backend fixed the thread count; this benchmark now also
-measures the wire itself: the negotiated binary codec (no JSON
-encode/decode on the hot path) and client-side pipelining (one
-``sendall`` of N frames, batch-decoded and dispatched as a unit server
-side, all N replies flushed after one group-commit).
+The selector loop fixed the thread count (the deleted thread-per-connection
+backend's last figures are in DESIGN.md §10); this benchmark measures the
+wire itself: the negotiated binary codec (no JSON encode/decode on the hot
+path) and client-side pipelining (one ``sendall`` of N frames,
+batch-decoded and dispatched as a unit server side, all N replies flushed
+after one group-commit).
 
 Two client shapes, matching how the wire is actually driven:
 
@@ -27,15 +28,11 @@ threads the daemon itself needed.
 
 Acceptance criteria asserted at the end:
 
-- the selector backend sustains 256 containers with a *bounded* thread
-  count (1 loop + worker pool, independent of container count);
-- at 256 containers — where thread-per-connection thrashes 513 threads —
-  it matches or beats the thread backend's throughput and tail latency
-  (like for like: blocking JSON on both; at 8-64 containers the thread
-  backend is healthy and the two are within noise of each other);
-- binary + pipelining is at least 3x blocking JSON at 256 containers on
-  the selector backend — the codec upgrade pays for itself exactly where
-  the paper's scaling story needs it.
+- the daemon sustains 256 containers with a *bounded* thread count
+  (1 loop + worker pool, independent of container count);
+- binary + pipelining is at least 3x blocking JSON at 256 containers —
+  the codec upgrade pays for itself exactly where the paper's scaling
+  story needs it.
 """
 
 import statistics
@@ -60,20 +57,19 @@ REQUESTS_PER_CONTAINER = 32
 #: container (that is what the depth-1 cells measure).
 GENERATOR_THREADS = 8
 
-#: Worker-pool size for the ``io="loop"`` daemon in every loop cell (the
-#: dispatch pool behind the single selector thread).
+#: Worker-pool size of the daemon's I/O loop in every cell (the dispatch
+#: pool behind the single selector thread).
 LOOP_WORKERS = 2
 
-#: (io backend, client codec, pipeline depth).  "json"/depth-1 is the
-#: pre-binary wire (the committed baseline); "binary"/depth-32 is the
-#: negotiated hot path under a batching client.  The two middle cells
-#: isolate each effect: codec at depth 1, pipelining on the JSON wire.
+#: (client codec, pipeline depth).  "json"/depth-1 is the pre-binary wire
+#: (the committed baseline); "binary"/depth-32 is the negotiated hot path
+#: under a batching client.  The two middle cells isolate each effect:
+#: codec at depth 1, pipelining on the JSON wire.
 CONFIGS = (
-    ("threads", "json", 1),
-    ("loop", "json", 1),
-    ("loop", "binary", 1),
-    ("loop", "json", 32),
-    ("loop", "binary", 32),
+    ("json", 1),
+    ("binary", 1),
+    ("json", 32),
+    ("binary", 32),
 )
 
 #: Trials per cell; the best is recorded.  Throughput on a shared 1-CPU
@@ -82,8 +78,8 @@ CONFIGS = (
 #: claims are about, far more stably than any single shot.
 TRIALS = 3
 
-#: (io, codec, depth, count) -> measurement dict; filled by the grid.
-_RESULTS: dict[tuple[str, str, int, int], dict[str, float]] = {}
+#: (codec, depth, count) -> measurement dict; filled by the grid.
+_RESULTS: dict[tuple[str, int, int], dict[str, float]] = {}
 
 
 def _percentile(values, fraction):
@@ -106,7 +102,7 @@ def _alloc_batch(container_id, depth):
     ] * depth
 
 
-def _run_config(tmp_path, io, codec, depth, count):
+def _run_config(tmp_path, codec, depth, count):
     """One grid cell: ``count`` containers hammering one daemon config."""
     scheduler = GpuMemoryScheduler(
         count * GiB, make_policy("FIFO"), context_overhead=0
@@ -114,8 +110,7 @@ def _run_config(tmp_path, io, codec, depth, count):
     threads_before = threading.active_count()
     daemon = SchedulerDaemon(
         scheduler,
-        base_dir=str(tmp_path / f"{io}-{codec}-{depth}-{count}"),
-        io=io,
+        base_dir=str(tmp_path / f"{codec}-{depth}-{count}"),
         io_workers=LOOP_WORKERS,
     ).start()
     client_codec = "auto" if codec == "binary" else "json"
@@ -231,13 +226,13 @@ def _run_config(tmp_path, io, codec, depth, count):
 
 
 @pytest.mark.parametrize("count", CONTAINER_COUNTS)
-@pytest.mark.parametrize(("io", "codec", "depth"), CONFIGS)
-def test_bench_concurrency_grid(tmp_path, io, codec, depth, count):
+@pytest.mark.parametrize(("codec", "depth"), CONFIGS)
+def test_bench_concurrency_grid(tmp_path, codec, depth, count):
     trials = [
-        _run_config(tmp_path / f"t{trial}", io, codec, depth, count)
+        _run_config(tmp_path / f"t{trial}", codec, depth, count)
         for trial in range(TRIALS)
     ]
-    _RESULTS[(io, codec, depth, count)] = max(
+    _RESULTS[(codec, depth, count)] = max(
         trials, key=lambda cell: cell["throughput"]
     )
 
@@ -248,7 +243,6 @@ def test_bench_concurrency_summary(record_output):
         pytest.skip("concurrency grid did not run")
     rows = [
         (
-            io,
             codec,
             str(depth),
             str(count),
@@ -257,13 +251,12 @@ def test_bench_concurrency_summary(record_output):
             f"{cell['p99_ms']:.2f}",
             str(cell["daemon_threads"]),
         )
-        for (io, codec, depth, count), cell in sorted(_RESULTS.items())
+        for (codec, depth, count), cell in sorted(_RESULTS.items())
     ]
     record_output(
         "concurrency_scaling",
         format_table(
             (
-                "backend",
                 "codec",
                 "depth",
                 "containers",
@@ -279,33 +272,23 @@ def test_bench_concurrency_summary(record_output):
             ),
         )
         + f"\n\nbest of {TRIALS} trials per cell.\n"
-        "threads backend: ~2 threads per container (accept + reader); "
-        f"loop backend: one selector thread + {LOOP_WORKERS} workers.\n"
+        f"daemon: one selector thread + {LOOP_WORKERS} workers.\n"
         "depth 1: one blocking connection per container (the wrapper's "
         "shape), latencies per call.\n"
         f"depth 32: {GENERATOR_THREADS} generator threads, each overlapping "
         "pipelined 32-request windows across its shard of connections; "
         "latencies are per window, amortized per connection.",
     )
-    # The selector backend's thread count is independent of container count:
-    # one I/O thread plus the worker pool (small slack for the control
-    # socket's bookkeeping), even at 256 containers.
+    # The daemon's thread count is independent of container count: one I/O
+    # thread plus the worker pool (small slack for the control socket's
+    # bookkeeping), even at 256 containers.
     for count in CONTAINER_COUNTS:
-        assert _RESULTS[("loop", "binary", 32, count)]["daemon_threads"] <= (
+        assert _RESULTS[("binary", 32, count)]["daemon_threads"] <= (
             1 + LOOP_WORKERS + 4
         )
-    # ...while matching or beating thread-per-connection at the paper-scale
-    # concurrency level, where 513 daemon threads thrash (like for like:
-    # blocking JSON on both).  At 8-64 containers the thread backend is
-    # still healthy and the two backends are within noise of each other,
-    # so the like-for-like claim is made where the architecture matters.
-    loop_256 = _RESULTS[("loop", "json", 1, 256)]
-    threads_256 = _RESULTS[("threads", "json", 1, 256)]
-    assert loop_256["throughput"] >= threads_256["throughput"]
-    assert loop_256["p99_ms"] <= threads_256["p99_ms"]
     # The codec upgrade's acceptance bar: negotiated binary + pipelining is
     # at least 3x the blocking-JSON wire at paper scale.
     assert (
-        _RESULTS[("loop", "binary", 32, 256)]["throughput"]
-        >= 3.0 * _RESULTS[("loop", "json", 1, 256)]["throughput"]
+        _RESULTS[("binary", 32, 256)]["throughput"]
+        >= 3.0 * _RESULTS[("json", 1, 256)]["throughput"]
     )

@@ -29,9 +29,9 @@ daemons, router, and generators all time-share one core, so aggregate
 throughput measures how much *total per-request CPU* the architecture
 needs, not true multi-core parallelism — on an N-core host each shard owns
 a core and the direct rows scale with the fleet.  The committed
-single-daemon baseline (``concurrency_scaling.txt``: loop/binary/depth-32
-at 256 containers) is the reference the acceptance ratio is computed
-against.
+single-daemon baseline (``concurrency_scaling.txt`` at e50ac9e:
+binary/depth-32 at 256 containers) is the reference the acceptance ratio
+is computed against.
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ LIMIT_MIB = 32 * 1024
 DURATION = 2.0
 TRIALS = 3
 
-#: Reference: committed single-daemon loop/binary/depth-32 peak from
-#: benchmarks/results/concurrency_scaling.txt.
+#: Reference: single-daemon binary/depth-32 peak from
+#: benchmarks/results/concurrency_scaling.txt as committed at e50ac9e on
+#: the single-CPU host shard_scaling.txt was measured on (that table has
+#: since been regenerated on a 2-CPU host and reads higher).
 COMMITTED_BASELINE_RPS = 48435.0
 
 #: (shards, route) -> req/s; filled by the grid.
@@ -248,8 +250,8 @@ def test_bench_shard_summary(record_output):
         "direct: generators connect to the shards' own container sockets; "
         "routed: through the router's byte-splice proxies.\n"
         f"baseline {COMMITTED_BASELINE_RPS:.0f} req/s = committed "
-        "single-daemon loop/binary/depth-32 peak "
-        "(concurrency_scaling.txt).\n"
+        "single-daemon binary/depth-32 peak "
+        "(concurrency_scaling.txt at e50ac9e, same single-CPU host).\n"
         "single-CPU host: shards, router and generators time-share one "
         "core, so the ratios measure per-request CPU cost, not multi-core "
         "parallelism; on an N-core host each shard owns a core.",

@@ -126,16 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="socket directory (temp dir when omitted)")
     daemon_cmd.add_argument("--transport", choices=("unix", "tcp"), default="unix")
     daemon_cmd.add_argument(
-        "--io", choices=("loop", "threads"), default="loop",
-        help="I/O backend: one shared selector loop + worker pool (default) "
-             "or the thread-per-connection ablation baseline",
-    )
-    daemon_cmd.add_argument(
         "--io-workers", type=int, default=4, metavar="N",
-        help="dispatch worker pool size for --io loop (default: 4)",
+        help="dispatch worker pool size of the I/O loop (default: 4)",
     )
     daemon_cmd.add_argument(
-        "--codec", choices=("auto", "binary", "json"), default="auto",
+        "--codec", choices=("auto", "json"), default="auto",
         help="wire codec: auto (default) negotiates binary per connection "
              "and falls back to JSON for old peers; json pins the "
              "trace-friendly debug mode (docs/PROTOCOL.md)",
@@ -598,7 +593,6 @@ def _cmd_daemon(args) -> int:
     common = {
         "base_dir": args.base_dir,
         "transport": args.transport,
-        "io": args.io,
         "io_workers": args.io_workers,
         "codec": args.codec,
         "host": args.host,
@@ -652,7 +646,6 @@ def _cmd_daemon(args) -> int:
     endpoints = {
         "pid": os.getpid(),
         "transport": args.transport,
-        "io": args.io,
         "codec": args.codec,
         "base_dir": daemon.base_dir,
         "control": daemon.control_path,

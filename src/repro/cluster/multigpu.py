@@ -26,12 +26,16 @@ A placement callable takes ``(schedulers, container_id, limit)`` and
 returns a device ordinal (or ``None`` when no device can ever fit the
 limit); only ``hash`` looks at the container id today, but the id is part
 of the contract so stateful policies can be deterministic per tenant.
+
+``place_most_free`` / ``place_best_fit`` read nothing but ``.unreserved``
+and ``.total_memory``, so they are also the swarm dispatcher's ``spread``
+and ``binpack`` over whole nodes (:mod:`repro.cluster.swarm`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.cluster.ring import HashRing
 from repro.core.scheduler.core import GpuMemoryScheduler
@@ -41,16 +45,22 @@ from repro.errors import ClusterError, LimitExceededError, UnknownContainerError
 from repro.gpu.device import DeviceRegistry
 from repro.units import format_size
 
-__all__ = ["PLACEMENT_POLICIES", "MultiGpuScheduler"]
+__all__ = [
+    "PLACEMENT_POLICIES",
+    "MultiGpuScheduler",
+    "place_best_fit",
+    "place_most_free",
+]
 
 
-def _place_most_free(
-    schedulers: list[GpuMemoryScheduler], container_id: str, limit: int
+def place_most_free(
+    pools: Sequence[Any], container_id: str, limit: int
 ) -> int | None:
+    """Index of the pool with the most unreserved memory (lowest on ties)."""
     candidates = [
-        (s.unreserved, -i)
-        for i, s in enumerate(schedulers)
-        if limit <= s.total_memory
+        (pool.unreserved, -i)
+        for i, pool in enumerate(pools)
+        if limit <= pool.total_memory
     ]
     if not candidates:
         return None
@@ -58,21 +68,22 @@ def _place_most_free(
     return -neg_index
 
 
-def _place_best_fit(
-    schedulers: list[GpuMemoryScheduler], container_id: str, limit: int
+def place_best_fit(
+    pools: Sequence[Any], container_id: str, limit: int
 ) -> int | None:
+    """Index of the tightest pool that can reserve ``limit`` in full."""
     fitting = [
-        (s.unreserved, i)
-        for i, s in enumerate(schedulers)
-        if limit <= s.total_memory and s.unreserved >= limit
+        (pool.unreserved, i)
+        for i, pool in enumerate(pools)
+        if limit <= pool.total_memory and pool.unreserved >= limit
     ]
     if fitting:
         # Smallest unreserved pool that still covers the limit.
         _, index = min(fitting)
         return index
-    # Nobody can reserve fully right now: fall back to the device with the
+    # Nobody can reserve fully right now: fall back to the pool with the
     # most room (the container will be partially assigned + paused there).
-    return _place_most_free(schedulers, container_id, limit)
+    return place_most_free(pools, container_id, limit)
 
 
 class _RoundRobin:
@@ -121,8 +132,8 @@ class _PlaceHash:
 
 #: name -> factory producing a placement callable.
 PLACEMENT_POLICIES: dict[str, Callable[[], Callable]] = {
-    "most-free": lambda: _place_most_free,
-    "best-fit": lambda: _place_best_fit,
+    "most-free": lambda: place_most_free,
+    "best-fit": lambda: place_best_fit,
     "round-robin": _RoundRobin,
     "hash": _PlaceHash,
 }

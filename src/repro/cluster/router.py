@@ -51,8 +51,8 @@ from repro.core.scheduler.daemon import CONTAINER_SOCKET_NAME
 from repro.errors import ClusterError, TransportError
 from repro.ipc import protocol
 from repro.ipc.loop import IoLoop
-from repro.ipc.tcp_socket import TcpSocketClient, TcpSocketServer
-from repro.ipc.unix_socket import UnixSocketClient, UnixSocketServer
+from repro.ipc.tcp_socket import TcpSocketClient, TcpSocketServer, listen_tcp
+from repro.ipc.unix_socket import UnixSocketClient, UnixSocketServer, listen_unix
 from repro.obs.exporters import merge_prometheus, render_prometheus
 from repro.obs.http import MetricsServer
 from repro.obs.log import get_logger
@@ -602,21 +602,13 @@ class ShardRouter:
     def _build_proxy(self, container_id: str) -> _ContainerProxy:
         if self.transport == "unix":
             directory = os.path.join(self.base_dir, container_id[:12])
-            os.makedirs(directory, exist_ok=True)
-            path = os.path.join(directory, CONTAINER_SOCKET_NAME)
-            if os.path.exists(path):
-                os.unlink(path)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(path)
-            listener.listen(128)
+            listener = listen_unix(os.path.join(directory, CONTAINER_SOCKET_NAME))
             proxy = _ContainerProxy(container_id, listener, directory, None)
         else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, 0))
-            listener.listen(128)
-            port = listener.getsockname()[1]
-            proxy = _ContainerProxy(container_id, listener, None, port)
+            listener = listen_tcp(self.host, 0)
+            proxy = _ContainerProxy(
+                container_id, listener, None, listener.getsockname()[1]
+            )
         # bind+listen above are synchronous, so a client may connect the
         # moment the reply reaches it; the loop registration only gates when
         # the accept fires.

@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.cluster.multigpu import place_best_fit, place_most_free
 from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
 from repro.errors import ClusterError, LimitExceededError
@@ -65,32 +66,19 @@ class SwarmNode:
         return self.system.scheduler.total_memory
 
 
-def _spread(nodes: list[SwarmNode], limit: int, rng) -> SwarmNode | None:
-    fitting = [n for n in nodes if limit <= n.total_memory]
-    if not fitting:
-        return None
-    return max(fitting, key=lambda n: (n.unreserved, -nodes.index(n)))
-
-
-def _binpack(nodes: list[SwarmNode], limit: int, rng) -> SwarmNode | None:
-    reservable = [
-        n for n in nodes if limit <= n.total_memory and n.unreserved >= limit
-    ]
-    if reservable:
-        return min(reservable, key=lambda n: (n.unreserved, nodes.index(n)))
-    return _spread(nodes, limit, rng)
-
-
-def _random(nodes: list[SwarmNode], limit: int, rng) -> SwarmNode | None:
-    fitting = [n for n in nodes if limit <= n.total_memory]
+def _random(nodes: list[SwarmNode], limit: int, rng) -> int | None:
+    fitting = [i for i, n in enumerate(nodes) if limit <= n.total_memory]
     if not fitting:
         return None
     return fitting[int(rng.integers(0, len(fitting)))]
 
 
+#: name -> ``(nodes, limit, rng) -> node index | None``.  ``spread`` and
+#: ``binpack`` are the multi-GPU placement pair applied to whole nodes (a
+#: dispatch has no container id yet, and neither of the two reads one).
 DISPATCH_STRATEGIES: dict[str, Callable] = {
-    "spread": _spread,
-    "binpack": _binpack,
+    "spread": lambda nodes, limit, rng: place_most_free(nodes, "", limit),
+    "binpack": lambda nodes, limit, rng: place_best_fit(nodes, "", limit),
     "random": _random,
 }
 
@@ -267,12 +255,12 @@ class SwarmCluster:
         if self.live:
             raise ClusterError("dispatch() is the DES path; live placement "
                                "is the router's hash ring")
-        node = self._dispatch(self.nodes, limit, self._rng)
-        if node is None:
+        index = self._dispatch(self.nodes, limit, self._rng)
+        if index is None:
             raise LimitExceededError(
                 f"no node in the cluster can hold a {limit}-byte container"
             )
-        return node
+        return self.nodes[index]
 
     def submit(self, arrival: Arrival) -> "repro.sim.events.Process":  # noqa: F821
         """Schedule one arrival: dispatch, run, record (a DES process)."""

@@ -148,13 +148,14 @@ class SchedulerDaemon:
         transport: ``"unix"`` (the paper's choice) or ``"tcp"``; TCP mode
             listens on ``host``/``control_port`` and hands each container
             an ephemeral port in its registration reply.
-        io: ``"loop"`` (default) serves the control socket and every
-            per-container socket from one shared selector thread plus a
-            bounded worker pool — the daemon's thread count stays constant
-            no matter how many containers attach; ``"threads"`` keeps the
-            original accept-thread + reader-thread-per-connection model
-            (the Fig. 4 ablation baseline).
-        io_workers: dispatch pool size for ``io="loop"``.
+        io: accepted only as ``"loop"`` and otherwise unused — the control
+            socket and every per-container socket are always served from
+            one shared selector thread plus a bounded worker pool, so the
+            daemon's thread count stays constant no matter how many
+            containers attach.  The parameter survives because the frozen
+            ``benchmarks/perf/_daemon_child.py`` spells it out; it goes
+            when that call site drops it.
+        io_workers: dispatch pool size of the shared I/O loop.
         codec: wire codec offered by every socket the daemon serves —
             ``"auto"`` (default) negotiates binary with capable peers and
             falls back to JSON; ``"json"`` pins the trace-friendly debug
@@ -173,7 +174,7 @@ class SchedulerDaemon:
         flight_dump: path the flight recorder dumps to on a watchdog stall
             (and where :meth:`dump_flight` writes by default — the CLI's
             SIGUSR2 handler and crash hook route here).  Enables the I/O
-            watchdog thread when ``io="loop"``.
+            watchdog thread.
         watchdog_interval: seconds the shared I/O loop may go without an
             iteration before the watchdog declares a stall and dumps.
         shard_id / shard_count: this daemon's identity in a sharded
@@ -209,9 +210,9 @@ class SchedulerDaemon:
     ) -> None:
         if transport not in ("unix", "tcp"):
             raise SchedulerError(f"unknown transport {transport!r}")
-        if io not in ("loop", "threads"):
+        if io != "loop":
             raise SchedulerError(f"unknown io backend {io!r}")
-        if codec not in ("auto", protocol.CODEC_BINARY, protocol.CODEC_JSON):
+        if codec not in ("auto", protocol.CODEC_JSON):
             raise SchedulerError(f"unknown codec {codec!r}")
         if (shard_id is None) != (shard_count is None):
             raise SchedulerError("shard_id and shard_count go together")
@@ -244,7 +245,6 @@ class SchedulerDaemon:
         self.transport = transport
         self.host = host
         self.control_port = control_port
-        self.io = io
         self.io_workers = io_workers
         self.codec = codec
         self._control_handler = _ControlHandler(self)
@@ -331,8 +331,7 @@ class SchedulerDaemon:
         if not self._collector_registered:
             self._collector_registered = True
             REGISTRY.add_collector(self._collector, owner=self)
-        if self.io == "loop":
-            self._io_loop = IoLoop(workers=self.io_workers).start()
+        self._io_loop = IoLoop(workers=self.io_workers).start()
         if self.transport == "unix":
             self._control_server = UnixSocketServer(
                 self.control_path,
@@ -373,7 +372,7 @@ class SchedulerDaemon:
                 top_source=self.top_snapshot,
                 flight_source=lambda: RECORDER.dump_text(reason="http"),
             ).start()
-        if self.flight_dump is not None and self._io_loop is not None:
+        if self.flight_dump is not None:
             self._watchdog_stop.clear()
             self._watchdog = threading.Thread(target=self._watchdog_loop, daemon=True)
             self._watchdog.start()
@@ -381,7 +380,6 @@ class SchedulerDaemon:
         self.log.info(
             "daemon_started",
             transport=self.transport,
-            io=self.io,
             base_dir=self.base_dir,
             containers=len(self._container_dirs),
             metrics_url=(

@@ -11,12 +11,11 @@ Three interchangeable transports share one handler contract
 - :mod:`repro.ipc.channel` — in-process dispatch for deterministic tests
   and the discrete-event simulation.
 
-Both socket transports run on either of two server I/O backends: the
-default shared selector loop (:mod:`repro.ipc.loop` — one I/O thread plus
-a fixed worker pool multiplexes every listener and connection; pass
-``loop=IoLoop(...)`` to the server) or thread-per-connection (no ``loop``;
-the Fig. 4 ablation baseline).  Wire behaviour is identical across
-backends (DESIGN.md §10).
+Both socket transports are served one way: a selector loop
+(:mod:`repro.ipc.loop` — one I/O thread plus a fixed worker pool
+multiplexes every listener and connection).  Pass ``loop=IoLoop(...)`` to
+share one loop across servers, as the daemon does; a server built without
+it owns a private loop between ``start()`` and ``stop()`` (DESIGN.md §10).
 
 Client-side crash resilience (reconnect + exponential backoff with jitter)
 lives in :mod:`repro.ipc.retry`; transports raise the typed

@@ -1,21 +1,21 @@
 """Shared selector-based I/O core for the socket transports.
 
-The paper's daemon creates "UNIX socket for each container" (§III-D); with
-a thread-per-connection server that means two threads per container (accept
-+ reader) and unbounded growth under churn.  :class:`IoLoop` replaces that
-model with the classic reactor shape:
+The paper's daemon creates "UNIX socket for each container" (§III-D); a
+thread-per-connection server would spend two threads per container (accept
++ reader) and grow without bound under churn.  :class:`IoLoop` is the one
+way this repo serves a socket, the classic reactor shape:
 
 - **one I/O thread** multiplexes every registered listener and connection
   through :mod:`selectors` — accepting, reading, and splitting the byte
-  stream into frames (newline-delimited by default; servers install
-  :func:`repro.ipc.protocol.split_frames` to speak both codecs);
+  stream into frames with the connection's ``split`` function (servers
+  install :func:`repro.ipc.protocol.split_frames` to speak both codecs);
 - **a small bounded worker pool** runs protocol decode and the scheduler
   handler, so a deferred (paused) reply or a slow handler never blocks
   reads for the other few hundred containers;
 - **per-connection frame ordering** is preserved: a connection's frames are
-  processed by at most one worker at a time, in arrival order, exactly as
-  the old reader thread did — ``notify`` followed by ``call`` stays in
-  sequence and the ``seq`` correlation invariant holds;
+  processed by at most one worker at a time, in arrival order — ``notify``
+  followed by ``call`` stays in sequence and the ``seq`` correlation
+  invariant holds;
 - **batch dispatch**: every complete frame found in one readable event is
   handed to the connection's ``on_batch`` callback as one unit (contiguous
   batches already queued for the same connection are merged), so a
@@ -23,18 +23,18 @@ model with the classic reactor shape:
   server can cover the whole burst with a single group-commit ``fsync``.
 
 Both :class:`repro.ipc.unix_socket.UnixSocketServer` and
-:class:`repro.ipc.tcp_socket.TcpSocketServer` accept ``loop=`` and register
-their listener with it instead of spawning threads; the scheduler daemon
-creates one loop and shares it across the control socket and every
+:class:`repro.ipc.tcp_socket.TcpSocketServer` register their listener with
+a loop and spawn no threads of their own; the scheduler daemon creates one
+loop and shares it (``loop=``) across the control socket and every
 per-container socket, so the daemon's thread count is ``1 + workers``
-regardless of how many containers are attached.
+regardless of how many containers are attached.  A server built without
+``loop=`` owns a private loop for its own lifetime.
 
 Sockets stay in **blocking** mode: the loop performs exactly one ``recv``
 per readiness event (a level-triggered selector re-reports a socket that
 still has buffered bytes), and replies keep using plain ``sendall`` from
-worker or scheduler threads under the existing per-connection write lock —
-which is what keeps the wire behaviour byte-identical to the threaded
-backend (see ``docs/PROTOCOL.md``).
+worker or scheduler threads under the per-connection write lock (see
+``docs/PROTOCOL.md`` for the wire contract).
 """
 
 from __future__ import annotations
@@ -92,18 +92,18 @@ class _Sentinel:
 
 #: Queued after a connection's last frame once the peer hung up.
 _CLOSE = _Sentinel("CLOSE")
-#: Queued when a connection exceeded the frame cap (hostile/corrupt peer).
-_OVERFLOW = _Sentinel("OVERFLOW")
 #: Worker shutdown marker.
 _STOP = _Sentinel("STOP")
 
 
 class _BadFrame:
-    """Queued when the splitter rejected the stream (framing violation).
+    """Queued when the stream cannot be framed any further.
 
-    Carries the :class:`~repro.errors.ProtocolError` message so a worker can
-    send the in-band error reply before hanging up — the selector thread
-    itself never writes and never dies on a hostile peer.
+    Either the splitter rejected it (carries the
+    :class:`~repro.errors.ProtocolError` message) or the peer exceeded the
+    frame cap.  A worker sends the in-band error reply before hanging up —
+    the selector thread itself never writes and never dies on a hostile
+    peer.
     """
 
     __slots__ = ("message",)
@@ -112,44 +112,32 @@ class _BadFrame:
         self.message = message
 
 
-def _split_lines(buffer: bytes) -> tuple[list[bytes], bytes]:
-    """Default splitter: newline-delimited frames (the JSON-only wire)."""
-    if b"\n" not in buffer:
-        return [], buffer
-    *lines, rest = buffer.split(b"\n")
-    return [line + b"\n" for line in lines], rest
-
-
 class _ConnState:
     """Loop-side bookkeeping for one registered connection."""
 
     __slots__ = (
-        "sock", "on_frame", "on_batch", "on_close", "on_overflow",
-        "on_frame_error", "splitter", "max_buffer",
+        "sock", "on_batch", "on_close", "on_frame_error", "splitter",
+        "max_buffer",
         "buffer", "pending", "scheduled", "lock", "finished",
     )
 
     def __init__(
         self,
         sock: socket.socket,
-        on_frame: Callable[[bytes], None] | None,
-        on_batch: Callable[[list[bytes]], None] | None,
+        on_batch: Callable[[list[bytes]], None],
         on_close: Callable[[], None],
-        on_overflow: Callable[[], None] | None,
         on_frame_error: Callable[[str], None] | None,
         splitter: Callable[[bytes], tuple[list[bytes], bytes]],
         max_buffer: int,
     ) -> None:
         self.sock = sock
-        self.on_frame = on_frame
         self.on_batch = on_batch
         self.on_close = on_close
-        self.on_overflow = on_overflow
         self.on_frame_error = on_frame_error
         self.splitter = splitter
         self.max_buffer = max_buffer
         self.buffer = b""
-        #: Frame batches (and finally a _CLOSE/_OVERFLOW/_BadFrame sentinel)
+        #: Frame batches (and finally a _CLOSE/_BadFrame sentinel)
         #: awaiting a worker.
         self.pending: deque[Any] = deque()
         #: True while the connection sits in the worker queue or a worker is
@@ -321,36 +309,29 @@ class IoLoop:
         self,
         conn: socket.socket,
         *,
-        on_frame: Callable[[bytes], None] | None = None,
-        on_batch: Callable[[list[bytes]], None] | None = None,
+        on_batch: Callable[[list[bytes]], None],
         on_close: Callable[[], None],
-        on_overflow: Callable[[], None] | None = None,
+        split: Callable[[bytes], tuple[list[bytes], bytes]],
         on_frame_error: Callable[[str], None] | None = None,
-        split: Callable[[bytes], tuple[list[bytes], bytes]] | None = None,
         max_buffer: int = 64 * 1024,
     ) -> None:
         """Register an accepted connection for read multiplexing.
 
-        Exactly one of ``on_frame`` / ``on_batch`` must be given.
-        ``on_frame(frame)`` runs on a worker thread, frames of one
-        connection strictly in order; ``on_batch(frames)`` receives every
+        ``on_batch(frames)`` runs on a worker thread and receives every
         complete frame of a readable event (plus any batches already queued
-        for the connection) as one list, same ordering guarantee.
+        for the connection) as one list; batches of one connection are
+        delivered strictly in order.
         ``on_close()`` runs exactly once when the connection is finished
-        (peer EOF, error, :meth:`close_connection` or :meth:`stop`);
-        ``on_overflow()`` runs (before close) when the peer exceeded
-        ``max_buffer`` without completing a frame.  ``split(buffer)`` is the
-        framing function ``(complete_frames, remainder)`` — defaults to
-        newline splitting; it may raise :class:`~repro.errors.ProtocolError`
-        for unrecoverable framing (bad binary header), which is routed to
+        (peer EOF, error, :meth:`close_connection` or :meth:`stop`).
+        ``split(buffer)`` is the framing function ``(complete_frames,
+        remainder)``; it may raise :class:`~repro.errors.ProtocolError` for
+        unrecoverable framing (bad binary header).  That, and a peer that
+        exceeds ``max_buffer`` without completing a frame, is routed to
         ``on_frame_error(message)`` on a worker and then closes the
         connection.
         """
-        if (on_frame is None) == (on_batch is None):
-            raise TransportError("exactly one of on_frame/on_batch required")
         state = _ConnState(
-            conn, on_frame, on_batch, on_close, on_overflow, on_frame_error,
-            split if split is not None else _split_lines, max_buffer,
+            conn, on_batch, on_close, on_frame_error, split, max_buffer,
         )
 
         def op() -> None:
@@ -491,11 +472,13 @@ class IoLoop:
             self._enqueue(state, frames)
         if len(state.buffer) > state.max_buffer:
             # A frame that large can never be valid; stop reading and let a
-            # worker send the in-band error and hang up (same behaviour as
-            # the threaded backend).
+            # worker send the in-band error and hang up.
             if self._drop(state.sock) is not None:
                 _REC.record(_EV_OVERFLOW, a=state.sock.fileno(), b=len(state.buffer))
-                self._enqueue(state, _OVERFLOW)
+                self._enqueue(
+                    state,
+                    _BadFrame(f"frame exceeds {state.max_buffer} bytes"),
+                )
 
     def _drop(self, conn: socket.socket) -> _ConnState | None:
         """Loop thread only: unregister a connection, once."""
@@ -547,17 +530,6 @@ class IoLoop:
         if item is _CLOSE:
             self._finish(state)
             return
-        if item is _OVERFLOW:
-            if state.on_overflow is not None:
-                try:
-                    state.on_overflow()
-                # reprolint: ignore[swallowed-exception] -- the overflow
-                # notifier is best-effort; the close below is the real
-                # handling and must still run.
-                except Exception:
-                    pass
-            self._finish(state)
-            return
         if isinstance(item, _BadFrame):
             if state.on_frame_error is not None:
                 try:
@@ -569,22 +541,13 @@ class IoLoop:
                     pass
             self._finish(state)
             return
-        if state.on_batch is not None:
-            try:
-                state.on_batch(item)
-            # reprolint: ignore[swallowed-exception] -- handler bugs are
-            # reported in-band by the server's dispatch; anything escaping
-            # to here must not kill the shared worker.
-            except Exception:
-                pass
-            return
-        for frame in item:
-            try:
-                state.on_frame(frame)  # type: ignore[misc]
-            # reprolint: ignore[swallowed-exception] -- same as above, and
-            # per-frame so one bad frame never drops the rest of its batch.
-            except Exception:
-                pass
+        try:
+            state.on_batch(item)
+        # reprolint: ignore[swallowed-exception] -- handler bugs are
+        # reported in-band by the server's dispatch; anything escaping
+        # to here must not kill the shared worker.
+        except Exception:
+            pass
 
     def _finish(self, state: _ConnState) -> None:
         with state.lock:

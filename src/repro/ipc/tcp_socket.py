@@ -5,7 +5,7 @@ it, because of its complexity and low performance compared to that of UNIX
 socket."  This transport exists solely so the IPC ablation benchmark
 (`benchmarks/test_bench_ablation_ipc.py`) can quantify that design choice on
 the reproduction machine.  Interface-compatible with
-:mod:`repro.ipc.unix_socket`, including the ``loop=`` shared-I/O backend.
+:mod:`repro.ipc.unix_socket`, including what ``loop=`` means.
 """
 
 from __future__ import annotations
@@ -14,28 +14,33 @@ import socket
 
 from repro.ipc.loop import IoLoop
 from repro.ipc.unix_socket import (
-    DEFER,
-    FRAMES_RECEIVED,
-    OPEN_CONNECTIONS,
-    PROTOCOL_ERRORS,
     Handler,
-    ReplyHandle,
     _BaseSocketClient,
     _BaseSocketServer,
     map_os_error,
 )
 
-__all__ = ["TcpSocketServer", "TcpSocketClient"]
+__all__ = ["TcpSocketServer", "TcpSocketClient", "listen_tcp"]
 
-# Re-exported for callers that imported the shared handles from here.
-_ = (DEFER, FRAMES_RECEIVED, OPEN_CONNECTIONS, PROTOCOL_ERRORS, ReplyHandle)
+
+def listen_tcp(host: str, port: int) -> socket.socket:
+    """Bound, listening TCP socket (``port`` 0 = ephemeral).
+
+    Shared by the servers and the shard router's proxies.
+    """
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind((host, port))
+    listener.listen(128)
+    return listener
 
 
 class TcpSocketServer(_BaseSocketServer):
     """Loopback-TCP server speaking the ConVGPU protocol.
 
-    Pass ``loop=`` to serve from a shared :class:`~repro.ipc.loop.IoLoop`
-    instead of dedicated accept/reader threads.
+    Pass ``loop=`` to serve from a shared :class:`~repro.ipc.loop.IoLoop`;
+    without it the server runs a private one between ``start()`` and
+    ``stop()``.
     """
 
     transport = "tcp"
@@ -55,10 +60,7 @@ class TcpSocketServer(_BaseSocketServer):
         self.port = port  # 0 = ephemeral; actual port published after start()
 
     def _make_listener(self) -> socket.socket:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(128)
+        listener = listen_tcp(self.host, self.port)
         self.port = listener.getsockname()[1]
         return listener
 

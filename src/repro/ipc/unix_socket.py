@@ -20,16 +20,13 @@ the :class:`ReplyHandle` the handler received — meanwhile the client's
 suspends a container ("the response from the scheduler will be suspended
 until the required size of memory is available", §III-D).
 
-Two interchangeable I/O backends drive each server:
-
-- **threads** (``loop=None``): one accept thread plus one reader thread per
-  connection — the original model, kept for the Fig. 4 ablation;
-- **shared loop** (``loop=IoLoop``): the server registers its listener with
-  a :class:`repro.ipc.loop.IoLoop` and contributes **zero** threads of its
-  own; one selector thread and a bounded worker pool serve every server on
-  the loop, which is how the daemon scales to hundreds of containers.
-
-Wire behaviour is identical on both backends (see ``docs/PROTOCOL.md``).
+Every server is driven by a :class:`repro.ipc.loop.IoLoop` — one selector
+thread and a bounded worker pool — and spawns no threads of its own.
+``loop=`` only says whose loop: a server given one registers its listener
+there and never stops it (the daemon shares one loop across hundreds of
+container sockets); a server built without one starts a private
+``IoLoop()`` in ``start()`` and stops it in ``stop()``.  The wire contract
+is in ``docs/PROTOCOL.md``.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 
 __all__ = ["DEFER", "ReplyHandle", "UnixSocketServer", "UnixSocketClient",
-           "map_os_error"]
+           "listen_unix", "map_os_error"]
 
 _perf_counter = time.perf_counter
 
@@ -115,6 +112,21 @@ def map_os_error(exc: OSError, context: str) -> TransportError:
     return TransportError(f"{context}: {exc}")
 
 
+def listen_unix(path: str) -> socket.socket:
+    """Bound, listening AF_UNIX socket at ``path``.
+
+    Replaces a stale socket file (left by a crash) and creates the parent
+    directory; shared by the servers and the shard router's proxies.
+    """
+    if os.path.exists(path):
+        os.unlink(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen(128)
+    return listener
+
+
 class _Defer:
     """Sentinel a handler returns to withhold the reply (container pause)."""
 
@@ -131,7 +143,7 @@ Handler = Callable[[dict[str, Any], "ReplyHandle"], Any]
 class _ConnCtx:
     """Per-connection negotiated state, shared by dispatch and handles.
 
-    Mutated only by the single worker/reader that processes the
+    Mutated only by the single loop worker that processes the
     connection's frames in order, so no lock is needed; reply handles
     capture the value at decode time.  ``sample_n`` is the stage-sampling
     batch counter (:func:`repro.obs.stages.maybe_start`) — a plain slot
@@ -149,11 +161,10 @@ class _ConnCtx:
 class ReplyHandle:
     """Capability to answer one request, possibly after the handler returned.
 
-    Backend-agnostic by construction: the handle owns the connection socket
-    and its per-connection write lock, so a deferred (paused) reply can be
-    completed from *any* thread — a reader thread, a shared-loop worker, or
-    the scheduler thread that resumes a paused container — and the bytes on
-    the wire are identical on both I/O backends.  The reply is encoded with
+    The handle owns the connection socket and its per-connection write
+    lock, so a deferred (paused) reply can be completed from *any* thread —
+    a loop worker or the scheduler thread that resumes a paused container.
+    The reply is encoded with
     the codec of the frame that carried the request, captured at decode
     time — on a negotiated connection that is the negotiated codec.
     """
@@ -205,18 +216,16 @@ class _BaseSocketServer:
 
     Subclasses provide :meth:`_make_listener` (and optionally
     :meth:`_configure_conn` / :meth:`_after_stop`); everything else —
-    accept, framing, dispatch, connection lifecycle on either I/O backend —
-    lives here so the two transports cannot drift apart.
+    accept, dispatch, connection lifecycle on the I/O loop — lives here so
+    the two transports cannot drift apart.
 
     Connection-lifecycle invariants (regression-tested under churn):
 
     - every accepted connection appears in ``_conns`` exactly until it is
       finished, whichever side hung up first — ``stop()`` never re-closes a
       dead socket and a long-lived server never accumulates entries;
-    - in threads mode, finished reader threads are pruned immediately (the
-      seed's ``_threads`` list grew one entry per connection, forever);
-    - all ``_conns``/thread bookkeeping is done under ``_conns_lock``
-      (``stop()`` iterating while the accept path appends was a data race).
+    - all ``_conns`` bookkeeping is done under ``_conns_lock`` (``stop()``
+      iterating while the accept path appends was a data race).
     """
 
     transport: str = "unknown"
@@ -229,7 +238,7 @@ class _BaseSocketServer:
         codec: str = "auto",
         identity: Mapping[str, Any] | None = None,
     ) -> None:
-        if codec not in ("auto", protocol.CODEC_BINARY, protocol.CODEC_JSON):
+        if codec not in ("auto", protocol.CODEC_JSON):
             raise TransportError(f"unknown codec {codec!r}")
         self.handler = handler
         self.codec = codec
@@ -246,15 +255,16 @@ class _BaseSocketServer:
             if codec == protocol.CODEC_JSON
             else protocol.SUPPORTED_CODECS
         )
+        #: The loop serving this server: the caller's shared one, or a
+        #: private one that exists only between ``start()`` and ``stop()``.
         self._loop = loop
+        self._owns_loop = loop is None
         # Label resolution takes the metric family's lock; resolve the
         # per-frame counter's child once instead of on every frame.
         self._frames_received = FRAMES_RECEIVED.labels(transport=self.transport)
         self._batch_depth = BATCH_DEPTH.labels(transport=self.transport)
         self._coalesced_bytes = COALESCED_BYTES.labels(transport=self.transport)
         self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._conn_threads: set[threading.Thread] = set()
         self._conns: list[socket.socket] = []
         self._conns_lock = threading.Lock()
         #: Signalled by ``_forget`` when the last connection leaves.
@@ -280,29 +290,28 @@ class _BaseSocketServer:
         self._stopping.clear()
         listener = self._make_listener()
         self._listener = listener
-        if self._loop is not None:
-            self._loop.add_listener(listener, self._loop_accept)
-        else:
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop,
-                args=(listener,),
-                name=f"convgpu-accept:{self.transport}",
-                daemon=True,
-            )
-            self._accept_thread.start()
+        if self._owns_loop:
+            self._loop = IoLoop().start()
+        assert self._loop is not None
+        self._loop.add_listener(listener, self._loop_accept)
         return self
 
     def stop(self) -> None:
-        """Stop accepting, close all connections, join worker threads."""
+        """Stop accepting and close all connections (idempotent).
+
+        A shared loop is left running for its other servers; a private one
+        is stopped here, which joins every thread ``start()`` created.
+        """
         self._stopping.set()
         listener, self._listener = self._listener, None
-        if self._loop is not None:
+        loop = self._loop
+        if loop is not None:
             if listener is not None:
-                self._loop.remove_listener(listener)
+                loop.remove_listener(listener)
             with self._conns_lock:
                 conns = list(self._conns)
             for conn in conns:
-                self._loop.close_connection(conn)
+                loop.close_connection(conn)
             # The loop's workers complete the closes (after draining any
             # frames already queued for those connections).  An outside
             # caller waits (bounded) for the last _forget so stop() is
@@ -310,38 +319,14 @@ class _BaseSocketServer:
             # container_exit tear-down runs on one — must not: the closes
             # it would wait for need a worker of the same pool, and a full
             # pool of waiting workers starves every connection on the loop.
-            if not self._loop.on_worker():
+            if not loop.on_worker():
                 with self._conns_lock:
                     self._conns_empty.wait_for(
                         lambda: not self._conns, timeout=2.0
                     )
-        else:
-            if listener is not None:
-                try:
-                    # shutdown() wakes a thread blocked in accept(); close()
-                    # alone can leave it sleeping until the join timeout.
-                    listener.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    listener.close()
-                except OSError:
-                    pass
-            with self._conns_lock:
-                conns, self._conns = self._conns, []
-                threads = list(self._conn_threads)
-            for conn in conns:
-                try:
-                    conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                conn.close()
-                OPEN_CONNECTIONS.labels(transport=self.transport).dec()
-            accept_thread, self._accept_thread = self._accept_thread, None
-            if accept_thread is not None:
-                accept_thread.join(timeout=2.0)
-            for thread in threads:
-                thread.join(timeout=2.0)
+            if self._owns_loop:
+                loop.stop()
+                self._loop = None
         self._after_stop()
 
     def __enter__(self):
@@ -350,7 +335,7 @@ class _BaseSocketServer:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    # -- shared-loop backend ------------------------------------------------
+    # -- connection lifecycle -------------------------------------------------
 
     def _loop_accept(self, conn: socket.socket) -> None:
         """Accept callback run on the loop thread: register, don't read."""
@@ -370,86 +355,12 @@ class _BaseSocketServer:
                 conn, write_lock, ctx, frames
             ),
             on_close=lambda: self._forget(conn),
-            on_overflow=lambda: self._send_oversize_reply(conn, write_lock, ctx),
             on_frame_error=lambda message: self._send_frame_error(
-                conn, write_lock, ctx, message
+                conn, write_lock, message
             ),
             split=protocol.split_frames,
             max_buffer=protocol.MAX_FRAME_BYTES,
         )
-
-    # -- threads backend ----------------------------------------------------
-
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed
-            self._configure_conn(conn)
-            reader = threading.Thread(
-                target=self._serve_thread,
-                args=(conn,),
-                name=f"convgpu-conn:{self.transport}",
-                daemon=True,
-            )
-            with self._conns_lock:
-                if self._stopping.is_set():
-                    conn.close()
-                    return
-                self._conns.append(conn)
-                self._conn_threads.add(reader)
-            OPEN_CONNECTIONS.labels(transport=self.transport).inc()
-            reader.start()
-
-    def _serve_thread(self, conn: socket.socket) -> None:
-        try:
-            self._serve_connection(conn)
-        finally:
-            # Whichever way the connection ended (peer EOF, oversized frame,
-            # socket error), the entry leaves _conns and this thread leaves
-            # _conn_threads *now* — not at stop() — so a daemon under
-            # connection churn stays bounded.
-            self._forget(conn)
-            with self._conns_lock:
-                self._conn_threads.discard(threading.current_thread())
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        write_lock = threading.Lock()
-        ctx = _ConnCtx()
-        buffer = b""
-        while not self._stopping.is_set():
-            try:
-                chunk = conn.recv(65536)
-            except OSError:
-                return
-            if not chunk:
-                return  # client closed
-            buffer += chunk
-            # The blocking recv above includes idle wait-for-client time, so
-            # unlike the loop backend only the frame-split stage is timed.
-            timed = _stages.io_sample()
-            split_began = _perf_counter() if timed else 0.0
-            try:
-                frames, buffer = protocol.split_frames(buffer)
-            except ProtocolError as exc:
-                # Unrecoverable framing (bad magic/version/length): report
-                # in-band and hang up, same as the loop backend.
-                self._send_frame_error(conn, write_lock, ctx, str(exc))
-                return
-            if timed:
-                _stages.observe_stage(
-                    _stages.S_FRAME, _perf_counter() - split_began
-                )
-            if frames:
-                self._dispatch_batch(conn, write_lock, ctx, frames)
-            if len(buffer) > protocol.MAX_FRAME_BYTES:
-                # A frame that large can never be valid; drop the connection
-                # instead of buffering a hostile/corrupt stream without bound.
-                self._send_oversize_reply(conn, write_lock, ctx)
-                return
-
-    # -- shared internals ----------------------------------------------------
 
     def _forget(self, conn: socket.socket) -> None:
         """Close one connection and drop its bookkeeping, exactly once."""
@@ -457,7 +368,7 @@ class _BaseSocketServer:
             try:
                 self._conns.remove(conn)
             except ValueError:
-                return  # stop() (or the other backend's path) already did
+                return  # already forgotten
             # Under the lock, so a stop() woken below finds the gauge
             # settled too (the loop closed the socket before calling here).
             OPEN_CONNECTIONS.labels(transport=self.transport).dec()
@@ -476,30 +387,17 @@ class _BaseSocketServer:
         self,
         conn: socket.socket,
         write_lock: threading.Lock,
-        ctx: _ConnCtx,
         message: str,
     ) -> None:
         """In-band error for an unrecoverable framing violation.
 
-        The stream is undecodable at this point, so there is no frame codec
-        to mirror — the error goes out as newline-JSON, the protocol floor
-        every peer (and every debugging probe) can parse.
+        Bad magic/version/length or a frame over the size cap: the stream
+        is undecodable at this point, so there is no frame codec to mirror
+        — the error goes out as newline-JSON, the protocol floor every peer
+        (and every debugging probe) can parse.  The loop hangs up after.
         """
         PROTOCOL_ERRORS.labels(transport=self.transport).inc()
         reply = protocol.make_error_reply({"type": "unknown", "seq": 0}, message)
-        try:
-            with write_lock:
-                conn.sendall(protocol.encode(reply))
-        except OSError:
-            pass
-
-    def _send_oversize_reply(
-        self, conn: socket.socket, write_lock: threading.Lock, ctx: _ConnCtx
-    ) -> None:
-        reply = protocol.make_error_reply(
-            {"type": "unknown", "seq": 0},
-            f"frame exceeds {protocol.MAX_FRAME_BYTES} bytes",
-        )
         try:
             with write_lock:
                 conn.sendall(protocol.encode(reply))
@@ -706,8 +604,8 @@ class UnixSocketServer(_BaseSocketServer):
     One instance per socket path; the GPU memory scheduler daemon creates
     one per container plus one control socket (mirroring §III-D: "It
     creates UNIX socket for each container").  Pass ``loop=`` to serve this
-    socket from a shared :class:`~repro.ipc.loop.IoLoop` instead of
-    dedicated threads.
+    socket from a shared :class:`~repro.ipc.loop.IoLoop`; without it the
+    server runs a private one between ``start()`` and ``stop()``.
     """
 
     transport = "unix"
@@ -725,13 +623,7 @@ class UnixSocketServer(_BaseSocketServer):
         self.path = path
 
     def _make_listener(self) -> socket.socket:
-        if os.path.exists(self.path):
-            os.unlink(self.path)
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(self.path)
-        listener.listen(128)
-        return listener
+        return listen_unix(self.path)
 
     def _after_stop(self) -> None:
         if os.path.exists(self.path):
@@ -747,8 +639,8 @@ class _BaseSocketClient:
     Subclass ``__init__`` connects its socket, then calls
     :meth:`_init_stream` — which runs the hello handshake unless the caller
     pinned ``codec="json"`` (the legacy wire, also the trace-friendly debug
-    mode).  ``codec="auto"`` and ``codec="binary"`` both offer every
-    supported codec and accept whatever the server picks; a peer that
+    mode).  ``codec="auto"`` offers every supported codec and accepts
+    whatever the server picks; a peer that
     rejects or mis-answers the hello leaves the connection on JSON, never
     broken.  Because negotiation happens at connect time, every redial
     (e.g. :class:`repro.ipc.retry.ResilientClient` re-running its factory)
@@ -771,7 +663,7 @@ class _BaseSocketClient:
         self.server_identity: dict[str, Any] = {}
 
     def _init_stream(self, codec: str) -> None:
-        if codec not in ("auto", protocol.CODEC_BINARY, protocol.CODEC_JSON):
+        if codec not in ("auto", protocol.CODEC_JSON):
             self.close()
             raise TransportError(f"unknown codec {codec!r}")
         if codec == protocol.CODEC_JSON:

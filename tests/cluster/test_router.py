@@ -80,7 +80,8 @@ def test_allocation_splices_through_proxy(fleet, codec):
     cid = f"cont-splice-{codec}"
     _register(router, cid)
     path = router.container_socket_path(cid)
-    with UnixSocketClient(path, timeout=30.0, codec=codec) as client:
+    client_codec = "auto" if codec == "binary" else "json"
+    with UnixSocketClient(path, timeout=30.0, codec=client_codec) as client:
         if codec == "binary":
             # Hello is answered by the shard through the splice: the client
             # sees the shard's identity, proving codec negotiation and

@@ -24,7 +24,6 @@ from repro.ipc.unix_socket import ReplyHandle, UnixSocketClient
 from repro.units import MiB
 
 TOTAL = 100 * MiB
-IO_BACKENDS = ("loop", "threads")
 
 
 class FakeClock:
@@ -55,7 +54,8 @@ def wait_until_paused(daemon, container_id):
     raise AssertionError("request never paused")
 
 
-@pytest.mark.parametrize("io", IO_BACKENDS)
+# One value: the only I/O model left; the param keeps the ``[loop]`` test ids.
+@pytest.mark.parametrize("io", ("loop",))
 class TestReapWhilePaused:
     def test_paused_client_unblocks_cleanly_on_reap(self, tmp_path, io):
         """A container reaped mid-pause never leaves its wrapper hanging.

@@ -278,8 +278,8 @@ class TestWireCodecInvariance:
     """The wire is transparent to scheduler semantics.
 
     The same deterministic workload, driven over a live socket under every
-    {I/O backend} x {wire codec} cell, must leave the scheduler with a
-    byte-identical serialized event log — the binary codec and the batch
+    {private, shared loop} x {wire codec} cell, must leave the scheduler with
+    a byte-identical serialized event log — the binary codec and the batch
     dispatch path are allowed to change performance, never a decision, an
     ordering, or a float.
     """
@@ -361,8 +361,8 @@ class TestWireCodecInvariance:
         traces: dict[tuple[str, str], str] = {}
         for codec in ("binary", "json"):
             client_codec = "auto" if codec == "binary" else "json"
-            path = str(tmp_path / f"threads-{codec}.sock")
-            traces[("threads", codec)] = self._drive_over_wire(
+            path = str(tmp_path / f"private-{codec}.sock")
+            traces[("private", codec)] = self._drive_over_wire(
                 None, client_codec, path
             )
             with IoLoop(workers=2) as loop:
@@ -370,7 +370,7 @@ class TestWireCodecInvariance:
                 traces[("loop", codec)] = self._drive_over_wire(
                     loop, client_codec, path
                 )
-        reference_cell = ("threads", "json")
+        reference_cell = ("loop", "json")
         reference = traces[reference_cell]
         assert reference.strip(), "workload produced an empty event log"
         for cell, trace in traces.items():

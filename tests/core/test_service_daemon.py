@@ -174,3 +174,8 @@ class TestDaemon:
     def test_double_start_rejected(self, daemon):
         with pytest.raises(SchedulerError):
             daemon.start()
+
+    def test_only_the_loop_io_value_is_accepted(self, tmp_path):
+        scheduler = GpuMemoryScheduler(5 * GiB, make_policy("BF"))
+        with pytest.raises(SchedulerError):
+            SchedulerDaemon(scheduler, base_dir=str(tmp_path), io="threads")

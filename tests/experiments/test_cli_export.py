@@ -58,6 +58,14 @@ class TestCli:
             )
             assert args.command == command
 
+    def test_daemon_has_no_io_backend_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["daemon", "--help"])
+        out = capsys.readouterr().out
+        # --io-workers stays; the backend selector is gone.
+        assert "--io-workers" in out
+        assert "--io" not in out.replace("--io-workers", "")
+
     def test_run_command_exit_zero(self, capsys):
         code = main(["run", "--policy", "FIFO", "--count", "4", "--seed", "11"])
         assert code == 0

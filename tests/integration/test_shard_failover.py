@@ -40,6 +40,7 @@ def _wait_until(predicate, timeout=DEADLINE, interval=0.05):
 
 
 def _data_client(router: ShardRouter, cid: str, codec: str):
+    codec = "auto" if codec == "binary" else "json"
     if router.transport == "unix":
         return UnixSocketClient(
             router.container_socket_path(cid), timeout=DEADLINE, codec=codec

@@ -4,8 +4,8 @@ The seed's servers appended every finished reader thread to an
 ever-growing list and left closed connections in ``_conns`` — a daemon
 under churn (containers starting and exiting all day) grew without bound.
 These tests connect/disconnect hundreds of clients against both transports
-on both I/O backends and assert that live-thread count and connection
-bookkeeping return to baseline.
+and assert that live-thread count and connection bookkeeping return to
+baseline.
 
 Every churn runs under a hard wall-clock deadline (a reintroduced leak or
 hang fails fast instead of wedging the suite).
@@ -19,7 +19,12 @@ import pytest
 from repro.ipc import protocol
 from repro.ipc.loop import IoLoop
 from repro.ipc.tcp_socket import TcpSocketClient, TcpSocketServer
-from repro.ipc.unix_socket import OPEN_CONNECTIONS, UnixSocketClient, UnixSocketServer
+from repro.ipc.unix_socket import (
+    OPEN_CONNECTIONS,
+    PROTOCOL_ERRORS,
+    UnixSocketClient,
+    UnixSocketServer,
+)
 
 CHURN_CLIENTS = 500
 #: Hard deadline for one churn run; generous, but finite — a hang must
@@ -60,14 +65,11 @@ def wait_until(predicate, timeout=10.0, message="condition not reached"):
     assert predicate(), message
 
 
-@pytest.fixture(params=("threads", "loop"))
+@pytest.fixture(params=("loop",))
 def backend(request):
-    """(name, loop | None): both I/O backends, loop torn down after."""
-    if request.param == "threads":
-        yield ("threads", None)
-    else:
-        with IoLoop(workers=2) as loop:
-            yield ("loop", loop)
+    """A shared loop, as the daemon serves (param kept for stable test ids)."""
+    with IoLoop(workers=2) as loop:
+        yield loop
 
 
 @pytest.fixture(params=("binary", "json"))
@@ -78,7 +80,7 @@ def codec(request):
 
 @pytest.fixture(params=("unix", "tcp"))
 def server_and_connect(request, backend, codec, tmp_path):
-    _name, loop = backend
+    loop = backend
     # "auto" negotiates down to binary against an auto server; "json"
     # pins the legacy wire.  Either way the *server* stays auto, so the
     # same daemon serves both kinds of client at once — exactly the
@@ -101,9 +103,11 @@ class TestConnectionChurn:
     def test_churn_leaves_no_threads_or_conns(
         self, server_and_connect, backend, codec
     ):
-        """500 connect/call/disconnect cycles: bookkeeping stays bounded."""
+        """500 connect/call/disconnect cycles: bookkeeping stays bounded.
+
+        (``backend`` is listed only so the cell ids keep their order.)
+        """
         server, connect = server_and_connect
-        backend_name, _loop = backend
         gauge = OPEN_CONNECTIONS.labels(transport=server.transport)
         gauge_baseline = gauge.value
         with connect() as probe:  # the matrix cell really negotiated it
@@ -129,15 +133,8 @@ class TestConnectionChurn:
             lambda: len(server._conns) == 0,
             message=f"{len(server._conns)} connections leaked in _conns",
         )
-        if backend_name == "threads":
-            # The seed leaked one finished reader thread per connection
-            # here; now the set self-prunes.
-            wait_until(
-                lambda: len(server._conn_threads) == 0,
-                message=f"{len(server._conn_threads)} reader threads leaked",
-            )
-        # Live thread count returns to baseline (reader threads exit; the
-        # loop backend never created any).
+        # Live thread count returns to baseline (the loop never creates a
+        # thread per connection).
         wait_until(
             lambda: threading.active_count() <= threads_before + 1,
             message=f"thread count grew: {threads_before} -> "
@@ -153,6 +150,8 @@ class TestConnectionChurn:
     def test_oversized_frame_conn_does_not_leak(self, server_and_connect):
         """A hostile client's closed connection leaves _conns immediately."""
         server, connect = server_and_connect
+        errors = PROTOCOL_ERRORS.labels(transport=server.transport)
+        errors_before = errors.value
 
         def hostile_round():
             for _ in range(20):
@@ -172,6 +171,8 @@ class TestConnectionChurn:
             lambda: len(server._conns) == 0,
             message=f"{len(server._conns)} hostile conns leaked in _conns",
         )
+        # Every rejected frame is counted, like any other framing error.
+        assert errors.value == errors_before + 20
         # stop() after the hostile churn must not re-close dead sockets
         # (the seed kept them listed and re-closed every one).
         server.stop()

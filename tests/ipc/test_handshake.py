@@ -114,13 +114,11 @@ class LegacyJsonServer:
             os.unlink(self.path)
 
 
-@pytest.fixture(params=("threads", "loop"))
+@pytest.fixture(params=("loop",))
 def backend(request):
-    if request.param == "threads":
-        yield None
-    else:
-        with IoLoop(workers=2) as loop:
-            yield loop
+    """A shared loop, as the daemon serves (param kept for stable test ids)."""
+    with IoLoop(workers=2) as loop:
+        yield loop
 
 
 class TestNegotiationMatrix:

@@ -1,10 +1,10 @@
-"""Tests for the shared selector-based I/O backend (`repro.ipc.loop`).
+"""Tests for the selector-based I/O loop (`repro.ipc.loop`).
 
-Every test runs both transports through one :class:`IoLoop` — the
-configuration the scheduler daemon defaults to — and asserts that the wire
-behaviour matches the threaded backend exactly: request/reply, deferred
-(paused) replies, in-band protocol errors, notification ordering, and
-oversized-frame hangups.
+Every test runs both transports through an :class:`IoLoop` — shared, the
+way the scheduler daemon serves, or private to one bare server — and
+asserts the wire contract: request/reply, deferred (paused) replies,
+in-band protocol errors, notification ordering, and oversized-frame
+hangups.
 """
 
 import os
@@ -19,7 +19,7 @@ from repro.core.scheduler.daemon import SchedulerDaemon
 from repro.core.scheduler.policies import make_policy
 from repro.errors import IpcDisconnected, TransportError
 from repro.ipc import protocol, unix_socket
-from repro.ipc.loop import IoLoop
+from repro.ipc.loop import DEFAULT_IO_WORKERS, IoLoop
 from repro.ipc.tcp_socket import TcpSocketClient, TcpSocketServer
 from repro.ipc.unix_socket import (
     DEFER,
@@ -275,6 +275,62 @@ class TestSharedLoop:
     def test_workers_validated(self):
         with pytest.raises(TransportError):
             IoLoop(workers=0)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestPrivateLoop:
+    """``loop=None`` is ownership: the server runs (and stops) its own loop."""
+
+    @staticmethod
+    def _bare(transport, tmp_path, loop=None):
+        if transport == "unix":
+            path = str(tmp_path / "bare.sock")
+            server = UnixSocketServer(path, echo_handler, loop=loop)
+            return server, lambda: UnixSocketClient(path)
+        server = TcpSocketServer(echo_handler, loop=loop)
+        return server, lambda: TcpSocketClient("127.0.0.1", server.port)
+
+    @staticmethod
+    def _echo(connect, container_id):
+        with connect() as client:
+            reply = client.call(
+                protocol.MSG_CONTAINER_EXIT, container_id=container_id
+            )
+        assert reply["echoed"] == container_id
+
+    def test_start_stop_restart_own_exactly_one_loop(self, transport, tmp_path):
+        gauge = OPEN_CONNECTIONS.labels(transport=transport)
+        conns_before = gauge.value
+        threads_before = threading.active_count()
+        server, connect = self._bare(transport, tmp_path)
+        server.start()
+        assert threading.active_count() == threads_before + 1 + DEFAULT_IO_WORKERS
+        self._echo(connect, "first")
+        held = connect()  # still open when the server goes down
+        try:
+            server.stop()
+            assert threading.active_count() == threads_before
+            assert gauge.value == conns_before
+            server.stop()  # a second stop finds nothing to do
+            assert threading.active_count() == threads_before
+            server.start()
+            self._echo(connect, "again")
+        finally:
+            held.close()
+            server.stop()
+        assert threading.active_count() == threads_before
+        assert gauge.value == conns_before
+
+    def test_shared_loop_outlives_its_servers(self, loop, transport, tmp_path):
+        threads_before = threading.active_count()
+        server, connect = self._bare(transport, tmp_path, loop=loop)
+        with server:
+            assert threading.active_count() == threads_before
+            self._echo(connect, "shared")
+        assert loop.running
+        server, connect = self._bare(transport, tmp_path, loop=loop)
+        with server:  # the loop it left running serves the next server
+            self._echo(connect, "shared-again")
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)

@@ -29,7 +29,7 @@ _CALLS = (
 
 
 def _run_workload(codec: str) -> tuple[str, list]:
-    """Drive a fixed traced workload over ``codec``; returns spans."""
+    """Drive a fixed traced workload with client ``codec``; returns spans."""
     tracer = Tracer()
     scheduler = GpuMemoryScheduler(1 * GiB, make_policy("FIFO"))
     daemon = SchedulerDaemon(scheduler, tracer=tracer).start()
@@ -79,7 +79,7 @@ def _span_tree(spans) -> set:
 class TestCrossCodecSpanTree:
     def test_binary_and_json_produce_identical_span_trees(self):
         json_codec, json_spans = _run_workload(protocol.CODEC_JSON)
-        binary_codec, binary_spans = _run_workload(protocol.CODEC_BINARY)
+        binary_codec, binary_spans = _run_workload("auto")
         # The runs really took different wires.
         assert json_codec == protocol.CODEC_JSON
         assert binary_codec == protocol.CODEC_BINARY
@@ -87,7 +87,7 @@ class TestCrossCodecSpanTree:
         assert len(json_spans) == len(binary_spans)
 
     def test_spans_parent_on_the_wire_context(self):
-        _, spans = _run_workload(protocol.CODEC_BINARY)
+        _, spans = _run_workload("auto")
         by_trace = {s.context.trace_id: s for s in spans}
         for _msg, trace_id, span_id in _CALLS:
             span = by_trace[trace_id]
