@@ -11,9 +11,11 @@ live daemon — and nothing more:
 - the mutex is held **only** across the state transition and the in-memory
   event-log append (both allocation-free bookkeeping);
 - every effect the transition returns is executed *after* the lock is
-  released: journal durability (``journal.wait_durable()``, the
-  group-commit handshake), metrics, and the resume-callback deliveries
-  that perform socket I/O.
+  released: metrics, then — in one place, ``_deliver`` — journal
+  durability (``journal.wait_durable()``, the group-commit handshake)
+  followed by the resume-callback deliveries that perform socket I/O.  An
+  unbatched call delivers a batch of one; ``commit_batch`` delivers the
+  whole ``begin_batch`` window.
 
 That ordering keeps the WAL guarantee of PR 1 — a decision is durable
 before its reply (or any resumed reply) leaves the daemon — while an fsync
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.scheduler.events import EventLog
 from repro.core.scheduler.policies import SchedulingPolicy
@@ -332,41 +334,16 @@ class GpuMemoryScheduler:
         if depth > 1:
             return
         pending, self._batch.pending = self._batch.pending, []
-        journal = self.journal
-        if journal is not None and any(t.events for t in pending):
-            # One wait covers the whole batch: the writer thread drains every
-            # enqueued event up to (at least) the last one in strict order,
-            # so durability of the last implies durability of all.
-            journal.wait_durable()
-        resumed = 0
-        for transition in pending:
-            for callback, payload in transition.resumptions:
-                callback(payload)
-                resumed += 1
-        if resumed:
-            _REC.record(_EV_RESUME, a=resumed)
+        self._deliver(pending)
 
     def _finish(self, transition: Transition) -> None:
         """Execute the transition's effects outside the mutex.
 
-        Order matters: durability first (WAL — no reply, resumed or
-        direct, may leave before its decision is on disk), then metrics,
-        then the resume callbacks (which may do socket I/O).  Inside a
-        :meth:`begin_batch` window the durability wait and the resume
-        deliveries are deferred to :meth:`commit_batch`; metrics are not
-        reply-ordered, so they stay immediate either way.
+        Metrics are not reply-ordered, so they are immediate; the
+        reply-ordered part is :meth:`_deliver`, run here for an unbatched
+        call (a batch of one) and at :meth:`commit_batch` inside a
+        :meth:`begin_batch` window.
         """
-        batching = getattr(self._batch, "depth", 0) > 0
-        if not batching:
-            journal = self.journal
-            if journal is not None and transition.events:
-                clock = _stages.current() if _stages.ARMED_CLOCKS else None
-                if clock is None:
-                    journal.wait_durable()
-                else:
-                    began = _perf_counter()
-                    journal.wait_durable()
-                    clock.add(_stages.S_FSYNC, _perf_counter() - began)
         # Read the handles through the module globals each time so the
         # obs-overhead benchmark can stub them by (module, name).
         if transition.metric == Decision.GRANT:
@@ -379,28 +356,27 @@ class GpuMemoryScheduler:
             _REC.record(_EV_REJECT, s=_container_of(transition))
         for waited in transition.waits:
             _PAUSE_WAITS.observe(waited)
-        if batching:
+        if getattr(self._batch, "depth", 0) > 0:
             self._batch.pending.append(transition)
-            return
+        else:
+            self._deliver((transition,))
+
+    def _deliver(self, transitions: Sequence[Transition]) -> None:
+        """Durability wait, then the resume deliveries of ``transitions``.
+
+        Order matters (WAL): no reply, resumed or direct, may leave before
+        its decision is on disk.  One wait covers them all: the writer
+        thread drains every enqueued event up to (at least) the last one
+        in strict order, so durability of the last implies durability of
+        all.  The resume callbacks may do socket I/O.
+        """
+        journal = self.journal
+        if journal is not None and any(t.events for t in transitions):
+            journal.wait_durable()
         resumed = 0
-        for callback, payload in transition.resumptions:
-            callback(payload)
-            resumed += 1
+        for transition in transitions:
+            for callback, payload in transition.resumptions:
+                callback(payload)
+                resumed += 1
         if resumed:
             _REC.record(_EV_RESUME, a=resumed)
-
-    # ------------------------------------------------------------------
-    # compatibility shims (journal replay, tests, stats)
-    # ------------------------------------------------------------------
-
-    @property
-    def _containers(self) -> dict[str, ContainerRecord]:
-        return self.state._containers
-
-    @property
-    def _seq(self) -> int:
-        return self.state._seq
-
-    @staticmethod
-    def _overhead_key(pid: int) -> int:
-        return SchedulerState._overhead_key(pid)

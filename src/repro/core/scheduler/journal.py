@@ -484,21 +484,20 @@ class SchedulerJournal:
         self._fh = open(self.path, "a", encoding="utf-8")
         self._scheduler = scheduler
         if existing_meta is None:
-            self._write(
-                {
-                    "kind": "meta",
-                    "version": JOURNAL_VERSION,
-                    "total_memory": scheduler.total_memory,
-                    "policy": scheduler.policy.name,
-                    "context_overhead": scheduler.context_overhead,
-                    "resume_mode": scheduler.resume_mode,
-                }
-            )
+            meta = {
+                "kind": "meta",
+                "version": JOURNAL_VERSION,
+                "total_memory": scheduler.total_memory,
+                "policy": scheduler.policy.name,
+                "context_overhead": scheduler.context_overhead,
+                "resume_mode": scheduler.resume_mode,
+            }
+            self._write_items([("meta", meta)])
         else:
             self._check_meta(existing_meta, scheduler)
         needs_snapshot = compact or (
             existing_meta is None
-            and (scheduler._containers or len(scheduler.log) > 0)
+            and (scheduler.state.records() or len(scheduler.log) > 0)
         )
         if needs_snapshot:
             self.write_snapshot()
@@ -595,9 +594,7 @@ class SchedulerJournal:
         if self._fh is None:
             raise JournalError(f"journal {self.path} is closed")
         if self._writer is None:
-            self._write(encode_event(event))
-            self.events_written += 1
-            self._events_since_snapshot += 1
+            self._write_items([("event", event)])
             if (
                 self.snapshot_interval is not None
                 and self._events_since_snapshot >= self.snapshot_interval
@@ -652,8 +649,7 @@ class SchedulerJournal:
         if self._scheduler is None:
             raise JournalError("journal not attached to a scheduler")
         if self._writer is None:
-            self._write({"kind": "snapshot", "state": serialize_state(self._scheduler)})
-            self._events_since_snapshot = 0
+            self._write_items([("snapshot", serialize_state(self._scheduler))])
             return
         scheduler = self._scheduler
         with scheduler._lock:
@@ -851,8 +847,11 @@ class SchedulerJournal:
                 return
 
     def _write_items(self, items: list[tuple[str, Any]]) -> None:
-        """One batch: serialize + write every item, one flush, one fsync.
+        """The journal's one append routine: a batch of records, one flush.
 
+        Serialize + write every item, one flush, one fsync — the writer
+        thread's batches, and (as batches of one) the meta record,
+        ``mode="sync"`` events and snapshots taken before the writer runs.
         The file I/O holds ``_io_lock`` so a concurrent compaction swap
         cannot rename the file out from under a half-written batch; the
         serialization and metric observation stay outside it.
@@ -864,21 +863,16 @@ class SchedulerJournal:
         since_snapshot = self._events_since_snapshot
         for kind, payload in items:
             if kind == "event":
-                lines.append(
-                    json.dumps(encode_event(payload), separators=(",", ":")) + "\n"
-                )
+                record = encode_event(payload)
                 events += 1
                 since_snapshot += 1
-            else:  # snapshot (pre-serialized state)
-                lines.append(
-                    json.dumps(
-                        {"kind": "snapshot", "state": payload},
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+            elif kind == "snapshot":  # pre-serialized state
+                record = {"kind": "snapshot", "state": payload}
                 snapshots += 1
                 since_snapshot = 0
+            else:  # meta: the record as given
+                record = payload
+            lines.append(json.dumps(record, separators=(",", ":")) + "\n")
         data = "".join(lines)
         fsync_elapsed = 0.0
         with self._io_lock:
@@ -928,29 +922,6 @@ class SchedulerJournal:
             with self._cond:
                 self._durable += len(drained)
                 self._cond.notify_all()
-
-    # -- low-level append (meta, sync mode, pre-writer snapshots) ------------
-
-    def _write(self, record: dict[str, Any]) -> None:
-        began = time.perf_counter()
-        data = json.dumps(record, separators=(",", ":")) + "\n"
-        fsync_elapsed = 0.0
-        with self._io_lock:
-            if self._fh is None:
-                raise JournalError(f"journal {self.path} is closed")
-            self._fh.write(data)
-            self._fh.flush()
-            if self.fsync:
-                fsync_began = time.perf_counter()
-                os.fsync(self._fh.fileno())
-                fsync_elapsed = time.perf_counter() - fsync_began
-        if self.fsync:
-            _FSYNC_SECONDS.observe(fsync_elapsed)
-        elapsed = time.perf_counter() - began
-        _APPEND_SECONDS.observe(elapsed)
-        _REC.record(_EV_FLUSH, a=1, b=1 if self.fsync else 0, x=elapsed)
-        if record.get("kind") == "snapshot":
-            _REC.record(_EV_SNAPSHOT)
 
 
 # ---------------------------------------------------------------------------

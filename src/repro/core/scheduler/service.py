@@ -28,10 +28,13 @@ from repro.errors import (
 )
 from repro.ipc import protocol
 from repro.ipc.unix_socket import DEFER
+from repro.obs.log import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS, REGISTRY
 from repro.obs.trace import Tracer, extract_context
 
 __all__ = ["SchedulerService"]
+
+_LOG = get_logger("scheduler-service")
 
 _MESSAGES = REGISTRY.counter(
     "convgpu_messages_total",
@@ -117,6 +120,15 @@ class SchedulerService:
             ClusterError,
         ) as exc:
             reply = protocol.make_error_reply(message, str(exc))
+            if msg_type in protocol.NOTIFICATION_TYPES:
+                # The error reply is dropped below and a refused verb
+                # journals no event: this warning is the refusal's only trace.
+                _LOG.warning(
+                    "notification_refused",
+                    type=msg_type,
+                    container_id=message.get("container_id", ""),
+                    error=str(exc),
+                )
             if span is not None:
                 span.finish(status="error")
                 span = None
@@ -128,7 +140,7 @@ class SchedulerService:
             span.finish()
         if msg_type in protocol.NOTIFICATION_TYPES:
             # Fire-and-forget bookkeeping: the wrapper is not waiting, so
-            # no reply goes on the wire (errors surface in the event log).
+            # no reply goes on the wire (a refusal was logged above).
             return None
         return reply
 

@@ -4,12 +4,19 @@ This module is the lock-free half of the core/runtime split: a
 :class:`SchedulerState` owns every byte of bookkeeping (§III-D's records,
 the sequence counter, the reserved-memory total and the policy's candidate
 index) and exposes one deterministic **transition function** per protocol
-verb.  A transition validates, mutates the bookkeeping, and returns a
-:class:`Transition` describing everything that must happen *outside* the
-caller's critical section:
+verb.  Every transition has the same shape — *validate → decide → build
+the event → emit* — and :meth:`SchedulerState.apply_event` is the only
+code that writes bookkeeping: ``_emit`` applies each event through it
+before handing it to the runtime, and the journal's replay calls it
+directly.  The live path and recovery therefore run the same statements,
+and a refused verb leaves the state untouched because nothing mutates
+before its event exists.  A transition returns a :class:`Transition`
+describing everything that must happen *outside* the caller's critical
+section:
 
-- ``events``      — the typed scheduler events the runtime appends to its
-  :class:`~repro.core.scheduler.events.EventLog` (and thus the journal);
+- ``events``      — the typed scheduler events (already applied) that the
+  runtime appends to its :class:`~repro.core.scheduler.events.EventLog`
+  (and thus the journal);
 - ``resumptions`` — deferred-reply callbacks to deliver (socket I/O);
 - ``waits``       — pause durations to feed the latency histogram.
 
@@ -17,8 +24,7 @@ Nothing in this file touches a lock, a clock, a socket, a metric or a file
 descriptor: timestamps come in through the explicit ``now`` argument and
 all effects go out through the :class:`Transition`.  That makes every
 transition a plain function of ``(state, inputs, now)`` — the property the
-golden-trace suite and the journal's replay path
-(:meth:`SchedulerState.apply_event`) both lean on.
+golden-trace suite and the journal's crash-consistency suite both lean on.
 
 The runtime wrapper that adds the mutex, the event log, metrics and the
 group-commit journal handshake lives in
@@ -226,6 +232,15 @@ class SchedulerState:
                 f"actual {reserved}"
             )
 
+    def _emit(self, transition: Transition, event: SchedulerEvent) -> None:
+        """Apply ``event`` to the bookkeeping and hand it to the runtime.
+
+        The single point where a live transition changes state: the same
+        :meth:`apply_event` the journal's replay runs.
+        """
+        self.apply_event(event)
+        transition.events.append(event)
+
     # ------------------------------------------------------------------
     # transitions: registration / teardown
     # ------------------------------------------------------------------
@@ -247,25 +262,16 @@ class SchedulerState:
         if existing is not None and not existing.closed:
             raise SchedulerError(f"container {container_id!r} already registered")
         transition = Transition()
-        self._seq += 1
-        record = ContainerRecord(
-            container_id=container_id,
-            limit=limit,
-            created_seq=self._seq,
-            created_at=now,
-        )
-        record.assigned = min(limit, self.unreserved)
-        self._reserved += record.assigned
-        self._containers[container_id] = record
-        transition.events.append(
+        self._emit(
+            transition,
             ContainerRegistered(
                 time=now,
                 container_id=container_id,
                 limit=limit,
-                assigned=record.assigned,
-            )
+                assigned=min(limit, self.unreserved),
+            ),
         )
-        transition.value = record
+        transition.value = self._containers[container_id]
         return transition
 
     def container_exit(self, container_id: str, now: float) -> Transition:
@@ -281,29 +287,23 @@ class SchedulerState:
         if record is None or record.closed:
             return transition
         reclaimed = record.assigned
-        # Fail pending replies in-band before dropping state.
+        suspended_total = record.suspended_total
+        # Fail pending replies in-band before the event drops them.
         for pending in record.pending:
-            record.suspended_total += now - pending.requested_at
+            suspended_total += now - pending.requested_at
             transition.waits.append(now - pending.requested_at)
             if pending.resume is not None:
                 transition.resumptions.append(
                     (pending.resume, {"decision": "reject", "reason": "container exited"})
                 )
-        record.pending.clear()
-        record.allocations.clear()
-        record.used = 0
-        record.inflight = 0
-        record.assigned = 0
-        record.closed = True
-        self._reserved -= reclaimed
-        self._index.on_close(record)
-        transition.events.append(
+        self._emit(
+            transition,
             ContainerClosed(
                 time=now,
                 container_id=container_id,
                 reclaimed=reclaimed,
-                suspended_total=record.suspended_total,
-            )
+                suspended_total=suspended_total,
+            ),
         )
         self._redistribute(now, transition)
         self._resolve_wedge(now, transition)
@@ -338,52 +338,45 @@ class SchedulerState:
         ):
             transition.value = Decision(Decision.PAUSE)
             return transition
-        effective = record.effective_size(pid, size, self.context_overhead)
-        charges_overhead = effective != size
-        if record.used + record.inflight + effective > record.limit:
-            transition.events.append(
+        demand = (
+            record.used
+            + record.inflight
+            + record.effective_size(pid, size, self.context_overhead)
+        )
+        if demand > record.limit:
+            self._emit(
+                transition,
                 AllocationRejected(
                     time=now,
                     container_id=container_id,
                     pid=pid,
                     size=size,
                     reason="exceeds container limit",
-                )
+                ),
             )
             transition.value = Decision(Decision.REJECT, "exceeds container limit")
             transition.metric = Decision.REJECT
             return transition
-        if charges_overhead:
-            record.pids_charged.add(pid)
-            record.overhead_pending.add(pid)
-        if (
-            not record.paused
-            and record.used + record.inflight + effective <= record.assigned
-        ):
-            self._grant(record, pid, effective, size, api, now, transition)
+        if not record.paused and demand <= record.assigned:
+            self._emit(
+                transition,
+                AllocationGranted(
+                    time=now, container_id=container_id, pid=pid, size=size, api=api
+                ),
+            )
             transition.value = Decision(Decision.GRANT)
             transition.metric = Decision.GRANT
             return transition
         # Valid but under-assigned (or behind earlier pending requests):
         # withhold the reply.  Fig. 3c.
-        record.pending.append(
-            PendingAllocation(
-                pid=pid,
-                size=effective,
-                requested_size=size,
-                api=api,
-                requested_at=now,
-                resume=on_resume,
-            )
-        )
-        record.last_suspended_at = now
-        record.pause_count += 1
-        self._index.on_pause(record)
-        transition.events.append(
+        self._emit(
+            transition,
             AllocationPaused(
                 time=now, container_id=container_id, pid=pid, size=size, api=api
-            )
+            ),
         )
+        # The callback wraps a live socket: not journaled, so not the event's.
+        record.pending[-1].resume = on_resume
         transition.value = Decision(Decision.PAUSE)
         transition.metric = Decision.PAUSE
         # This pause may have been the last runnable container going idle:
@@ -406,37 +399,21 @@ class SchedulerState:
             raise SchedulerError(
                 f"duplicate commit for address {address:#x} in {container_id}"
             )
-        overhead = 0
-        overhead_key = self._overhead_key(pid)
-        if pid in record.overhead_pending:
-            overhead = self.context_overhead
-            record.overhead_pending.discard(pid)
-        total = size + overhead
+        total = size + (self.context_overhead if pid in record.overhead_pending else 0)
         if total > record.inflight:
             raise SchedulerError(
                 f"commit of {format_size(total)} exceeds inflight "
                 f"{format_size(record.inflight)} in {container_id}"
             )
-        record.inflight -= total
-        record.used += total
-        record.allocations[address] = AllocationRecord(
-            address=address, pid=pid, size=size
-        )
-        if overhead:
-            record.allocations[overhead_key] = AllocationRecord(
-                address=overhead_key,
-                pid=pid,
-                size=overhead,
-                is_context_overhead=True,
-            )
-        transition.events.append(
+        self._emit(
+            transition,
             AllocationCommitted(
                 time=now,
                 container_id=container_id,
                 pid=pid,
                 address=address,
                 size=size,
-            )
+            ),
         )
         return transition
 
@@ -449,19 +426,17 @@ class SchedulerState:
         """
         transition = Transition()
         record = self._require_open(container_id)
-        effective = size
-        if pid in record.overhead_pending:
-            effective += self.context_overhead
-            record.overhead_pending.discard(pid)
-            record.pids_charged.discard(pid)
+        effective = size + (
+            self.context_overhead if pid in record.overhead_pending else 0
+        )
         if effective > record.inflight:
             raise SchedulerError(
                 f"abort of {format_size(effective)} exceeds inflight "
                 f"{format_size(record.inflight)} in {container_id}"
             )
-        record.inflight -= effective
-        transition.events.append(
-            AllocationAborted(time=now, container_id=container_id, pid=pid, size=size)
+        self._emit(
+            transition,
+            AllocationAborted(time=now, container_id=container_id, pid=pid, size=size),
         )
         self._try_resume(record, now, transition)
         self._resolve_wedge(now, transition)
@@ -478,20 +453,20 @@ class SchedulerState:
         """
         transition = Transition()
         record = self._require_open(container_id)
-        allocation = record.allocations.pop(address, None)
+        allocation = record.allocations.get(address)
         if allocation is None:
             raise SchedulerError(
                 f"release of unknown address {address:#x} in {container_id}"
             )
-        record.used -= allocation.size
-        transition.events.append(
+        self._emit(
+            transition,
             AllocationReleased(
                 time=now,
                 container_id=container_id,
                 pid=pid,
                 address=address,
                 size=allocation.size,
-            )
+            ),
         )
         self._try_resume(record, now, transition)
         self._resolve_wedge(now, transition)
@@ -507,17 +482,12 @@ class SchedulerState:
         """
         transition = Transition()
         record = self._require_open(container_id)
-        doomed = [a for a in record.allocations.values() if a.pid == pid]
-        reclaimed = sum(a.size for a in doomed)
-        for allocation in doomed:
-            del record.allocations[allocation.address]
-        record.used -= reclaimed
-        record.pids_charged.discard(pid)
-        record.overhead_pending.discard(pid)
-        transition.events.append(
+        reclaimed = record.usage_of_pid(pid)
+        self._emit(
+            transition,
             ProcessExited(
                 time=now, container_id=container_id, pid=pid, reclaimed=reclaimed
-            )
+            ),
         )
         self._try_resume(record, now, transition)
         self._resolve_wedge(now, transition)
@@ -545,17 +515,15 @@ class SchedulerState:
             amount = min(chosen.insufficiency, free)
             if amount <= 0:  # defensive; the index only yields insufficiency > 0
                 break
-            chosen.assigned += amount
-            self._reserved += amount
-            self._index.on_assign(chosen)
-            transition.events.append(
+            self._emit(
+                transition,
                 MemoryAssigned(
                     time=now,
                     container_id=chosen.container_id,
                     amount=amount,
-                    assigned_total=chosen.assigned,
+                    assigned_total=chosen.assigned + amount,
                     policy=self.policy.name,
-                )
+                ),
             )
             self._try_resume(chosen, now, transition)
 
@@ -582,17 +550,15 @@ class SchedulerState:
         for record in open_records:
             idle = record.assigned - record.used - record.inflight
             if idle > 0:
-                record.assigned -= idle
-                self._reserved -= idle
                 reclaimed += idle
-                self._index.on_assign(record)
-                transition.events.append(
+                self._emit(
+                    transition,
                     ReservationReclaimed(
                         time=now,
                         container_id=record.container_id,
                         amount=idle,
-                        assigned_total=record.assigned,
-                    )
+                        assigned_total=record.assigned - idle,
+                    ),
                 )
         if reclaimed:
             self._redistribute(now, transition)
@@ -606,55 +572,38 @@ class SchedulerState:
         calling thread per request, so out-of-order resumption cannot
         happen on the real socket either.
         """
-        was_paused = bool(record.pending)
         while record.pending:
             head = record.pending[0]
             if self.resume_mode == "full" and record.assigned < record.limit:
                 break
             if record.used + record.inflight + head.size > record.assigned:
                 break
-            record.pending.pop(0)
-            waited = now - head.requested_at
-            record.suspended_total += waited
-            transition.waits.append(waited)
-            self._grant(
-                record, head.pid, head.size, head.requested_size, head.api, now,
+            # With a reply withheld, a grant *is* the head resuming: the
+            # event pops it (see apply_event).
+            self._emit(
                 transition,
+                AllocationGranted(
+                    time=now,
+                    container_id=record.container_id,
+                    pid=head.pid,
+                    size=head.requested_size,
+                    api=head.api,
+                ),
             )
-            transition.events.append(
+            waited = now - head.requested_at
+            transition.waits.append(waited)
+            self._emit(
+                transition,
                 AllocationResumed(
                     time=now,
                     container_id=record.container_id,
                     pid=head.pid,
                     size=head.requested_size,
                     waited=waited,
-                )
+                ),
             )
             if head.resume is not None:
                 transition.resumptions.append((head.resume, {"decision": "grant"}))
-        if was_paused and not record.pending:
-            self._index.on_resume(record)
-
-    def _grant(
-        self,
-        record: ContainerRecord,
-        pid: int,
-        effective: int,
-        size: int,
-        api: str,
-        now: float,
-        transition: Transition,
-    ) -> None:
-        record.inflight += effective
-        transition.events.append(
-            AllocationGranted(
-                time=now,
-                container_id=record.container_id,
-                pid=pid,
-                size=size,
-                api=api,
-            )
-        )
 
     def _adopt_orphan(
         self,
@@ -688,19 +637,24 @@ class SchedulerState:
         return False
 
     # ------------------------------------------------------------------
-    # journal integration: replay + snapshots
+    # the one mutator: live transitions and journal replay
     # ------------------------------------------------------------------
 
     def apply_event(self, event: SchedulerEvent) -> None:
-        """Apply one journaled event, policy-free (crash recovery).
+        """Apply one event to the bookkeeping — the only code that writes it.
 
-        Mirrors exactly the state mutation the matching transition
-        performed when it emitted the event; derived amounts
+        Every live transition reaches its state change through here (via
+        :meth:`_emit`) and crash recovery replays the journal through here,
+        so the two cannot diverge.  Policy-free: derived amounts
         (redistribution targets, reclaimed idle memory) come from the
         event itself, so replay never re-runs the policy and is
-        deterministic even under the Random policy.
+        deterministic even under the Random policy.  Validation is the
+        transitions' job; an event that exists is applied as written.
         """
-        if isinstance(event, ContainerRegistered):
+        # Exact-type tests, hottest first: this runs once per live event,
+        # and event classes are never subclassed.
+        kind = type(event)
+        if kind is ContainerRegistered:
             self._seq += 1
             record = ContainerRecord(
                 container_id=event.container_id,
@@ -718,49 +672,39 @@ class SchedulerState:
                 f"journal references unknown container {event.container_id!r} "
                 f"in {type(event).__name__}"
             )
-        if isinstance(event, AllocationGranted):
-            if record.pending:
-                # A grant while replies are withheld can only be the head of
-                # the pending queue resuming (direct grants require an
-                # unpaused container) — same dichotomy request() enforces.
-                head = record.pending.pop(0)
-                record.suspended_total += event.time - head.requested_at
-                record.inflight += head.size
-                if not record.pending:
-                    self._index.on_resume(record)
-            else:
-                effective = record.effective_size(
-                    event.pid, event.size, self.context_overhead
-                )
-                if effective != event.size:
-                    record.pids_charged.add(event.pid)
-                    record.overhead_pending.add(event.pid)
-                record.inflight += effective
-        elif isinstance(event, AllocationPaused):
+        if kind is AllocationGranted and record.pending:
+            # A grant while replies are withheld can only be the head of
+            # the pending queue resuming (direct grants require an
+            # unpaused container) — same dichotomy request() enforces.
+            head = record.pending.pop(0)
+            record.suspended_total += event.time - head.requested_at
+            record.inflight += head.size
+            if not record.pending:
+                self._index.on_resume(record)
+        elif kind in (AllocationGranted, AllocationPaused):
             effective = record.effective_size(
                 event.pid, event.size, self.context_overhead
             )
             if effective != event.size:
                 record.pids_charged.add(event.pid)
                 record.overhead_pending.add(event.pid)
-            record.pending.append(
-                PendingAllocation(
-                    pid=event.pid,
-                    size=effective,
-                    requested_size=event.size,
-                    api=event.api,
-                    requested_at=event.time,
-                    resume=None,
+            if kind is AllocationGranted:
+                record.inflight += effective
+            else:
+                record.pending.append(
+                    PendingAllocation(
+                        pid=event.pid,
+                        size=effective,
+                        requested_size=event.size,
+                        api=event.api,
+                        requested_at=event.time,
+                        resume=None,  # request() attaches the live callback
+                    )
                 )
-            )
-            record.last_suspended_at = event.time
-            record.pause_count += 1
-            self._index.on_pause(record)
-        elif isinstance(event, AllocationResumed):
-            pass  # state applied by the preceding AllocationGranted
-        elif isinstance(event, AllocationRejected):
-            pass  # decision only; no state change
-        elif isinstance(event, AllocationCommitted):
+                record.last_suspended_at = event.time
+                record.pause_count += 1
+                self._index.on_pause(record)
+        elif kind is AllocationCommitted:
             overhead = 0
             if event.pid in record.overhead_pending:
                 overhead = self.context_overhead
@@ -776,32 +720,34 @@ class SchedulerState:
                 record.allocations[key] = AllocationRecord(
                     address=key, pid=event.pid, size=overhead, is_context_overhead=True
                 )
-        elif isinstance(event, AllocationReleased):
+        elif kind is AllocationReleased:
             allocation = record.allocations.pop(event.address, None)
             if allocation is None:
                 raise JournalError(
                     f"release of unknown address {event.address:#x} during replay"
                 )
             record.used -= allocation.size
-        elif isinstance(event, AllocationAborted):
+        elif kind is AllocationAborted:
             effective = event.size
             if event.pid in record.overhead_pending:
                 effective += self.context_overhead
                 record.overhead_pending.discard(event.pid)
                 record.pids_charged.discard(event.pid)
             record.inflight -= effective
-        elif isinstance(event, (MemoryAssigned, ReservationReclaimed)):
+        elif kind in (AllocationResumed, AllocationRejected):
+            pass  # resumed: applied by the preceding grant; rejected: no change
+        elif kind in (MemoryAssigned, ReservationReclaimed):
             self._reserved += event.assigned_total - record.assigned
             record.assigned = event.assigned_total
             self._index.on_assign(record)
-        elif isinstance(event, ProcessExited):
+        elif kind is ProcessExited:
             doomed = [a for a in record.allocations.values() if a.pid == event.pid]
             for allocation in doomed:
                 del record.allocations[allocation.address]
             record.used -= sum(a.size for a in doomed)
             record.pids_charged.discard(event.pid)
             record.overhead_pending.discard(event.pid)
-        elif isinstance(event, ContainerClosed):
+        elif kind is ContainerClosed:
             self._reserved -= record.assigned
             record.pending.clear()
             record.allocations.clear()

@@ -30,7 +30,7 @@ from repro.core.scheduler.events import (
     ContainerRegistered,
 )
 from repro.core.scheduler.journal import decode_event, encode_event
-from repro.errors import JournalError
+from repro.errors import JournalError, SchedulerError
 from repro.units import GiB, MiB
 
 from tests.conftest import ManualClock
@@ -268,6 +268,24 @@ class TestEventLimit:
             assert len(partial.log) == k
             # Replayed prefix is exactly the live log prefix.
             assert partial.log.events == live.log.events[:k]
+
+
+class TestRefusedVerbKeepsRestoreEqualLive:
+    def test_refused_commit_then_correct_commit(self, journal_path):
+        """``alloc_commit`` is one-way: its refusal reaches nobody, so it
+        must change nothing — otherwise the journal (which gets no event
+        for a refusal) and the live state part ways."""
+        sched = make_scheduler()
+        with SchedulerJournal(journal_path, snapshot_interval=None) as journal:
+            journal.attach(sched)
+            sched.register_container("a", 1 * GiB)
+            assert sched.request_allocation("a", 1, 16 * MiB).granted
+            with pytest.raises(SchedulerError):
+                sched.commit_allocation("a", 1, 0x1, 32 * MiB)  # > inflight
+            sched.commit_allocation("a", 1, 0x1, 16 * MiB)
+        assert sched.container("a").inflight == 0
+        restored = restore(journal_path, clock=sched.test_clock)
+        assert serialize_state(restored) == serialize_state(sched)
 
 
 class TestRecoveryJournalContinuity:

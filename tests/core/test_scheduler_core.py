@@ -1,5 +1,9 @@
 """Tests for the GPU memory scheduler decision engine (§III-D/E)."""
 
+import ast
+import inspect
+import textwrap
+
 import pytest
 
 from tests.conftest import ManualClock
@@ -16,6 +20,7 @@ from repro.core.scheduler.events import (
     ReservationReclaimed,
 )
 from repro.core.scheduler.policies import make_policy
+from repro.core.scheduler.state import SchedulerState
 from repro.errors import LimitExceededError, SchedulerError, UnknownContainerError
 from repro.units import GiB, MiB
 
@@ -345,6 +350,79 @@ class TestResumeModes:
             GpuMemoryScheduler(
                 GiB, make_policy("FIFO"), clock=clock, resume_mode="later"
             )
+
+
+class TestRefusedVerbLeavesStateUntouched:
+    """A verb that raises must not half-mutate: nothing is written before
+    its event exists, so the state serializes exactly as before the call."""
+
+    @pytest.fixture
+    def granted(self, sched):
+        # pid 1: one committed allocation; pid 2: 16 MiB (+overhead) inflight.
+        sched.register_container("a", GiB)
+        full_alloc(sched, "a", 1, 10 * MiB, 0x1)
+        assert sched.request_allocation("a", 2, 16 * MiB).granted
+        return sched
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            lambda s: s.commit_allocation("a", 2, 0x2, 32 * MiB),  # > inflight
+            lambda s: s.abort_allocation("a", 2, 32 * MiB),  # > inflight
+            lambda s: s.release_allocation("a", 1, 0xDEAD),  # unknown address
+        ],
+        ids=["commit", "abort", "release"],
+    )
+    def test_state_and_log_unchanged(self, granted, refused):
+        before = granted.state.serialize()
+        events = len(granted.log)
+        with pytest.raises(SchedulerError):
+            refused(granted)
+        assert granted.state.serialize() == before
+        assert len(granted.log) == events
+        # The correct commit still finds its overhead charge pending.
+        granted.commit_allocation("a", 2, 0x2, 16 * MiB)
+        record = granted.container("a")
+        assert record.inflight == 0
+        assert record.used == 26 * MiB + 2 * OVH
+        granted.check_invariants()
+
+
+class TestOneMutator:
+    def test_only_apply_event_and_load_snapshot_write_bookkeeping(self):
+        """Structural guard (DESIGN.md §11): in ``SchedulerState`` no store
+        to an attribute or subscript, and no in-place mutator call on one,
+        outside ``apply_event`` / ``load_snapshot``.  Allowed: building the
+        ``Transition`` and attaching the unjournaled ``pending.resume``."""
+        writers = ("__init__", "apply_event", "load_snapshot")
+        mutators = {"add", "discard", "remove", "pop", "append", "insert", "extend"}
+        mutators |= {"clear", "update", "setdefault", "rebuild"}
+        mutators |= {"on_pause", "on_resume", "on_assign", "on_close"}
+        places = (ast.Attribute, ast.Subscript)
+
+        def allowed(target):
+            text = ast.unparse(target)
+            return text.startswith("transition.") or text.endswith(".resume")
+
+        (cls,) = ast.parse(textwrap.dedent(inspect.getsource(SchedulerState))).body
+        offenders = []
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name in writers:
+                continue
+            for node in ast.walk(method):
+                target = None
+                if isinstance(node, places) and not isinstance(node.ctx, ast.Load):
+                    target = node
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in mutators
+                    and isinstance(node.func.value, places)
+                ):
+                    target = node.func.value
+                if target is not None and not allowed(target):
+                    offenders.append(f"{method.name}: {ast.unparse(node)}")
+        assert not offenders, offenders
 
 
 class TestOverheadDisabled:

@@ -1,5 +1,7 @@
 """Tests for the scheduler protocol service and the live daemon."""
 
+import io
+import json
 import os
 
 import pytest
@@ -16,6 +18,7 @@ from repro.errors import SchedulerError
 from repro.ipc import protocol
 from repro.ipc.channel import InProcessChannel
 from repro.ipc.unix_socket import DEFER, UnixSocketClient
+from repro.obs import log as obs_log
 from repro.units import GiB, MiB
 
 
@@ -107,6 +110,26 @@ class TestServiceHandlers:
         )
         assert service.handle(message, None) is None
         assert service.scheduler.container("c1").used == MiB + CONTEXT_OVERHEAD_CHARGE
+
+    def test_refused_notification_is_logged(self, service, monkeypatch):
+        """No reply goes out for a notification, so the structured warning
+        is the only trace of a refusal."""
+        buffer = io.StringIO()
+        # Patched, not configure_logging(): that cannot restore stream=None.
+        monkeypatch.setattr(obs_log._CONFIG, "stream", buffer)
+        monkeypatch.setattr(obs_log._CONFIG, "threshold", obs_log.LEVELS["warning"])
+        monkeypatch.setattr(obs_log._CONFIG, "json_mode", True)
+        service.scheduler.register_container("c1", GiB)
+        message = protocol.make_request(
+            protocol.MSG_ALLOC_RELEASE, container_id="c1", pid=1, address=0xDEAD
+        )
+        assert service.handle(message, None) is None
+        (record,) = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        assert record["level"] == "warning"
+        assert record["event"] == "notification_refused"
+        assert record["type"] == protocol.MSG_ALLOC_RELEASE
+        assert record["container_id"] == "c1"
+        assert "unknown address" in record["error"]
 
     def test_mem_get_info_payload(self, channel):
         channel.call_sync(protocol.MSG_REGISTER_CONTAINER, container_id="c1", limit=GiB)
