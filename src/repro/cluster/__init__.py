@@ -1,7 +1,9 @@
-"""Cluster extensions (§V future work): multi-GPU hosts, swarm dispatch,
-and the sharded multi-daemon control plane (ring / supervisor / router)."""
+"""Cluster extensions (§V future work): one placement table under two
+in-process drivers (multi-GPU hosts, simulated swarm dispatch), and the
+sharded multi-daemon control plane (ring / supervisor / router)."""
 
-from repro.cluster.multigpu import PLACEMENT_POLICIES, MultiGpuScheduler
+from repro.cluster.multigpu import MultiGpuScheduler
+from repro.cluster.placement import PLACEMENT_POLICIES
 from repro.cluster.ring import HashRing
 from repro.cluster.router import ShardEndpoint, ShardRouter
 from repro.cluster.supervisor import ShardProcess, ShardSpec, ShardSupervisor

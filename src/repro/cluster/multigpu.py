@@ -6,38 +6,23 @@ appropriate algorithm to achieve better performance."
 The design follows the paper's single-GPU semantics per device: each GPU
 keeps its own :class:`~repro.core.scheduler.core.GpuMemoryScheduler`
 (memory cannot move between devices, so per-device bookkeeping is exact)
-and a **placement policy** decides, at registration time, which device a
+and a **placement** decides, at registration time, which device a
 container binds to — the single cross-device decision the paper's model
 needs.  After placement, every wrapper message routes to the container's
 device scheduler unchanged, so the entire single-GPU machinery is reused.
 
-Placement policies provided:
-
-- ``most-free``  — the device with the most unreserved memory (spread);
-- ``best-fit``   — the device whose unreserved memory is the smallest that
-  still fits the limit (binpack: keeps big devices free for big tenants);
-- ``round-robin``— cycle across devices that can fit the limit;
-- ``hash``       — consistent-hash the container id onto the device set
-  (the :class:`~repro.cluster.ring.HashRing` the shard router uses), so a
-  single-process multi-GPU deployment and a sharded multi-daemon one
-  agree on where a container lives.
-
-A placement callable takes ``(schedulers, container_id, limit)`` and
-returns a device ordinal (or ``None`` when no device can ever fit the
-limit); only ``hash`` looks at the container id today, but the id is part
-of the contract so stateful policies can be deterministic per tenant.
-
-``place_most_free`` / ``place_best_fit`` read nothing but ``.unreserved``
-and ``.total_memory``, so they are also the swarm dispatcher's ``spread``
-and ``binpack`` over whole nodes (:mod:`repro.cluster.swarm`).
+The placements themselves (``most-free``, ``best-fit``, ``round-robin``,
+``hash``, ``random``) live in :mod:`repro.cluster.placement`, the one
+table this driver and the swarm dispatcher both resolve names in; this
+module is the in-process driver: a placement map plus verb routing.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Sequence
+from typing import Any
 
-from repro.cluster.ring import HashRing
+from repro.cluster.placement import PLACEMENT_POLICIES, make_placement
 from repro.core.scheduler.core import GpuMemoryScheduler
 from repro.core.scheduler.policies import SchedulingPolicy, make_policy
 from repro.core.scheduler.records import ContainerRecord
@@ -45,98 +30,7 @@ from repro.errors import ClusterError, LimitExceededError, UnknownContainerError
 from repro.gpu.device import DeviceRegistry
 from repro.units import format_size
 
-__all__ = [
-    "PLACEMENT_POLICIES",
-    "MultiGpuScheduler",
-    "place_best_fit",
-    "place_most_free",
-]
-
-
-def place_most_free(
-    pools: Sequence[Any], container_id: str, limit: int
-) -> int | None:
-    """Index of the pool with the most unreserved memory (lowest on ties)."""
-    candidates = [
-        (pool.unreserved, -i)
-        for i, pool in enumerate(pools)
-        if limit <= pool.total_memory
-    ]
-    if not candidates:
-        return None
-    _, neg_index = max(candidates)
-    return -neg_index
-
-
-def place_best_fit(
-    pools: Sequence[Any], container_id: str, limit: int
-) -> int | None:
-    """Index of the tightest pool that can reserve ``limit`` in full."""
-    fitting = [
-        (pool.unreserved, i)
-        for i, pool in enumerate(pools)
-        if limit <= pool.total_memory and pool.unreserved >= limit
-    ]
-    if fitting:
-        # Smallest unreserved pool that still covers the limit.
-        _, index = min(fitting)
-        return index
-    # Nobody can reserve fully right now: fall back to the pool with the
-    # most room (the container will be partially assigned + paused there).
-    return place_most_free(pools, container_id, limit)
-
-
-class _RoundRobin:
-    def __init__(self) -> None:
-        self._next = 0
-
-    def __call__(
-        self, schedulers: list[GpuMemoryScheduler], container_id: str, limit: int
-    ) -> int | None:
-        n = len(schedulers)
-        for offset in range(n):
-            index = (self._next + offset) % n
-            if limit <= schedulers[index].total_memory:
-                self._next = (index + 1) % n
-                return index
-        return None
-
-
-class _PlaceHash:
-    """Consistent-hash placement: ring-walk to the first device that fits.
-
-    The ring is built lazily on first use (the device count is only known
-    then) and is the same construction the shard router uses, so
-    ``hash``-placed ordinals equal the router's shard assignments for the
-    same container ids and device count.
-    """
-
-    def __init__(self) -> None:
-        self._ring: HashRing | None = None
-        self._size = 0
-
-    def __call__(
-        self, schedulers: list[GpuMemoryScheduler], container_id: str, limit: int
-    ) -> int | None:
-        if self._ring is None or self._size != len(schedulers):
-            ring = HashRing()
-            for ordinal in range(len(schedulers)):
-                ring.add(ordinal)
-            self._ring = ring
-            self._size = len(schedulers)
-        for ordinal in self._ring.preference(container_id):
-            if limit <= schedulers[ordinal].total_memory:
-                return ordinal
-        return None
-
-
-#: name -> factory producing a placement callable.
-PLACEMENT_POLICIES: dict[str, Callable[[], Callable]] = {
-    "most-free": lambda: place_most_free,
-    "best-fit": lambda: place_best_fit,
-    "round-robin": _RoundRobin,
-    "hash": _PlaceHash,
-}
+__all__ = ["PLACEMENT_POLICIES", "MultiGpuScheduler"]
 
 
 class MultiGpuScheduler:
@@ -150,6 +44,10 @@ class MultiGpuScheduler:
     every device is safe: policies are stateless strategy objects, and the
     incremental candidate index each one maintains is created per scheduler
     state via ``policy.make_index(state)`` — never shared across devices.
+
+    ``placement`` names a row of :data:`PLACEMENT_POLICIES`; every other
+    keyword goes to each device's :class:`GpuMemoryScheduler` as given, so
+    a scheduler option means the same thing on one device and on many.
     """
 
     def __init__(
@@ -158,31 +56,21 @@ class MultiGpuScheduler:
         policy: SchedulingPolicy | str = "BF",
         *,
         placement: str = "most-free",
-        clock: Callable[[], float] | None = None,
-        context_overhead: int | None = None,
+        **scheduler_kwargs: Any,
     ) -> None:
         if len(devices) == 0:
             raise ClusterError("need at least one device")
-        if placement not in PLACEMENT_POLICIES:
-            raise ClusterError(
-                f"unknown placement {placement!r}; known: {sorted(PLACEMENT_POLICIES)}"
-            )
         self.devices = devices
         self.placement_name = placement
-        self._place = PLACEMENT_POLICIES[placement]()
-        self.schedulers: list[GpuMemoryScheduler] = []
-        for device in devices:
-            per_device_policy = (
-                make_policy(policy) if isinstance(policy, str) else policy
+        self._place = make_placement(placement)
+        self.schedulers = [
+            GpuMemoryScheduler(
+                device.properties.total_global_mem,
+                make_policy(policy) if isinstance(policy, str) else policy,
+                **scheduler_kwargs,
             )
-            kwargs: dict[str, Any] = {"clock": clock} if clock else {}
-            if context_overhead is not None:
-                kwargs["context_overhead"] = context_overhead
-            self.schedulers.append(
-                GpuMemoryScheduler(
-                    device.properties.total_global_mem, per_device_policy, **kwargs
-                )
-            )
+            for device in devices
+        ]
         #: The shared per-device policy; the protocol service labels its
         #: decision-latency histogram with ``scheduler.policy.name``.
         self.policy = self.schedulers[0].policy

@@ -198,7 +198,6 @@ class ShardRouter:
             port (0 = ephemeral, ``None`` = off).  ``/metrics`` merges the
             router's own registry with every shard's scrape, each sample
             labelled ``shard="<i>"``; ``/top.json`` merges shard rows.
-        replicas: virtual nodes per shard on the hash ring.
     """
 
     def __init__(
@@ -210,7 +209,6 @@ class ShardRouter:
         codec: str = "auto",
         io_workers: int = 2,
         metrics_port: int | None = None,
-        replicas: int | None = None,
     ) -> None:
         if not shards:
             raise ClusterError("router needs at least one shard")
@@ -228,10 +226,7 @@ class ShardRouter:
         self._shards: dict[int, ShardEndpoint] = {
             shard.shard_id: shard for shard in shards
         }
-        ring_kwargs = {} if replicas is None else {"replicas": replicas}
-        self.ring = HashRing(**ring_kwargs)
-        for shard in shards:
-            self.ring.add(shard.shard_id)
+        self.ring = HashRing(shard.shard_id for shard in shards)
         self._loop = IoLoop(workers=io_workers)
         self._placements: dict[str, _Placement] = {}
         self._placements_lock = threading.Lock()

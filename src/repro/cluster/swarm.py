@@ -4,9 +4,10 @@
 Docker Swarm."
 
 A :class:`SwarmCluster` holds several *nodes*, each a complete single-host
-ConVGPU deployment (its own GPU(s), scheduler, engine).  A dispatch
-strategy — named after Docker Swarm's real ones — picks the node for each
-submitted container:
+ConVGPU deployment (its own GPU(s), scheduler, engine) under one virtual
+clock.  A dispatch strategy — named after Docker Swarm's real ones, each a
+row of the placement table (:mod:`repro.cluster.placement`) applied to
+whole nodes — picks the node for each submitted container:
 
 - ``spread``  — node with the most unreserved GPU memory (Swarm default);
 - ``binpack`` — node with the least unreserved memory that still fits,
@@ -17,25 +18,18 @@ Dispatch happens at submission, before the container's nvidia-docker
 registration on the chosen node; everything after that is the unmodified
 single-host stack.
 
-``live=True`` swaps the simulated nodes for the real sharded control
-plane: one ``repro daemon`` process per node (journalled, over loopback
-TCP — the cross-host transport) behind a
-:class:`~repro.cluster.router.ShardRouter`, with the supervisor's
-auto-restart wired to the router's re-routing.  The DES scheduling API is
-unavailable in live mode (and vice versa); live callers register through
-:meth:`register` and talk to containers via :meth:`client_for`.
+This is a simulation: the *live* multi-device deployment is the sharded
+control plane of DESIGN.md §15 (``repro daemon --shards``: one journalled
+daemon per device under a supervisor, behind the consistent-hash router).
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from repro.cluster.multigpu import place_best_fit, place_most_free
+from repro.cluster.placement import make_placement
 from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
 from repro.errors import ClusterError, LimitExceededError
@@ -66,20 +60,11 @@ class SwarmNode:
         return self.system.scheduler.total_memory
 
 
-def _random(nodes: list[SwarmNode], limit: int, rng) -> int | None:
-    fitting = [i for i, n in enumerate(nodes) if limit <= n.total_memory]
-    if not fitting:
-        return None
-    return fitting[int(rng.integers(0, len(fitting)))]
-
-
-#: name -> ``(nodes, limit, rng) -> node index | None``.  ``spread`` and
-#: ``binpack`` are the multi-GPU placement pair applied to whole nodes (a
-#: dispatch has no container id yet, and neither of the two reads one).
-DISPATCH_STRATEGIES: dict[str, Callable] = {
-    "spread": lambda nodes, limit, rng: place_most_free(nodes, "", limit),
-    "binpack": lambda nodes, limit, rng: place_best_fit(nodes, "", limit),
-    "random": _random,
+#: Docker Swarm's strategy names -> the placement each one is.
+DISPATCH_STRATEGIES: dict[str, str] = {
+    "spread": "most-free",
+    "binpack": "best-fit",
+    "random": "random",
 }
 
 
@@ -95,14 +80,7 @@ class SwarmRunResult:
 
 
 class SwarmCluster:
-    """Several ConVGPU hosts under one virtual clock and dispatcher.
-
-    With ``live=True`` the hosts are real: one journalled shard daemon
-    process per node on loopback TCP, fronted by a consistent-hash
-    router.  ``node_count`` then sets the shard count; ``policy`` and
-    ``total_memory_mib`` configure each shard's scheduler; ``strategy``
-    is ignored (placement is the router's hash ring).
-    """
+    """Several ConVGPU hosts under one virtual clock and dispatcher."""
 
     def __init__(
         self,
@@ -112,9 +90,6 @@ class SwarmCluster:
         policy: str = "BF",
         strategy: str = "spread",
         rng: np.random.Generator | None = None,
-        live: bool = False,
-        base_dir: str | None = None,
-        total_memory_mib: int = 4096,
     ) -> None:
         if node_count < 1:
             raise ClusterError("need at least one node")
@@ -122,22 +97,10 @@ class SwarmCluster:
             raise ClusterError(
                 f"unknown strategy {strategy!r}; known: {sorted(DISPATCH_STRATEGIES)}"
             )
-        self.live = live
-        self.node_count = node_count
         self.strategy_name = strategy
         self.nodes: list[SwarmNode] = []
-        self.supervisor = None
-        self.router = None
-        self._control_client = None
-        if live:
-            self._policy = policy
-            self._total_memory_mib = total_memory_mib
-            self._owns_base_dir = base_dir is None
-            self._base_dir = base_dir or tempfile.mkdtemp(prefix="convgpu-swarm-")
-            return
         self.env = env if env is not None else Environment()
-        self._dispatch = DISPATCH_STRATEGIES[strategy]
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._place = make_placement(DISPATCH_STRATEGIES[strategy], rng)
         for index in range(node_count):
             system = ConVGPU(policy=policy, clock=lambda: self.env.now)
             system.engine.images.add(make_cuda_image("sample"))
@@ -147,115 +110,11 @@ class SwarmCluster:
                 SwarmNode(name=f"node{index}", system=system, runner=runner)
             )
 
-    # -- live mode -----------------------------------------------------------
-
-    def _require_live(self) -> None:
-        if not self.live:
-            raise ClusterError("this method needs a live=True cluster")
-        if self.router is None:
-            raise ClusterError("live cluster not started (call start())")
-
-    def start(self) -> "SwarmCluster":
-        """Live mode: spawn the shard fleet and the router in front of it."""
-        if not self.live:
-            raise ClusterError("start() only applies to a live=True cluster")
-        from repro.cluster.router import ShardEndpoint, ShardRouter
-        from repro.cluster.supervisor import ShardSupervisor
-
-        self.supervisor = ShardSupervisor(
-            self.node_count,
-            base_dir=os.path.join(self._base_dir, "shards"),
-            transport="tcp",
-            policy=self._policy,
-            total_memory_mib=self._total_memory_mib,
-        )
-        self.supervisor.start()
-        try:
-            self.router = ShardRouter(
-                [
-                    ShardEndpoint.from_ready(i, self.supervisor.endpoints(i))
-                    for i in range(self.node_count)
-                ],
-                base_dir=os.path.join(self._base_dir, "router"),
-            )
-            self.router.start()
-        except Exception:
-            self.supervisor.stop()
-            self.supervisor = None
-            raise
-        self.supervisor.on_restart = self.router.refresh_shard
-        return self
-
-    def stop(self) -> None:
-        if not self.live:
-            return
-        if self._control_client is not None:
-            self._control_client.close()
-            self._control_client = None
-        if self.router is not None:
-            self.router.stop()
-            self.router = None
-        if self.supervisor is not None:
-            self.supervisor.stop()
-            self.supervisor = None
-        if self._owns_base_dir:
-            import shutil
-
-            shutil.rmtree(self._base_dir, ignore_errors=True)
-
-    def __enter__(self) -> "SwarmCluster":
-        return self.start() if self.live else self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def register(self, container_id: str, limit: int) -> dict:
-        """Live mode: register a container through the router."""
-        self._require_live()
-        from repro.ipc import protocol
-        from repro.ipc.tcp_socket import TcpSocketClient
-
-        if self._control_client is None:
-            self._control_client = TcpSocketClient(
-                self.router.host, self.router.control_port, timeout=30.0
-            )
-        return self._control_client.call(
-            protocol.MSG_REGISTER_CONTAINER,
-            container_id=container_id,
-            limit=limit,
-        )
-
-    def container_exit(self, container_id: str) -> dict:
-        """Live mode: deregister a container through the router."""
-        self._require_live()
-        from repro.ipc import protocol
-
-        if self._control_client is None:
-            raise ClusterError("no containers registered yet")
-        return self._control_client.call(
-            protocol.MSG_CONTAINER_EXIT, container_id=container_id
-        )
-
-    def client_for(self, container_id: str, *, codec: str = "auto", timeout=30.0):
-        """Live mode: a connected client to the container's proxied socket."""
-        self._require_live()
-        from repro.ipc.tcp_socket import TcpSocketClient
-
-        return TcpSocketClient(
-            self.router.host,
-            self.router.container_port(container_id),
-            timeout=timeout,
-            codec=codec,
-        )
-
     # ------------------------------------------------------------------
 
-    def dispatch(self, limit: int) -> SwarmNode:
+    def dispatch(self, limit: int, container_id: str = "") -> SwarmNode:
         """Pick the node for a container with the given GPU memory limit."""
-        if self.live:
-            raise ClusterError("dispatch() is the DES path; live placement "
-                               "is the router's hash ring")
-        index = self._dispatch(self.nodes, limit, self._rng)
+        index = self._place(self.nodes, container_id, limit)
         if index is None:
             raise LimitExceededError(
                 f"no node in the cluster can hold a {limit}-byte container"
@@ -264,13 +123,10 @@ class SwarmCluster:
 
     def submit(self, arrival: Arrival) -> "repro.sim.events.Process":  # noqa: F821
         """Schedule one arrival: dispatch, run, record (a DES process)."""
-        if self.live:
-            raise ClusterError("submit() is the DES path; use register() / "
-                               "client_for() on a live cluster")
 
         def _process():
             yield self.env.timeout(arrival.time)
-            node = self.dispatch(arrival.container_type.gpu_memory)
+            node = self.dispatch(arrival.container_type.gpu_memory, arrival.name)
             node.containers.append(arrival.name)
             system, runner = node.system, node.runner
             container = system.nvdocker.run(

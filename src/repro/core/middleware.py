@@ -115,11 +115,7 @@ class ConVGPU:
             from repro.cluster.multigpu import MultiGpuScheduler
 
             self.scheduler = MultiGpuScheduler(
-                self.devices,
-                policy,
-                placement=placement,
-                clock=self.clock,
-                context_overhead=context_overhead,
+                self.devices, policy, placement=placement, **scheduler_kwargs
             )
         else:
             self.scheduler = GpuMemoryScheduler(

@@ -107,6 +107,13 @@ class GpuMemoryScheduler:
     The public API (``register_container`` … ``process_exit``) is the
     seed's, verb for verb; every call is one locked transition on
     ``self.state`` followed by its unlocked effects.
+
+    ``log`` keeps every event of an *unjournaled* scheduler (simulation,
+    tests, the figure harnesses — their readers in ``stats.py`` and
+    ``experiments/multi.py`` need the whole history).  With a journal
+    attached it holds the events since the newest snapshot only: the
+    journal trims it at each one, which is what ``restore()`` rebuilds and
+    what keeps a daemon's memory bounded (journal.py).
     """
 
     def __init__(

@@ -297,7 +297,6 @@ class SchedulerDaemon:
         rng: Any = None,
         snapshot_interval: int | None = 256,
         fsync: bool = False,
-        journal_mode: str = "group",
         compact_at_bytes: int | None = None,
         **daemon_kwargs: Any,
     ) -> "SchedulerDaemon":
@@ -306,18 +305,16 @@ class SchedulerDaemon:
         Restores the scheduler state, re-attaches the journal (writing a
         compaction snapshot so the recovery itself is durable), and returns
         a daemon ready to :meth:`start` — which recreates the socket of
-        every container that was open at the crash.  ``fsync``,
-        ``journal_mode`` and ``compact_at_bytes`` configure the re-attached
-        journal the same way :class:`SchedulerJournal` takes them (group
-        commit by default, auto-compaction off unless a byte threshold is
-        given).
+        every container that was open at the crash.  ``fsync`` and
+        ``compact_at_bytes`` configure the re-attached (group-commit)
+        journal the same way :class:`SchedulerJournal` takes them
+        (auto-compaction off unless a byte threshold is given).
         """
         scheduler = restore(journal_path, clock=clock, policy=policy, rng=rng)
         journal = SchedulerJournal(
             journal_path,
             snapshot_interval=snapshot_interval,
             fsync=fsync,
-            mode=journal_mode,
             compact_at_bytes=compact_at_bytes,
         )
         journal.attach(scheduler, compact=True)

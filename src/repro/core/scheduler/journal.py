@@ -34,7 +34,13 @@ leaves only after the events it depends on are durable.
 Interval snapshots are taken only at **quiescent points**: the writer
 thread briefly takes the scheduler lock with its queue drained — so the
 serialized state exactly matches the journal position — then writes and
-flushes the snapshot *outside* that lock.
+flushes the snapshot *outside* that lock.  ``mode="sync"`` has no writer:
+its interval snapshot is taken in :meth:`SchedulerJournal.wait_durable`,
+the first call after a transition's last event, and is serialized *and*
+written under the scheduler lock.  In neither mode does a snapshot land
+between two events of one transition — every verb applies its events as
+it emits them, so a snapshot there would already contain the events that
+are journaled after it.
 
 **Compaction** (DESIGN.md §14): snapshots bound *replay*, but the file
 itself grows with total history.  :meth:`SchedulerJournal.compact`
@@ -64,7 +70,11 @@ What intentionally does **not** survive a crash:
   reconnects and re-issues its request, ``request_allocation`` adopts the
   orphan instead of double-queueing (see ``state.py``);
 - event-log history older than the newest snapshot (state is exact, the
-  Fig. 8 timeline before the snapshot is compacted away).
+  Fig. 8 timeline before the snapshot is compacted away).  It does not
+  survive in the *live* scheduler either: taking a snapshot drops the
+  in-memory log entries it covers, so ``scheduler.log`` of a journaled
+  scheduler is the events since the newest snapshot on both sides of a
+  crash, and a daemon's memory does not grow with its uptime.
 
 Journal format: one JSON object per line (same framing discipline as the
 wire protocol).  ``{"kind": "meta"}`` opens the file and pins the scheduler
@@ -224,6 +234,19 @@ def serialize_state(scheduler: GpuMemoryScheduler) -> dict[str, Any]:
     """
     with scheduler._lock:
         return scheduler.state.serialize()
+
+
+def _snapshot_and_trim(scheduler: GpuMemoryScheduler) -> dict[str, Any]:
+    """Serialize the state and drop the log entries the snapshot covers.
+
+    Caller holds the scheduler lock.  :func:`restore` clears the log at
+    every snapshot record, so trimming here keeps one rule on both sides —
+    the log of a journaled scheduler is *the events since the newest
+    snapshot* — and a daemon's memory bounded by ``snapshot_interval``.
+    """
+    state = scheduler.state.serialize()
+    scheduler.log.events.clear()
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +608,18 @@ class SchedulerJournal:
     # -- appends ------------------------------------------------------------
 
     def record(self, event: SchedulerEvent) -> None:
-        """EventLog listener (called under the scheduler lock).
+        """EventLog listener (called under the scheduler lock): one event.
 
         Group mode: enqueue only — a list append and a notify; the writer
         thread does the disk I/O.  Sync mode: the seed's behaviour, write +
-        flush (+ fsync) right here under the lock.
+        flush (+ fsync) right here under the lock.  Never a snapshot: the
+        listener runs *between* the events of one transition, whose state
+        already holds all of them (see :meth:`wait_durable`).
         """
         if self._fh is None:
             raise JournalError(f"journal {self.path} is closed")
         if self._writer is None:
             self._write_items([("event", event)])
-            if (
-                self.snapshot_interval is not None
-                and self._events_since_snapshot >= self.snapshot_interval
-            ):
-                self.write_snapshot()
             return
         with self._cond:
             self._enqueued += 1
@@ -611,8 +631,10 @@ class SchedulerJournal:
 
         The runtime facade calls this *after* releasing the scheduler lock
         and before any reply leaves — the group-commit half of the WAL
-        ordering guarantee.  No-op in sync mode (appends were already
-        durable when the listener returned) and when detached.
+        ordering guarantee.  In sync mode appends were already durable
+        when the listener returned; this call — the first point after a
+        transition's last event — is where that mode takes its interval
+        snapshot, so none ever lands between two events of one transition.
 
         A dead writer thread is a durability failure, never a silent
         success: if it died recording an error, that error is re-raised;
@@ -625,6 +647,8 @@ class SchedulerJournal:
         if writer is None:
             if self._error is not None:
                 raise self._error
+            if self._snapshot_due() and self._scheduler is not None:
+                self.write_snapshot()
             return
         with self._cond:
             target = self._enqueued
@@ -641,19 +665,24 @@ class SchedulerJournal:
     def write_snapshot(self) -> None:
         """Append a compacted snapshot of the attached scheduler's state.
 
-        With the writer running, the state is serialized under the
-        scheduler lock *while enqueueing* (so no event can slip between
-        the serialization and its position in the write order) and the
-        call returns once the snapshot is durable.
+        The state is serialized under the scheduler lock *while taking
+        its position in the write order* (so no event can slip between the
+        two): with the writer running that is the enqueue, and the call
+        returns once the snapshot is durable; without one (``mode="sync"``,
+        and :meth:`attach` before the writer starts) it is the write.
         """
-        if self._scheduler is None:
-            raise JournalError("journal not attached to a scheduler")
-        if self._writer is None:
-            self._write_items([("snapshot", serialize_state(self._scheduler))])
-            return
         scheduler = self._scheduler
+        if scheduler is None:
+            raise JournalError("journal not attached to a scheduler")
         with scheduler._lock:
-            state = scheduler.state.serialize()
+            state = _snapshot_and_trim(scheduler)
+            if self._writer is None:
+                # reprolint: ignore[lock-discipline] -- mode="sync" is by
+                # definition the journal that writes under the scheduler
+                # lock (record() does too); group mode reaches this line
+                # only from attach(), before any thread shares the journal.
+                self._write_items([("snapshot", state)])
+                return
             with self._cond:
                 self._enqueued += 1
                 self._queue.append(("snapshot", state))
@@ -896,6 +925,12 @@ class SchedulerJournal:
         for _ in range(snapshots):
             _REC.record(_EV_SNAPSHOT)
 
+    def _snapshot_due(self) -> bool:
+        return (
+            self.snapshot_interval is not None
+            and self._events_since_snapshot >= self.snapshot_interval
+        )
+
     def _maybe_snapshot_at_quiescent_point(self) -> None:
         """Interval compaction, only ever between batches.
 
@@ -904,19 +939,14 @@ class SchedulerJournal:
         position.  The lock is released before the snapshot (and any
         events drained with it) hit the disk — no I/O under the lock.
         """
-        if (
-            self.snapshot_interval is None
-            or self._events_since_snapshot < self.snapshot_interval
-        ):
-            return
         scheduler = self._scheduler
-        if scheduler is None:
+        if scheduler is None or not self._snapshot_due():
             return
         with scheduler._lock:
             with self._cond:
                 drained = self._queue
                 self._queue = []
-            state = scheduler.state.serialize()
+            state = _snapshot_and_trim(scheduler)
         self._write_items(drained + [("snapshot", state)])
         if drained:
             with self._cond:

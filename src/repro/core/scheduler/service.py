@@ -52,6 +52,11 @@ _DECISION_SECONDS = REGISTRY.histogram(
 class SchedulerService:
     """Stateless adapter from protocol messages to scheduler-core calls.
 
+    ``scheduler`` is a :class:`GpuMemoryScheduler` or the multi-device
+    :class:`~repro.cluster.multigpu.MultiGpuScheduler`, which routes the
+    same verbs (``begin_batch``/``commit_batch`` and ``policy`` included)
+    to per-device ones; the service calls all of them directly.
+
     ``heartbeat_sink`` (when set by the daemon) receives the container id of
     every handled message — any traffic from a container is proof of life,
     so the liveness monitor piggybacks on the normal message flow and the
@@ -150,19 +155,13 @@ class SchedulerService:
     #
     # The socket servers' batch dispatcher brackets each readable event's
     # frame batch with these, so N pipelined decisions share one journal
-    # group-commit wait (see GpuMemoryScheduler.begin_batch).  getattr-guarded:
-    # MultiGpuScheduler and test doubles without batch support degrade to
-    # per-message durability, never to lost durability.
+    # group-commit wait (see GpuMemoryScheduler.begin_batch).
 
     def batch_begin(self) -> None:
-        begin = getattr(self.scheduler, "begin_batch", None)
-        if begin is not None:
-            begin()
+        self.scheduler.begin_batch()
 
     def batch_commit(self) -> None:
-        commit = getattr(self.scheduler, "commit_batch", None)
-        if commit is not None:
-            commit()
+        self.scheduler.commit_batch()
 
     # -- per-message handlers --------------------------------------------
 
@@ -181,7 +180,7 @@ class SchedulerService:
             # idempotently acknowledge instead of failing the reconnect.
             try:
                 record = self.scheduler.container(message["container_id"])
-            except (UnknownContainerError, AttributeError):
+            except UnknownContainerError:
                 raise exc
             if record.closed or record.limit != message["limit"]:
                 raise
@@ -233,9 +232,9 @@ class SchedulerService:
         )
         histogram = self._decision_seconds
         if histogram is None:
-            policy = getattr(self.scheduler, "policy", None)
-            name = getattr(policy, "name", type(self.scheduler).__name__)
-            histogram = self._decision_seconds = _DECISION_SECONDS.labels(policy=name)
+            histogram = self._decision_seconds = _DECISION_SECONDS.labels(
+                policy=self.scheduler.policy.name
+            )
         histogram.observe(time.perf_counter() - began)
         if decision.paused:
             return DEFER

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster.multigpu import PLACEMENT_POLICIES, MultiGpuScheduler
+from repro.cluster.ring import HashRing
+from repro.core.middleware import ConVGPU
 from repro.errors import ClusterError, LimitExceededError, UnknownContainerError
 from repro.gpu.device import DeviceRegistry, GpuDevice
 from repro.gpu.properties import make_properties
@@ -76,10 +78,45 @@ class TestPlacement:
         with pytest.raises(LimitExceededError):
             cluster.register_container("xxl", 2 * GiB)
 
+    def test_hash_agrees_with_the_shard_router_ring(self):
+        cluster = MultiGpuScheduler(registry(GiB, GiB, GiB), placement="hash")
+        ring = HashRing(range(3))
+        ids = [f"tenant-{i}" for i in range(12)]
+        ordinals = [cluster.register_container(cid, 64 * MiB)[0] for cid in ids]
+        assert ordinals == [ring.shard_of(cid) for cid in ids]
+        assert len(set(ordinals)) > 1  # the ids do not all hash to one device
+
+    def test_hash_walks_on_past_a_too_small_device(self):
+        sizes = [4 * GiB, 4 * GiB, 4 * GiB]
+        ring = HashRing(range(3))
+        owner, fallback = list(ring.preference("tenant-0"))[:2]
+        sizes[owner] = GiB  # the hash-preferred device cannot hold the limit
+        cluster = MultiGpuScheduler(registry(*sizes), placement="hash")
+        assert cluster.register_container("tenant-0", 2 * GiB)[0] == fallback
+
+    def test_random_is_seeded_and_skips_too_small_devices(self):
+        def ordinals():
+            cluster = MultiGpuScheduler(
+                registry(GiB, 4 * GiB, 4 * GiB), placement="random"
+            )
+            return [cluster.register_container(f"c{i}", 2 * GiB)[0] for i in range(8)]
+
+        first = ordinals()
+        assert first == ordinals()  # the default generator is seeded
+        assert set(first) == {1, 2}
+
     def test_all_policies_registered(self):
         assert set(PLACEMENT_POLICIES) == {
-            "most-free", "best-fit", "round-robin", "hash",
+            "most-free", "best-fit", "round-robin", "hash", "random",
         }
+
+
+class TestSchedulerOptions:
+    def test_scheduler_options_reach_every_device(self):
+        """A scheduler option means the same on one device and on many."""
+        system = ConVGPU(device_count=2, resume_mode="full", context_overhead=0)
+        assert [s.resume_mode for s in system.scheduler.schedulers] == ["full"] * 2
+        assert [s.context_overhead for s in system.scheduler.schedulers] == [0, 0]
 
 
 class TestRouting:

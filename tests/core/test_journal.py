@@ -124,6 +124,52 @@ class TestJournalFile:
         assert snapshot(restored) == snapshot(sched)
         restored.check_invariants()
 
+    @pytest.mark.parametrize("mode", ("group", "sync"))
+    def test_interval_snapshot_never_tears_a_transition(self, journal_path, mode):
+        """``container_exit`` below emits four events.  A snapshot taken
+        between two of them holds the state after all four, and the rest
+        replay on top of it: ``b``'s grant is counted twice."""
+        for interval in range(1, 9):
+            sched = make_scheduler(total=4 * GiB)
+            path = f"{journal_path}.{interval}"
+            with SchedulerJournal(
+                path, snapshot_interval=interval, mode=mode
+            ) as journal:
+                journal.attach(sched)
+                sched.register_container("a", 3 * GiB)
+                sched.register_container("b", 3 * GiB)
+                sched.request_allocation("a", 1, 2 * GiB)
+                sched.commit_allocation("a", 1, 0x1, 2 * GiB)
+                assert sched.request_allocation(
+                    "b", 1, 2 * GiB, on_resume=lambda payload: None
+                ).paused
+                sched.container_exit("a")
+            restored = restore(path, clock=sched.test_clock)
+            restored.check_invariants()
+            assert serialize_state(restored) == serialize_state(sched), interval
+            assert restored.log.events == sched.log.events, interval
+
+    @pytest.mark.parametrize("mode", ("group", "sync"))
+    def test_journaled_log_is_bounded_by_the_snapshot_interval(
+        self, journal_path, mode
+    ):
+        """A daemon's event log holds the events since the newest snapshot,
+        not its whole life: 3000 transitions never keep more than a few
+        intervals' worth."""
+        sched = make_scheduler()
+        longest = 0
+        with SchedulerJournal(journal_path, snapshot_interval=8, mode=mode) as journal:
+            journal.attach(sched)
+            sched.register_container("a", 2 * GiB)
+            for address in range(1, 1001):
+                assert sched.request_allocation("a", 1, 64 * MiB).granted
+                sched.commit_allocation("a", 1, address, 64 * MiB)
+                sched.release_allocation("a", 1, address)
+                longest = max(longest, len(sched.log))
+        assert longest < 64
+        restored = restore(journal_path, clock=sched.test_clock)
+        assert restored.log.events == sched.log.events
+
     def test_torn_tail_is_dropped(self, journal_path):
         sched = make_scheduler()
         with SchedulerJournal(journal_path) as journal:

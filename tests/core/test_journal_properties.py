@@ -8,13 +8,16 @@ assert that
 2. killing the daemon at *every* event boundary (``restore(event_limit=k)``)
    yields a scheduler whose accounting invariants hold;
 3. snapshot compaction is semantically invisible — any ``snapshot_interval``
-   restores to the same state as the pure event log.
+   restores to the same state as the pure event log, in either journal
+   mode, and the restored event log equals the live one: both hold exactly
+   the events since the newest snapshot.
 
 All four paper policies are exercised; the Random policy is the acid test
 for the replay design (derived decisions are applied verbatim from the
 journal, never re-drawn from the RNG).
 """
 
+import itertools
 import os
 import tempfile
 
@@ -134,7 +137,7 @@ def run_operations(scheduler, clock, ops, after_op=None):
 
 
 def journaled_run(policy_name, ops, *, snapshot_interval=None, seed=0,
-                  compact_after=()):
+                  compact_after=(), mode="group"):
     """Execute ``ops`` under a journal; return (scheduler, clock, path).
 
     ``compact_after`` is a collection of op indices: after each one, the
@@ -150,7 +153,9 @@ def journaled_run(policy_name, ops, *, snapshot_interval=None, seed=0,
     fd, path = tempfile.mkstemp(suffix=".journal")
     os.close(fd)
     os.unlink(path)  # journal wants to create it
-    journal = SchedulerJournal(path, snapshot_interval=snapshot_interval)
+    journal = SchedulerJournal(
+        path, snapshot_interval=snapshot_interval, mode=mode
+    )
     journal.attach(scheduler)
     compact_points = frozenset(compact_after)
     after_op = None
@@ -217,12 +222,14 @@ def test_snapshot_compaction_is_invisible(policy_name, ops):
     reference, clock, ref_path = journaled_run(policy_name, ops)
     expected = serialize_state(reference)
     try:
-        for interval in (1, 3, 256):
-            _, iclock, ipath = journaled_run(
-                policy_name, ops, snapshot_interval=interval
+        for mode, interval in itertools.product(("group", "sync"), (1, 3, 256)):
+            live, iclock, ipath = journaled_run(
+                policy_name, ops, snapshot_interval=interval, mode=mode
             )
             try:
-                assert serialize_state(restore(ipath, clock=iclock)) == expected
+                restored = restore(ipath, clock=iclock)
+                assert serialize_state(restored) == expected
+                assert restored.log.events == live.log.events
             finally:
                 cleanup(ipath)
     finally:
@@ -256,9 +263,9 @@ def test_compaction_at_random_points_is_invisible(policy_name, ops, data):
         restored = restore(path, clock=clock)
         assert serialize_state(restored) == expected
         assert serialize_state(live) == expected
-        # The surviving tail is exactly the newest live-history suffix.
+        # Both logs are exactly the events since the newest snapshot.
         tail = restored.log.events
-        assert tail == live.log.events[len(live.log.events) - len(tail):]
+        assert tail == live.log.events
         for k in range(len(tail) + 1):
             partial = restore(path, clock=clock, event_limit=k)
             partial.check_invariants()
