@@ -1,11 +1,12 @@
 """Recovery at scale — journal size and restore time under compaction.
 
-Snapshots bound *replay* (restore only re-applies the tail after the
-newest snapshot), but the seed journal still grew without bound and
-``restore()`` still scanned every byte of history to find that snapshot.
-Compaction (DESIGN.md §14) rewrites the file down to ``meta + newest
-snapshot + event tail``, so both the on-disk footprint and the full
-recovery scan become flat in total history.
+Snapshots bound *replay* (``restore()`` builds and applies only the tail
+after the newest snapshot), but the journal file grows with total history
+and ``restore()`` validates every line of it on the way to that snapshot:
+the "restore before" column is that scan, linear in history and nothing
+else (DESIGN.md §8).  Compaction (DESIGN.md §14) rewrites the file down to
+``meta + newest snapshot + event tail``, so both the on-disk footprint and
+the recovery scan become flat in total history.
 
 This benchmark drives 10k / 100k / 1M events through a journaled
 scheduler, then measures journal size and ``restore()`` wall time before

@@ -782,7 +782,7 @@ def _cmd_recover_many(args, journals: list[str]) -> int:
         meta = summary["meta"] or {}
         if summary["corrupt"] is not None:
             rows.append((os.path.basename(path), str(meta.get("policy")),
-                         str(summary["events"]), "-", "-",
+                         str(summary["events"]), "-", "-", "-",
                          f"CORRUPT: {summary['corrupt']}"))
             failed = True
             continue
@@ -800,12 +800,14 @@ def _cmd_recover_many(args, journals: list[str]) -> int:
             str(meta.get("policy")),
             str(summary["events"]),
             str(summary["snapshots"]),
+            str(summary["events_replayed"]),
             str(containers),
             status,
         ))
     print(
         format_table(
-            ("journal", "policy", "events", "snapshots", "containers", "status"),
+            ("journal", "policy", "events", "snapshots", "events replayed",
+             "containers", "status"),
             rows,
             title=f"shard journals ({len(journals)})",
         )
@@ -840,6 +842,7 @@ def _cmd_recover(args) -> int:
                 ("total memory (MiB)", str((meta.get("total_memory") or 0) // (1 << 20))),
                 ("events", str(summary["events"])),
                 ("snapshots", str(summary["snapshots"])),
+                ("events replayed", str(summary["events_replayed"])),
                 ("torn lines dropped", str(summary["torn_lines"])),
             ],
             title="journal summary",

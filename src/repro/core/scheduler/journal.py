@@ -12,7 +12,9 @@ crash-recoverable:
   serialized scheduler state — is interleaved, bounding replay time;
 - :func:`restore` rebuilds a scheduler from the newest snapshot plus the
   event tail, byte-identical to the pre-crash state (verified by the
-  crash-consistency property suite in ``tests/core/test_journal_properties.py``).
+  crash-consistency property suite in ``tests/core/test_journal_properties.py``):
+  one validating scan of the file, one snapshot load, and a replay of only
+  the events that snapshot does not cover.
 
 **Group commit** (the default, ``mode="group"``): the scheduler's lock is
 never held across disk I/O.  The event-log listener only *enqueues* the
@@ -85,8 +87,16 @@ dropped (and truncated away on re-attach, so new appends never concatenate
 onto the fragment).  A *terminated* unparseable line is real corruption
 and raises: a crash cannot manufacture a complete line of garbage ending
 in a newline.  All reading is streaming (:class:`JournalReader`): neither
-:func:`restore`, :func:`journal_summary` nor :meth:`SchedulerJournal.attach`
-ever loads the whole file into memory.
+:func:`restore`, :func:`journal_summary`, the compactions nor
+:meth:`SchedulerJournal.attach` ever loads the whole file into memory, and
+the first four share one validating scan (:meth:`JournalReader.scan`), so
+"find the newest snapshot" and every check on the way to it are written
+once.  The scan puts *every* complete line through the line checks
+(framing, UTF-8, JSON, a dict of a known ``kind``, ``meta`` first and only
+once) and every event line through the two record checks (known type, all
+fields present); building the typed event and applying it are computation,
+not checks, and happen only for the events after the newest snapshot —
+exactly the ones that survive a compaction.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, BinaryIO, Callable, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
 from repro.core.scheduler.core import GpuMemoryScheduler
 from repro.core.scheduler.events import (
@@ -196,6 +206,19 @@ EVENT_TYPES: dict[str, type[SchedulerEvent]] = {
     )
 }
 
+#: Each event type's field names in dataclass order — a record's key order
+#: on disk and the constructor's positional order.  Both directions of the
+#: codec run off this one table, compiled at import.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    name: tuple(field.name for field in dataclasses.fields(cls))
+    for name, cls in EVENT_TYPES.items()
+}
+
+# One encoder and one decoder for every line the journal writes or reads
+# (``json.dumps(..., separators=...)`` builds an encoder per call).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_decode_json = json.JSONDecoder().decode
+
 
 # ---------------------------------------------------------------------------
 # codec
@@ -205,24 +228,36 @@ EVENT_TYPES: dict[str, type[SchedulerEvent]] = {
 def encode_event(event: SchedulerEvent) -> dict[str, Any]:
     """One event as a journal record (plain JSON types only)."""
     name = type(event).__name__
-    if name not in EVENT_TYPES:
+    fields = EVENT_FIELDS.get(name)
+    if fields is None:
         raise JournalError(f"unknown event type {name!r}")
-    return {"kind": "event", "event": name, **dataclasses.asdict(event)}
+    record = {"kind": "event", "event": name}
+    for field in fields:  # every event field is a scalar: nothing to copy
+        record[field] = getattr(event, field)
+    return record
+
+
+def _event_fields(record: dict[str, Any]) -> tuple[str, ...]:
+    """The two record checks: a known event type with every field present.
+
+    Returns the type's field names.  The validating scan runs this on
+    every event line; only :func:`decode_event` goes on to build the event.
+    """
+    name = record.get("event")
+    fields = EVENT_FIELDS.get(name)
+    if fields is None:
+        raise JournalError(f"journal record has unknown event type {name!r}")
+    for field in fields:
+        if field not in record:
+            missing = sorted(f for f in fields if f not in record)
+            raise JournalError(f"{name} record missing fields {missing}")
+    return fields
 
 
 def decode_event(record: dict[str, Any]) -> SchedulerEvent:
     """Rebuild the typed event from a journal record."""
-    name = record.get("event")
-    cls = EVENT_TYPES.get(name)
-    if cls is None:
-        raise JournalError(f"journal record has unknown event type {name!r}")
-    kwargs = {
-        f.name: record[f.name] for f in dataclasses.fields(cls) if f.name in record
-    }
-    missing = {f.name for f in dataclasses.fields(cls)} - set(kwargs)
-    if missing:
-        raise JournalError(f"{name} record missing fields {sorted(missing)}")
-    return cls(**kwargs)
+    fields = _event_fields(record)
+    return EVENT_TYPES[record["event"]](*[record[field] for field in fields])
 
 
 def serialize_state(scheduler: GpuMemoryScheduler) -> dict[str, Any]:
@@ -239,10 +274,10 @@ def serialize_state(scheduler: GpuMemoryScheduler) -> dict[str, Any]:
 def _snapshot_and_trim(scheduler: GpuMemoryScheduler) -> dict[str, Any]:
     """Serialize the state and drop the log entries the snapshot covers.
 
-    Caller holds the scheduler lock.  :func:`restore` clears the log at
-    every snapshot record, so trimming here keeps one rule on both sides —
-    the log of a journaled scheduler is *the events since the newest
-    snapshot* — and a daemon's memory bounded by ``snapshot_interval``.
+    Caller holds the scheduler lock.  :func:`restore` replays only the
+    events after the newest snapshot, so trimming here keeps one rule on
+    both sides — the log of a journaled scheduler is *the events since the
+    newest snapshot* — and a daemon's memory bounded by ``snapshot_interval``.
     """
     state = scheduler.state.serialize()
     scheduler.log.events.clear()
@@ -255,10 +290,10 @@ def _snapshot_and_trim(scheduler: GpuMemoryScheduler) -> dict[str, Any]:
 
 
 class JournalReader:
-    """Iterate a journal's records line-by-line, never slurping the file.
+    """Read a journal line by line through one open handle, never slurping it.
 
-    Yields one decoded record dict per *complete* line (meta included).
-    Crash-vs-corruption semantics:
+    Iterating yields one decoded record dict per *complete* line (meta
+    included).  Crash-vs-corruption semantics:
 
     - an **unterminated** final line is the expected artifact of a crash
       mid-append: it is dropped, counted in :attr:`torn`, and iteration
@@ -267,19 +302,37 @@ class JournalReader:
       append a newline to garbage it never finished writing) and raises
       :class:`~repro.errors.JournalError` wherever it sits in the file.
 
-    :attr:`offset` tracks the byte position just past the last complete
-    line consumed — the compactor's cut point: every byte before it is
-    covered by the records already yielded, every byte at or after it is
-    the delta to carry over verbatim.
+    :attr:`offset` is the byte position of the record the consumer holds,
+    and moves past it when the consumer comes back for the next one: a
+    loop that runs out leaves it just past the last complete line, a loop
+    that breaks leaves it on the record it stopped at.  Either way it is
+    the cut point — every byte before it is covered by the records
+    consumed, every byte at or after it is the delta to carry over
+    verbatim.
+
+    :meth:`scan` is the one validating pass :func:`restore`, both
+    compactions and :func:`journal_summary` share; :meth:`tail` and
+    :meth:`copy_tail` then re-read only ``[newest snapshot, offset)``
+    through the same handle, so a compaction's rename between the two
+    reads cannot mix two files.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.torn = 0
         self.offset = 0
-        self.lineno = 0
         #: Raw bytes (newline included) of the record last yielded.
         self.raw: bytes = b""
+        # What scan() learned (counts are up to the failing line if it raised).
+        self.meta: dict[str, Any] | None = None
+        self.meta_raw: bytes = b""
+        #: Byte offset of the newest snapshot record, ``None`` without one.
+        self.snapshot_at: int | None = None
+        self.snapshots = 0
+        self.events = 0
+        #: Events after the newest snapshot: what a restore has to replay.
+        self.replayed = 0
+        self.event_counts: dict[str, int] = {}
         try:
             self._fh: BinaryIO | None = open(path, "rb")
         except OSError as exc:
@@ -296,32 +349,109 @@ class JournalReader:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def __iter__(self) -> "JournalReader":
-        return self
-
-    def __next__(self) -> dict[str, Any]:
+    def __iter__(self) -> Iterator[dict[str, Any]]:
         fh = self._fh
         if fh is None:
             raise JournalError(f"journal reader for {self.path} is closed")
-        raw = fh.readline()
-        if not raw:
-            raise StopIteration
-        if not raw.endswith(b"\n"):
-            # Unterminated tail: crash mid-append; drop and stop.
-            self.torn += 1
-            raise StopIteration
-        self.lineno += 1
-        try:
-            record = json.loads(raw.decode("utf-8"))
-            if not isinstance(record, dict) or "kind" not in record:
-                raise ValueError(f"not a journal record: {record!r}")
-        except (ValueError, UnicodeDecodeError) as exc:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.endswith(b"\n"):
+                # Unterminated tail: crash mid-append; drop and stop.
+                self.torn = 1
+                return
+            try:
+                record = _decode_json(raw.decode("utf-8"))
+                if not isinstance(record, dict) or "kind" not in record:
+                    raise ValueError(f"not a journal record: {record!r}")
+            except (ValueError, UnicodeDecodeError) as exc:
+                raise JournalError(
+                    f"corrupt journal {self.path} at line {lineno}: {exc}"
+                ) from exc
+            self.raw = raw
+            yield record
+            self.offset += len(raw)
+
+    def scan(self, event_limit: int | None = None) -> None:
+        """Validate every complete line and find the newest snapshot.
+
+        On top of iteration's per-line checks: ``meta`` is the first record,
+        the only one and of this version, every other record is an event or
+        a snapshot, and every event passes the two record checks
+        (:func:`_event_fields`).  No event is built, nothing is applied and
+        nothing is kept but the meta record, :attr:`snapshot_at` and the
+        counts, so memory is flat in journal size.  Stops at the end of the
+        file or on the ``(event_limit + 1)``-th event — a snapshot between
+        the N-th event and that one still counts — and leaves :attr:`offset`
+        there.  A failed check raises with the counts up to its line in
+        place.
+        """
+        records = iter(self)
+        first = next(records, None)
+        if first is None or first["kind"] != "meta":
             raise JournalError(
-                f"corrupt journal {self.path} at line {self.lineno}: {exc}"
-            ) from exc
-        self.raw = raw
-        self.offset += len(raw)
-        return record
+                f"journal {self.path} has no meta record on its first line"
+            )
+        self.meta, self.meta_raw = first, self.raw
+        if first.get("version") != JOURNAL_VERSION:
+            raise JournalError(
+                f"journal {self.path} version {first.get('version')!r} "
+                f"!= {JOURNAL_VERSION}"
+            )
+        counts = self.event_counts
+        events = replayed = snapshots = 0
+        try:
+            for record in records:
+                kind = record["kind"]
+                if kind == "event":
+                    if events == event_limit:
+                        break
+                    _event_fields(record)
+                    name = record["event"]
+                    counts[name] = counts.get(name, 0) + 1
+                    events += 1
+                    replayed += 1
+                elif kind == "snapshot":
+                    self.snapshot_at = self.offset
+                    snapshots += 1
+                    replayed = 0
+                elif kind == "meta":
+                    raise JournalError(f"duplicate meta record in {self.path}")
+                else:
+                    raise JournalError(
+                        f"unknown journal record kind {kind!r} in {self.path}"
+                    )
+        finally:
+            self.events, self.replayed, self.snapshots = events, replayed, snapshots
+
+    def tail(self) -> Iterator[dict[str, Any]]:
+        """After :meth:`scan`: the records a restore applies, re-read.
+
+        The newest snapshot's record, when there is one, then the events
+        between it and where the scan stopped — every event of a journal
+        that never snapshotted.
+        """
+        stop = self.offset
+        start = len(self.meta_raw) if self.snapshot_at is None else self.snapshot_at
+        self._fh.seek(start)
+        self.offset = start
+        for record in self:
+            if self.offset >= stop:
+                return
+            yield record
+
+    def copy_tail(self, out: BinaryIO) -> None:
+        """After :meth:`scan`: byte-copy ``[newest snapshot, offset)`` to ``out``."""
+        _copy_bytes(self._fh, out, self.snapshot_at, self.offset)
+
+
+def _copy_bytes(src: BinaryIO, dst: BinaryIO, start: int, stop: int) -> None:
+    """Copy ``src[start:stop]`` in bounded chunks."""
+    src.seek(start)
+    while start < stop:
+        chunk = src.read(min(1 << 20, stop - start))
+        if not chunk:
+            break
+        dst.write(chunk)
+        start += len(chunk)
 
 
 def read_meta(path: str) -> dict[str, Any] | None:
@@ -744,35 +874,15 @@ class SchedulerJournal:
         live-journal byte *not* covered by the sidecar — the start of the
         delta :meth:`_swap_in` carries over.
         """
-        meta_raw: bytes | None = None
-        snapshot_raw: bytes | None = None
-        tail: list[bytes] = []
         with JournalReader(self.path) as reader:
-            for record in reader:
-                kind = record.get("kind")
-                if kind == "meta":
-                    meta_raw = reader.raw
-                elif kind == "snapshot":
-                    snapshot_raw = reader.raw
-                    tail.clear()
-                else:
-                    tail.append(reader.raw)
-            offset = reader.offset
-        if meta_raw is None:
-            raise JournalError(f"journal {self.path} has no meta record")
-        if snapshot_raw is None:
-            # compact() writes one first; reaching this means the journal
-            # was swapped out from under us — abort, nothing was touched.
-            raise JournalError(f"journal {self.path} has no snapshot to compact to")
-        sidecar = self.path + COMPACT_SUFFIX
-        with open(sidecar, "wb") as fh:
-            fh.write(meta_raw)
-            fh.write(snapshot_raw)
-            for raw in tail:
-                fh.write(raw)
-            fh.flush()
-            os.fsync(fh.fileno())
-        return sidecar, offset
+            reader.scan()
+            if reader.snapshot_at is None:
+                # compact() writes one first; reaching this means the journal
+                # was swapped out from under us — abort, nothing was touched.
+                raise JournalError(
+                    f"journal {self.path} has no snapshot to compact to"
+                )
+            return _write_sidecar(reader), reader.offset
 
     def _swap_in(self, sidecar: str, offset: int) -> None:
         """Atomically replace the live journal with the prepared sidecar.
@@ -791,12 +901,7 @@ class SchedulerJournal:
                 raise JournalError(f"journal {self.path} is closed")
             self._fh.flush()
             with open(self.path, "rb") as live, open(sidecar, "ab") as out:
-                live.seek(offset)
-                while True:
-                    chunk = live.read(1 << 20)
-                    if not chunk:
-                        break
-                    out.write(chunk)
+                _copy_bytes(live, out, offset, os.fstat(live.fileno()).st_size)
                 out.flush()
                 os.fsync(out.fileno())
             os.rename(sidecar, self.path)
@@ -901,7 +1006,7 @@ class SchedulerJournal:
                 since_snapshot = 0
             else:  # meta: the record as given
                 record = payload
-            lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+            lines.append(_encode_json(record) + "\n")
         data = "".join(lines)
         fsync_elapsed = 0.0
         with self._io_lock:
@@ -959,16 +1064,36 @@ class SchedulerJournal:
 # ---------------------------------------------------------------------------
 
 
+def _write_sidecar(reader: JournalReader, snapshot: bytes | None = None) -> str:
+    """``meta + newest snapshot + event tail`` of a scanned journal, fsynced.
+
+    The meta line, then a byte-range copy of ``[newest snapshot, scan
+    stop)`` — or, for a journal that never snapshotted, the ``snapshot``
+    line the caller synthesized.  Returns the sidecar's path.
+    """
+    sidecar = reader.path + COMPACT_SUFFIX
+    with open(sidecar, "wb") as out:
+        out.write(reader.meta_raw)
+        if snapshot is None:
+            reader.copy_tail(out)
+        else:
+            out.write(snapshot)
+        out.flush()
+        os.fsync(out.fileno())
+    return sidecar
+
+
 def compact_journal(path: str) -> dict[str, Any]:
     """Compact a journal with no live daemon attached (``repro compact``).
 
     Rewrites ``path`` down to ``meta + newest snapshot + event tail``
     through a fsynced sidecar and one atomic ``os.rename`` — the same
-    crash discipline as the online compactor.  A journal that has never
-    snapshotted gets one synthesized by replaying it, so the rewrite
-    always compacts instead of copying the event log.  A torn final line
-    is dropped (it would have been dropped at recovery anyway); real
-    corruption raises and leaves the file untouched.
+    scan, the same checks and the same crash discipline as the online
+    compactor.  A journal that has never snapshotted gets one synthesized
+    by replaying it, so the rewrite always compacts instead of copying the
+    event log.  A torn final line is dropped (it would have been dropped
+    at recovery anyway); real corruption raises and leaves the file
+    untouched.
 
     Returns a stats dict: ``bytes_before``/``bytes_after``,
     ``events_kept``/``events_dropped``, ``snapshots_dropped``,
@@ -978,60 +1103,27 @@ def compact_journal(path: str) -> dict[str, Any]:
         bytes_before = os.path.getsize(path)
     except OSError as exc:
         raise JournalError(f"cannot read journal {path}: {exc}") from exc
-    meta_raw: bytes | None = None
-    snapshot_raw: bytes | None = None
-    tail: list[bytes] = []
-    events_total = 0
-    snapshots_seen = 0
     with JournalReader(path) as reader:
-        for record in reader:
-            kind = record.get("kind")
-            if kind == "meta":
-                if meta_raw is not None:
-                    raise JournalError(f"duplicate meta record in {path}")
-                meta_raw = reader.raw
-            elif kind == "snapshot":
-                snapshots_seen += 1
-                snapshot_raw = reader.raw
-                tail.clear()
-            elif kind == "event":
-                events_total += 1
-                tail.append(reader.raw)
-            else:
-                raise JournalError(f"unknown journal record kind {kind!r} in {path}")
-        torn = reader.torn
-    if meta_raw is None:
-        raise JournalError(f"journal {path} has no meta record")
-    snapshots_kept = 1
-    if snapshot_raw is None:
-        snapshots_kept = 0
-        scheduler = restore(path)
-        snapshot_raw = (
-            json.dumps(
-                {"kind": "snapshot", "state": serialize_state(scheduler)},
-                separators=(",", ":"),
-            )
-            + "\n"
-        ).encode("utf-8")
-        tail = []
-    sidecar = path + COMPACT_SUFFIX
-    with open(sidecar, "wb") as fh:
-        fh.write(meta_raw)
-        fh.write(snapshot_raw)
-        for raw in tail:
-            fh.write(raw)
-        fh.flush()
-        os.fsync(fh.fileno())
+        reader.scan()
+        snapshot = None
+        events_kept = reader.replayed
+        if reader.snapshot_at is None:
+            state = serialize_state(restore(path))
+            snapshot = (
+                _encode_json({"kind": "snapshot", "state": state}) + "\n"
+            ).encode("utf-8")
+            events_kept = 0
+        sidecar = _write_sidecar(reader, snapshot)
     os.rename(sidecar, path)
     _fsync_dir(os.path.dirname(path))
     return {
         "path": path,
         "bytes_before": bytes_before,
         "bytes_after": os.path.getsize(path),
-        "events_kept": len(tail),
-        "events_dropped": events_total - len(tail),
-        "snapshots_dropped": snapshots_seen - snapshots_kept,
-        "torn_dropped": torn,
+        "events_kept": events_kept,
+        "events_dropped": reader.events - events_kept,
+        "snapshots_dropped": max(reader.snapshots - 1, 0),
+        "torn_dropped": reader.torn,
     }
 
 
@@ -1070,28 +1162,6 @@ def read_journal(
     return meta, records, torn
 
 
-def _build_scheduler(
-    path: str,
-    meta: dict[str, Any],
-    clock: Callable[[], float] | None,
-    policy: SchedulingPolicy | None,
-    rng,
-) -> GpuMemoryScheduler:
-    if meta.get("version") != JOURNAL_VERSION:
-        raise JournalError(
-            f"journal {path} version {meta.get('version')!r} != {JOURNAL_VERSION}"
-        )
-    if policy is None:
-        policy = make_policy(meta["policy"], rng)
-    return GpuMemoryScheduler(
-        meta["total_memory"],
-        policy,
-        clock=clock,
-        context_overhead=meta["context_overhead"],
-        resume_mode=meta["resume_mode"],
-    )
-
-
 def restore(
     path: str,
     *,
@@ -1107,56 +1177,42 @@ def restore(
     replays only the first N events — the fault-injection suite uses it to
     model a crash at every event boundary without rewriting files.
 
-    Memory stays flat in journal size: events are applied as they are
-    read (a snapshot record *replaces* the accumulated state wholesale via
-    ``load_snapshot``), never buffered.  ``policy``/``rng`` override the
-    policy reconstructed from the meta record (replay itself never
-    consults the policy; these only matter for post-recovery scheduling).
-    To *continue* journaling after recovery::
+    Two reads through one open handle (:class:`JournalReader`): a
+    validating scan of every complete line that keeps only the meta
+    record, the offset of the newest snapshot and the offset it stopped
+    at, then one ``load_snapshot`` and a decode + ``apply_event`` of the
+    events between the two.  History a later snapshot replaces is checked
+    line by line but never built or applied, and nothing is buffered, so
+    a restore costs one scan of the file plus a replay of at most
+    ``snapshot_interval`` events, and memory stays flat in journal size.
+    ``policy``/``rng`` override the policy reconstructed from the meta
+    record (replay itself never consults the policy; these only matter
+    for post-recovery scheduling).  To *continue* journaling after
+    recovery::
 
         scheduler = restore(path, clock=clock)
         SchedulerJournal(path).attach(scheduler, compact=True)
     """
-    scheduler: GpuMemoryScheduler | None = None
-    # Records seen before the meta line (none, in a well-formed journal)
-    # are held until the scheduler can be built.
-    prelude: list[dict[str, Any]] | None = []
-    events_seen = 0
-
-    def apply(record: dict[str, Any]) -> bool:
-        """Apply one record; False means the event limit was reached."""
-        nonlocal events_seen
-        kind = record["kind"]
-        if kind == "event":
-            if event_limit is not None and events_seen >= event_limit:
-                return False
-            event = decode_event(record)
-            scheduler.state.apply_event(event)
-            scheduler.log.append(event)
-            events_seen += 1
-        elif kind == "snapshot":
-            scheduler.state.load_snapshot(record["state"])
-            scheduler.log.events.clear()
-        else:
-            raise JournalError(f"unknown journal record kind {kind!r} in {path}")
-        return True
-
     with JournalReader(path) as reader:
-        for record in reader:
-            if record["kind"] == "meta":
-                if scheduler is not None:
-                    raise JournalError(f"duplicate meta record in {path}")
-                scheduler = _build_scheduler(path, record, clock, policy, rng)
-                for pending in prelude:
-                    if not apply(pending):
-                        break
-                prelude = None
-            elif scheduler is None:
-                prelude.append(record)
-            elif not apply(record):
-                break
-    if scheduler is None:
-        raise JournalError(f"journal {path} has no meta record")
+        reader.scan(event_limit)
+        meta = reader.meta
+        if policy is None:
+            policy = make_policy(meta["policy"], rng)
+        scheduler = GpuMemoryScheduler(
+            meta["total_memory"],
+            policy,
+            clock=clock,
+            context_overhead=meta["context_overhead"],
+            resume_mode=meta["resume_mode"],
+        )
+        state, log = scheduler.state, scheduler.log
+        for record in reader.tail():
+            if record["kind"] == "snapshot":  # the newest one, first in the tail
+                state.load_snapshot(record["state"])
+            else:
+                event = decode_event(record)
+                state.apply_event(event)
+                log.append(event)
     return scheduler
 
 
@@ -1168,38 +1224,28 @@ def restore(
 def journal_summary(path: str) -> dict[str, Any]:
     """Shape of a journal without restoring it: counts per record type.
 
-    Streams the file, so multi-GB journals cost O(1) memory.  Corruption
-    mid-file is *surfaced*, not raised: the scan stops there and the
-    summary's ``corrupt`` key carries the diagnostic (``repro recover`` /
-    ``repro doctor`` want to describe a damaged file, not die on it).  A
-    missing/unreadable file still raises.
+    One :meth:`JournalReader.scan`, so multi-GB journals cost O(1) memory
+    and a summary runs exactly the checks a restore does.  A failed check
+    is *surfaced*, not raised: the scan stops there and the summary's
+    ``corrupt`` key carries the diagnostic beside the counts up to that
+    line (``repro recover`` / ``repro doctor`` want to describe a damaged
+    file, not die on it).  A missing/unreadable file still raises.
+    ``events_replayed`` is the number of events after the newest snapshot
+    — what :func:`restore` has to decode and apply.
     """
-    meta: dict[str, Any] | None = None
-    event_counts: dict[str, int] = {}
-    snapshots = 0
     corrupt: str | None = None
     with JournalReader(path) as reader:
         try:
-            for record in reader:
-                kind = record["kind"]
-                if kind == "meta":
-                    if meta is not None:
-                        raise JournalError(f"duplicate meta record in {path}")
-                    meta = record
-                elif kind == "snapshot":
-                    snapshots += 1
-                elif kind == "event":
-                    name = record.get("event", "?")
-                    event_counts[name] = event_counts.get(name, 0) + 1
+            reader.scan()
         except JournalError as exc:
             corrupt = str(exc)
-        torn = reader.torn
     return {
         "path": path,
-        "meta": meta,
-        "events": sum(event_counts.values()),
-        "event_counts": dict(sorted(event_counts.items())),
-        "snapshots": snapshots,
-        "torn_lines": torn,
+        "meta": reader.meta,
+        "events": reader.events,
+        "event_counts": dict(sorted(reader.event_counts.items())),
+        "snapshots": reader.snapshots,
+        "events_replayed": reader.replayed,
+        "torn_lines": reader.torn,
         "corrupt": corrupt,
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 from repro.cli import main
 from repro.core.scheduler import (
@@ -71,3 +72,33 @@ def test_single_file_keeps_the_detailed_view(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "journal summary" in out
     assert "invariants: OK" in out
+
+
+def test_tables_say_what_a_restore_replays(tmp_path, capsys):
+    """Five events, a snapshot after every second one: a restore replays
+    the one event after the newest snapshot, and both tables say so."""
+    base = tmp_path / "shards"
+    base.mkdir()
+    for shard in ("shard-0.journal", "shard-1.journal"):
+        scheduler = GpuMemoryScheduler(4 * GiB, make_policy("FIFO"))
+        with SchedulerJournal(
+            str(base / shard), snapshot_interval=2, mode="sync"
+        ) as journal:
+            journal.attach(scheduler)
+            for i in range(5):
+                scheduler.register_container(f"cont-{i}", 256 * MiB)
+    assert main(["recover", str(base / "shard-0.journal")]) == 0
+    rows = dict(
+        re.split(r"\s{2,}", line.strip())
+        for line in capsys.readouterr().out.splitlines()[3:10]
+    )
+    assert (rows["events"], rows["snapshots"], rows["events replayed"]) == (
+        "5", "2", "1",
+    )
+    assert main(["recover", str(base)]) == 0
+    header, _, *shards = (
+        re.split(r"\s{2,}", line.strip())
+        for line in capsys.readouterr().out.splitlines()[1:5]
+    )
+    column = header.index("events replayed")
+    assert [row[column] for row in shards] == ["1", "1"]

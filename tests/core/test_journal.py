@@ -5,6 +5,7 @@ consistency; these tests pin the codec, the file format, the compaction
 behaviour, the torn-tail tolerance, and the orphan-adoption contract.
 """
 
+import dataclasses
 import json
 import os
 import threading
@@ -29,8 +30,11 @@ from repro.core.scheduler.events import (
     AllocationPaused,
     ContainerRegistered,
 )
-from repro.core.scheduler.journal import decode_event, encode_event
+from repro.core.scheduler.journal import EVENT_TYPES, decode_event, encode_event
+from repro.core.scheduler.state import SchedulerState
 from repro.errors import JournalError, SchedulerError
+from repro.obs.metrics import REGISTRY
+from repro.obs.recorder import RECORDER
 from repro.units import GiB, MiB
 
 from tests.conftest import ManualClock
@@ -78,6 +82,32 @@ class TestEventCodec:
             "AllocationReleased", "AllocationAborted", "MemoryAssigned",
             "ProcessExited", "ContainerClosed",
         } <= seen
+
+    def test_journal_line_is_the_json_dumps_spelling(self, journal_path):
+        """The compiled codec writes the bytes ``json.dumps`` of
+        ``dataclasses.asdict`` wrote: one event of each type, with a float
+        and a non-ASCII string that an encoder setting would change."""
+        samples = {"float": 0.1 + 0.2, "str": "c-\u00e9", "int": (1 << 40) + 1}
+        events = [
+            cls(**{f.name: samples[f.type] for f in dataclasses.fields(cls)})
+            for cls in EVENT_TYPES.values()
+        ]
+        assert len(events) == 12
+        with SchedulerJournal(journal_path, mode="sync") as journal:
+            journal.attach(make_scheduler())
+            for event in events:
+                journal.record(event)
+        with open(journal_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()[1:]  # after the meta line
+        assert lines == [
+            json.dumps(
+                {"kind": "event", "event": type(event).__name__,
+                 **dataclasses.asdict(event)},
+                separators=(",", ":"),
+            )
+            for event in events
+        ]
+        assert [decode_event(json.loads(line)) for line in lines] == events
 
     def test_decode_unknown_event_type(self):
         with pytest.raises(JournalError, match="unknown event type"):
@@ -169,6 +199,147 @@ class TestJournalFile:
         assert longest < 64
         restored = restore(journal_path, clock=sched.test_clock)
         assert restored.log.events == sched.log.events
+
+    def test_restore_work_is_proportional_to_the_tail(
+        self, journal_path, monkeypatch
+    ):
+        """One snapshot load and one ``apply_event`` per event after it —
+        history the newest snapshot replaces is scanned, never rebuilt."""
+        sched = make_scheduler()
+        with SchedulerJournal(
+            journal_path, snapshot_interval=64, mode="sync"
+        ) as journal:
+            journal.attach(sched)
+            sched.register_container("a", 2 * GiB)
+            for address in range(1, 701):
+                assert sched.request_allocation("a", 1, 64 * MiB).granted
+                sched.commit_allocation("a", 1, address, 64 * MiB)
+                sched.release_allocation("a", 1, address)
+        _, records, _ = read_journal(journal_path)
+        kinds = [record["kind"] for record in records]
+        assert kinds.count("event") >= 2000 and kinds.count("snapshot") > 30
+        after_newest = kinds[::-1].index("snapshot")
+        assert after_newest <= 64
+        calls = {"apply_event": 0, "load_snapshot": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _real=getattr(SchedulerState, name)):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(SchedulerState, name, counted)
+        restored = restore(journal_path, clock=sched.test_clock)
+        assert calls == {"apply_event": after_newest, "load_snapshot": 1}
+        assert journal_summary(journal_path)["events_replayed"] == after_newest
+        assert serialize_state(restored) == serialize_state(sched)
+        assert restored.log.events == sched.log.events
+
+    #: One bad line and the error every scan of the file gives for it.  The
+    #: first five are line-level (the reader's own checks and the scan's
+    #: ``kind`` rules), the last two are the record checks on an event.
+    BAD_LINES = {
+        "garbage": (b"\x00\xffgarbage\n", "corrupt journal"),
+        "not_a_dict": (b"[1,2]\n", "corrupt journal"),
+        "no_kind": (b'{"event":"AllocationGranted"}\n', "corrupt journal"),
+        "unknown_kind": (b'{"kind":"bogus"}\n', "unknown journal record kind"),
+        "second_meta": (None, "duplicate meta record"),  # the meta line again
+        "unknown_event_type": (
+            b'{"kind":"event","event":"NotAnEvent"}\n', "unknown event type",
+        ),
+        "missing_field": (
+            b'{"kind":"event","event":"ContainerRegistered","time":0.0}\n',
+            "missing fields",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_bad_line_before_the_newest_snapshot_fails_every_scan(
+        self, journal_path, case
+    ):
+        """Every check covers the whole file, not just what gets replayed:
+        a bad line in history that a later snapshot replaces fails restore,
+        both compactions and the summary alike, and no compaction touches
+        the journal."""
+        sched = make_scheduler()
+        with SchedulerJournal(
+            journal_path, snapshot_interval=4, mode="sync"
+        ) as journal:
+            journal.attach(sched)
+            churn(sched, "a", cycles=10)
+        lines = open(journal_path, "rb").read().splitlines(keepends=True)
+        assert sum(b'"kind":"snapshot"' in line for line in lines[3:]) >= 2
+        bad, message = self.BAD_LINES[case]
+        lines.insert(2, lines[0] if bad is None else bad)  # meta, event, BAD
+        corrupted = b"".join(lines)
+        with open(journal_path, "wb") as fh:
+            fh.write(corrupted)
+
+        with pytest.raises(JournalError, match=message):
+            restore(journal_path)
+        with pytest.raises(JournalError, match=message):
+            compact_journal(journal_path)
+        assert open(journal_path, "rb").read() == corrupted
+        summary = journal_summary(journal_path)
+        assert message in summary["corrupt"]
+        assert (summary["events"], summary["snapshots"]) == (1, 0)
+        # Online: the failed compaction leaves the journal as it was, plus
+        # the snapshot compact() appends before it scans.
+        with SchedulerJournal(journal_path, mode="sync") as journal:
+            journal.attach(make_scheduler())
+            with pytest.raises(JournalError, match=message):
+                journal.compact()
+            assert journal.compactions == 0
+        assert open(journal_path, "rb").read().startswith(corrupted)
+        assert not os.path.exists(journal_path + ".compact")
+
+    def test_background_compaction_failure_is_counted(self, journal_path):
+        """A scan failure in the compactor thread is a failed compaction
+        like any other: counted, flight-recorded, journal untouched."""
+        sched = make_scheduler()
+        with SchedulerJournal(journal_path, snapshot_interval=4) as journal:
+            journal.attach(sched)
+            churn(sched, "a", cycles=10)
+        with open(journal_path, "ab") as fh:
+            fh.write(b'{"kind":"bogus"}\n')
+        failures = REGISTRY.get("convgpu_journal_compaction_failures_total")
+        before = failures.value
+        with SchedulerJournal(
+            journal_path, snapshot_interval=4, compact_at_bytes=1
+        ) as journal:
+            journal.attach(sched)
+            churn(sched, "b", cycles=3)  # arms the compactor
+            deadline = time.time() + 10.0
+            while failures.value == before and time.time() < deadline:
+                time.sleep(0.01)
+            assert failures.value > before
+            assert journal.compactions == 0
+        assert '"journal.compact_failed"' in RECORDER.dump_text(reason="test")
+        assert b'{"kind":"bogus"}\n' in open(journal_path, "rb").read()
+
+    def test_no_meta_is_reported_before_any_record_check(self, journal_path):
+        """``meta`` opens every journal this code wrote, so a file without
+        it is not a journal — said as such, whatever its lines hold."""
+        with open(journal_path, "wb") as fh:
+            fh.write(b'{"kind":"event","event":"NotAnEvent"}\n' * 3)
+        with pytest.raises(JournalError, match="no meta record"):
+            compact_journal(journal_path)
+        assert "no meta record" in journal_summary(journal_path)["corrupt"]
+
+    def test_torn_tail_is_dropped_by_every_scan(self, journal_path):
+        sched = make_scheduler()
+        journal = SchedulerJournal(journal_path, snapshot_interval=4, mode="sync")
+        journal.attach(sched)
+        churn(sched, "a", cycles=10)
+        journal.close()
+        intact = os.path.getsize(journal_path)
+        with open(journal_path, "ab") as fh:
+            fh.write(b'{"kind": "event", "event": "AllocationCom')
+        assert journal_summary(journal_path)["torn_lines"] == 1
+        assert serialize_state(restore(journal_path)) == serialize_state(sched)
+        sidecar, offset = journal._prepare_sidecar()  # the online scan
+        assert offset == intact
+        assert open(sidecar, "rb").read().endswith(b"\n")
+        os.remove(sidecar)
+        assert compact_journal(journal_path)["torn_dropped"] == 1
+        assert serialize_state(restore(journal_path)) == serialize_state(sched)
 
     def test_torn_tail_is_dropped(self, journal_path):
         sched = make_scheduler()

@@ -31,6 +31,7 @@ from repro.core.scheduler import (
     PAPER_POLICIES,
     SchedulerJournal,
     make_policy,
+    read_journal,
     restore,
     serialize_state,
     snapshot,
@@ -197,20 +198,42 @@ def test_restore_reproduces_live_state(policy_name, ops):
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=OPERATIONS)
 def test_crash_at_every_event_boundary(policy_name, ops):
-    """Kill-and-restore after each journaled event never corrupts state."""
+    """Kill-and-restore after each journaled event never corrupts state.
+
+    The pure log (``snapshot_interval=None``) is the oracle: a journal of
+    the same ops with interval snapshots restores, at every ``k``, to the
+    state the pure log gives at that ``k`` — a snapshot between the k-th
+    event and the next one counts — and to the log cut at that snapshot.
+    """
     live, clock, path = journaled_run(policy_name, ops)
+    history = live.log.events
+    oracle = []
     try:
-        total_events = len(live.log)
-        for k in range(total_events + 1):
-            partial = restore(path, clock=clock, event_limit=k)
-            partial.check_invariants()
-            assert partial.log.events == live.log.events[:k]
+        for k in range(len(history) + 1):
+            oracle.append(serialize_state(restore(path, clock=clock, event_limit=k)))
         # The final boundary is the live scheduler.
-        assert serialize_state(
-            restore(path, clock=clock, event_limit=total_events)
-        ) == serialize_state(live)
+        assert oracle[-1] == serialize_state(live)
     finally:
         cleanup(path)
+    for interval in (None, 1, 3):
+        _, clock, path = journaled_run(policy_name, ops, snapshot_interval=interval)
+        try:
+            # Events ahead of each snapshot record: where the log restarts.
+            cuts, events = [0], 0
+            for record in read_journal(path)[1]:
+                if record["kind"] == "snapshot":
+                    cuts.append(events)
+                else:
+                    events += 1
+            assert events == len(history)
+            for k in range(len(history) + 1):
+                partial = restore(path, clock=clock, event_limit=k)
+                partial.check_invariants()
+                assert serialize_state(partial) == oracle[k], (interval, k)
+                cut = max(c for c in cuts if c <= k)
+                assert partial.log.events == history[cut:k], (interval, k)
+        finally:
+            cleanup(path)
 
 
 @pytest.mark.parametrize("policy_name", ("FIFO", "Rand"))
