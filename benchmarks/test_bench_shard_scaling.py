@@ -175,7 +175,6 @@ def test_bench_shard_grid(tmp_path, shards):
     supervisor = ShardSupervisor(
         shards,
         base_dir=str(tmp_path / "shards"),
-        transport="unix",
         # Hash placement is only statistically balanced; a shard owning
         # more than its fair share must still cover every limit in full,
         # or allocations PAUSE (correct, but a throughput bench must never

@@ -61,7 +61,6 @@ def main() -> int:
             sys.executable, "-m", "repro", "daemon",
             "--journal-path", str(journal_path),
             "--base-dir", str(tmp / "sockets"),
-            "--transport", "unix",
             "--total-memory", "4096",
             "--flight-dump", str(flight_path),
             "--ready-file", str(ready),

@@ -124,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon_cmd.add_argument("--base-dir", default=None,
                             help="socket directory (temp dir when omitted)")
-    daemon_cmd.add_argument("--transport", choices=("unix", "tcp"), default="unix")
     daemon_cmd.add_argument(
         "--io-workers", type=int, default=4, metavar="N",
         help="dispatch worker pool size of the I/O loop (default: 4)",
@@ -135,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
              "and falls back to JSON for old peers; json pins the "
              "trace-friendly debug mode (docs/PROTOCOL.md)",
     )
-    daemon_cmd.add_argument("--host", default="127.0.0.1")
-    daemon_cmd.add_argument("--port", type=int, default=0,
-                            help="control port for --transport tcp (0 = ephemeral)")
     daemon_cmd.add_argument("--total-memory", type=int, default=4096,
                             help="GPU pool size in MiB")
     daemon_cmd.add_argument("--policy", default="FIFO")
@@ -592,11 +588,8 @@ def _cmd_daemon(args) -> int:
     )
     common = {
         "base_dir": args.base_dir,
-        "transport": args.transport,
         "io_workers": args.io_workers,
         "codec": args.codec,
-        "host": args.host,
-        "control_port": args.port,
         "monitor": monitor,
         "reap_interval": args.reap_interval,
         "metrics_port": None if args.no_metrics else args.metrics_port,
@@ -645,7 +638,6 @@ def _cmd_daemon(args) -> int:
 
     endpoints = {
         "pid": os.getpid(),
-        "transport": args.transport,
         "codec": args.codec,
         "base_dir": daemon.base_dir,
         "control": daemon.control_path,
@@ -654,9 +646,6 @@ def _cmd_daemon(args) -> int:
     if shard_id is not None:
         endpoints["shard"] = shard_id
         endpoints["shards"] = shard_count
-    if args.transport == "tcp":
-        endpoints["host"] = daemon.host
-        endpoints["port"] = daemon.control_port
     if daemon.metrics_server is not None:
         endpoints["metrics"] = daemon.metrics_server.url + "/metrics"
     if args.ready_file is not None:
@@ -695,7 +684,6 @@ def _cmd_daemon_sharded(args) -> int:
     supervisor = ShardSupervisor(
         args.shards,
         base_dir=os.path.join(base_dir, "shards"),
-        transport=args.transport,
         codec=args.codec,
         io_workers=args.io_workers,
         total_memory_mib=args.total_memory,
@@ -714,7 +702,6 @@ def _cmd_daemon_sharded(args) -> int:
                 for shard_id in range(args.shards)
             ],
             base_dir=os.path.join(base_dir, "router"),
-            host=args.host,
             codec=args.codec,
             io_workers=args.io_workers,
             metrics_port=None if args.no_metrics else args.metrics_port,
@@ -729,7 +716,6 @@ def _cmd_daemon_sharded(args) -> int:
 
     endpoints = {
         "pid": os.getpid(),
-        "transport": args.transport,
         "codec": args.codec,
         "base_dir": base_dir,
         "control": router.control_path,
@@ -739,9 +725,6 @@ def _cmd_daemon_sharded(args) -> int:
             for shard_id in range(args.shards)
         },
     }
-    if args.transport == "tcp":
-        endpoints["host"] = router.host
-        endpoints["port"] = router.control_port
     if router.metrics_server is not None:
         endpoints["metrics"] = router.metrics_server.url + "/metrics"
     if args.ready_file is not None:

@@ -51,7 +51,6 @@ from repro.core.scheduler.daemon import CONTAINER_SOCKET_NAME
 from repro.errors import ClusterError, TransportError
 from repro.ipc import protocol
 from repro.ipc.loop import IoLoop
-from repro.ipc.tcp_socket import TcpSocketClient, TcpSocketServer, listen_tcp
 from repro.ipc.unix_socket import UnixSocketClient, UnixSocketServer, listen_unix
 from repro.obs.exporters import merge_prometheus, render_prometheus
 from repro.obs.http import MetricsServer
@@ -110,11 +109,8 @@ class ShardEndpoint:
     """One shard's client-visible addresses, parsed from its ready file."""
 
     shard_id: int
-    transport: str
     base_dir: str
     control: str
-    host: str | None = None
-    port: int | None = None
     metrics_url: str | None = None
 
     @classmethod
@@ -122,11 +118,8 @@ class ShardEndpoint:
         """Build from the daemon's ready-file JSON (see ``repro daemon``)."""
         return cls(
             shard_id=shard_id,
-            transport=endpoints["transport"],
             base_dir=endpoints["base_dir"],
             control=endpoints["control"],
-            host=endpoints.get("host"),
-            port=endpoints.get("port"),
             metrics_url=endpoints.get("metrics"),
         )
 
@@ -134,20 +127,14 @@ class ShardEndpoint:
 class _ContainerProxy:
     """One proxy listener: the router-local stand-in for a shard socket."""
 
-    __slots__ = ("container_id", "listener", "socket_dir", "port", "links",
-                 "_links_lock")
+    __slots__ = ("container_id", "listener", "socket_dir", "links", "_links_lock")
 
     def __init__(
-        self,
-        container_id: str,
-        listener: socket.socket,
-        socket_dir: str | None,
-        port: int | None,
+        self, container_id: str, listener: socket.socket, socket_dir: str
     ) -> None:
         self.container_id = container_id
         self.listener = listener
-        self.socket_dir = socket_dir  # unix transport
-        self.port = port  # tcp transport
+        self.socket_dir = socket_dir
         #: Live splices; mutated under ``_links_lock`` (set ops only).
         self.links: set["_Link"] = set()
         self._links_lock = threading.Lock()
@@ -173,10 +160,10 @@ class _Placement:
     container_id: str
     shard_id: int
     limit: int
-    #: Shard-side data endpoint: a socket path (unix) or ``(host, port)``
-    #: (tcp).  Reassigned wholesale on shard restart — readers grab the
-    #: whole reference, so no lock is needed beyond the tables'.
-    upstream: Any
+    #: Shard-side per-container socket path.  Reassigned wholesale on
+    #: shard restart — readers grab the whole reference, so no lock is
+    #: needed beyond the tables'.
+    upstream: str
     proxy: _ContainerProxy
 
 
@@ -186,11 +173,10 @@ class ShardRouter:
     Args:
         shards: endpoint records, typically built via
             :meth:`ShardEndpoint.from_ready` from the supervisor's ready
-            files.  All shards must share one transport.
+            files.
         base_dir: directory for the router's control socket and per-
-            container proxy sockets (unix transport).  A temp directory is
-            created (and removed on stop) when omitted.
-        host: bind address for tcp listeners.
+            container proxy sockets.  A temp directory is created (and
+            removed on stop) when omitted.
         codec: control-socket codec negotiation mode (the data plane is
             codec-agnostic by construction).
         io_workers: worker threads of the router's shared I/O loop.
@@ -205,18 +191,12 @@ class ShardRouter:
         shards: Sequence[ShardEndpoint],
         *,
         base_dir: str | None = None,
-        host: str = "127.0.0.1",
         codec: str = "auto",
         io_workers: int = 2,
         metrics_port: int | None = None,
     ) -> None:
         if not shards:
             raise ClusterError("router needs at least one shard")
-        transports = {shard.transport for shard in shards}
-        if len(transports) != 1:
-            raise ClusterError(f"mixed shard transports: {sorted(transports)}")
-        self.transport = shards[0].transport
-        self.host = host
         self.codec = codec
         self.metrics_port = metrics_port
         self.log = get_logger("router")
@@ -230,9 +210,9 @@ class ShardRouter:
         self._loop = IoLoop(workers=io_workers)
         self._placements: dict[str, _Placement] = {}
         self._placements_lock = threading.Lock()
-        self._clients: dict[int, Any] = {}
+        self._clients: dict[int, UnixSocketClient] = {}
         self._clients_lock = threading.Lock()
-        self._control_server: Any = None
+        self._control_server: UnixSocketServer | None = None
         self.metrics_server: MetricsServer | None = None
         self._started = False
 
@@ -242,34 +222,17 @@ class ShardRouter:
     def control_path(self) -> str:
         return os.path.join(self.base_dir, "router.sock")
 
-    @property
-    def control_port(self) -> int:
-        if self.transport != "tcp" or self._control_server is None:
-            raise ClusterError("control_port only exists on a started tcp router")
-        return self._control_server.port
-
     def start(self) -> "ShardRouter":
         if self._started:
             return self
         self._loop.start()
-        identity = {"router": True, "shards": len(self._shards)}
-        if self.transport == "unix":
-            self._control_server = UnixSocketServer(
-                self.control_path,
-                self._handle_control,
-                loop=self._loop,
-                codec=self.codec,
-                identity=identity,
-            )
-        else:
-            self._control_server = TcpSocketServer(
-                self._handle_control,
-                host=self.host,
-                port=0,
-                loop=self._loop,
-                codec=self.codec,
-                identity=identity,
-            )
+        self._control_server = UnixSocketServer(
+            self.control_path,
+            self._handle_control,
+            loop=self._loop,
+            codec=self.codec,
+            identity={"router": True, "shards": len(self._shards)},
+        )
         self._control_server.start()
         if self.metrics_port is not None:
             self.metrics_server = MetricsServer(
@@ -283,7 +246,6 @@ class ShardRouter:
         self.log.info(
             "router_started",
             shards=len(self._shards),
-            transport=self.transport,
             base_dir=self.base_dir,
         )
         return self
@@ -337,20 +299,12 @@ class ShardRouter:
             }
 
     def container_socket_path(self, container_id: str) -> str:
-        """Router-local proxy socket for the container (unix transport)."""
+        """Router-local proxy socket for the container."""
         with self._placements_lock:
             placement = self._placements.get(container_id)
-        if placement is None or placement.proxy.socket_dir is None:
+        if placement is None:
             raise ClusterError(f"no proxy for container {container_id!r}")
         return os.path.join(placement.proxy.socket_dir, CONTAINER_SOCKET_NAME)
-
-    def container_port(self, container_id: str) -> int:
-        """Router-local proxy port for the container (tcp transport)."""
-        with self._placements_lock:
-            placement = self._placements.get(container_id)
-        if placement is None or placement.proxy.port is None:
-            raise ClusterError(f"no proxy for container {container_id!r}")
-        return placement.proxy.port
 
     # -- control plane -------------------------------------------------------
 
@@ -392,13 +346,9 @@ class ShardRouter:
         payload = {
             key: value
             for key, value in reply.items()
-            if key not in ("type", "seq", "status", "socket_dir", "host", "port")
+            if key not in ("type", "seq", "status")
         }
-        if placement.proxy.socket_dir is not None:
-            payload["socket_dir"] = placement.proxy.socket_dir
-        if placement.proxy.port is not None:
-            payload["host"] = self.host
-            payload["port"] = placement.proxy.port
+        payload["socket_dir"] = placement.proxy.socket_dir
         return protocol.make_reply(message, **payload)
 
     def _container_exit(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -438,16 +388,14 @@ class ShardRouter:
         }
         return protocol.make_reply(message, **payload)
 
-    def _upstream_from_reply(self, reply: Mapping[str, Any]) -> Any:
-        if self.transport == "unix":
-            return os.path.join(reply["socket_dir"], CONTAINER_SOCKET_NAME)
-        return (reply["host"], reply["port"])
+    def _upstream_from_reply(self, reply: Mapping[str, Any]) -> str:
+        return os.path.join(reply["socket_dir"], CONTAINER_SOCKET_NAME)
 
     # reprolint: ignore[double-lock] -- claim/publish: the proxy listener
     # is built between the two regions (bind/listen must not run under
     # the placements lock per lock-discipline).
     def _place(
-        self, container_id: str, shard_id: int, limit: int, upstream: Any
+        self, container_id: str, shard_id: int, limit: int, upstream: str
     ) -> _Placement:
         with self._placements_lock:
             existing = self._placements.get(container_id)
@@ -471,7 +419,7 @@ class ShardRouter:
     # reprolint: ignore[double-lock] -- get-or-create: the connect happens
     # between check and publish on purpose; a losing racer closes its
     # socket and adopts the winner's client.
-    def _shard_client(self, shard_id: int) -> Any:
+    def _shard_client(self, shard_id: int) -> UnixSocketClient:
         with self._clients_lock:
             client = self._clients.get(shard_id)
         if client is not None:
@@ -482,17 +430,9 @@ class ShardRouter:
         # Control forwarding stays on the JSON codec: the rate is one call
         # per container lifecycle event, and pinning JSON skips a handshake
         # round-trip per (re)connect.
-        if self.transport == "unix":
-            fresh = UnixSocketClient(
-                endpoint.control, timeout=_SHARD_CALL_TIMEOUT, codec="json"
-            )
-        else:
-            fresh = TcpSocketClient(
-                endpoint.host or "127.0.0.1",
-                int(endpoint.port or 0),
-                timeout=_SHARD_CALL_TIMEOUT,
-                codec="json",
-            )
+        fresh = UnixSocketClient(
+            endpoint.control, timeout=_SHARD_CALL_TIMEOUT, codec="json"
+        )
         with self._clients_lock:
             current = self._clients.get(shard_id)
             if current is None:
@@ -501,7 +441,9 @@ class ShardRouter:
         fresh.close()
         return current
 
-    def _drop_client(self, shard_id: int, client: Any = None) -> None:
+    def _drop_client(
+        self, shard_id: int, client: UnixSocketClient | None = None
+    ) -> None:
         with self._clients_lock:
             current = self._clients.get(shard_id)
             if client is not None and current is not client:
@@ -526,7 +468,7 @@ class ShardRouter:
                 return client.call(msg_type, **payload)
             except TransportError as exc:
                 # The shard may have restarted between calls (its control
-                # socket — and tcp port — changed); drop the dead client and
+                # socket changed); drop the dead client and
                 # redial once against the current endpoint.
                 last_error = exc
                 self._drop_client(shard_id, client)
@@ -545,7 +487,7 @@ class ShardRouter:
 
         Hooked to :class:`~repro.cluster.supervisor.ShardSupervisor`'s
         ``on_restart``: drops the cached control client, adopts the new
-        ready-file endpoints (a restarted tcp shard gets fresh ports), and
+        ready-file endpoints, and
         re-registers every container placed on the shard — the daemon's
         idempotent reattach answers with the recovered assignment and the
         *new* per-container data endpoint, which replaces the placement's
@@ -595,15 +537,9 @@ class ShardRouter:
     # -- data plane ----------------------------------------------------------
 
     def _build_proxy(self, container_id: str) -> _ContainerProxy:
-        if self.transport == "unix":
-            directory = os.path.join(self.base_dir, container_id[:12])
-            listener = listen_unix(os.path.join(directory, CONTAINER_SOCKET_NAME))
-            proxy = _ContainerProxy(container_id, listener, directory, None)
-        else:
-            listener = listen_tcp(self.host, 0)
-            proxy = _ContainerProxy(
-                container_id, listener, None, listener.getsockname()[1]
-            )
+        directory = os.path.join(self.base_dir, container_id[:12])
+        listener = listen_unix(os.path.join(directory, CONTAINER_SOCKET_NAME))
+        proxy = _ContainerProxy(container_id, listener, directory)
         # bind+listen above are synchronous, so a client may connect the
         # moment the reply reaches it; the loop registration only gates when
         # the accept fires.
@@ -615,8 +551,6 @@ class ShardRouter:
     def _accept_downstream(self, proxy: _ContainerProxy, conn: socket.socket) -> None:
         # Loop thread: register the splice and return immediately; the
         # upstream dial happens on a worker when the first bytes arrive.
-        if self.transport == "tcp":
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         link = _Link(proxy, conn)
         with proxy._links_lock:
             proxy.links.add(link)
@@ -636,14 +570,8 @@ class ShardRouter:
             raise ClusterError(
                 f"container {link.proxy.container_id!r} no longer placed"
             )
-        upstream = placement.upstream
-        if self.transport == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(upstream)
-        else:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.connect(tuple(upstream))
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(placement.upstream)
         self._loop.add_connection(
             sock,
             on_batch=lambda chunks: self._upstream_batch(link, chunks),
@@ -705,8 +633,7 @@ class ShardRouter:
             links = list(proxy.links)
         for link in links:
             self._loop.close_connection(link.down)
-        if proxy.socket_dir is not None:
-            shutil.rmtree(proxy.socket_dir, ignore_errors=True)
+        shutil.rmtree(proxy.socket_dir, ignore_errors=True)
 
     # -- observability aggregation ------------------------------------------
 

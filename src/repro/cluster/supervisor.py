@@ -53,7 +53,6 @@ class ShardSpec:
     shard_count: int
     base_dir: str
     journal_path: str | None
-    transport: str = "unix"
     codec: str = "auto"
     io_workers: int = 2
     total_memory_mib: int = 4096
@@ -71,7 +70,6 @@ class ShardSpec:
             self.python, "-m", "repro", "daemon",
             "--shard-of", f"{self.shard_id}/{self.shard_count}",
             "--base-dir", self.base_dir,
-            "--transport", self.transport,
             "--codec", self.codec,
             "--io-workers", str(self.io_workers),
             "--total-memory", str(self.total_memory_mib),
@@ -188,7 +186,7 @@ class ShardSupervisor:
         shard_count: number of shard processes (one scheduler each).
         base_dir: directory owning per-shard state: ``shard-<i>/`` (socket
             dirs + ready file) and ``shard-<i>.journal``.
-        transport / codec / io_workers / total_memory_mib / policy: passed
+        codec / io_workers / total_memory_mib / policy: passed
             through to each ``repro daemon`` process; ``total_memory_mib``
             is **per shard** (each shard owns one device's pool).
         journal: write-ahead journals on (default).  Off produces
@@ -210,7 +208,6 @@ class ShardSupervisor:
         shard_count: int,
         *,
         base_dir: str,
-        transport: str = "unix",
         codec: str = "auto",
         io_workers: int = 2,
         total_memory_mib: int = 4096,
@@ -226,8 +223,6 @@ class ShardSupervisor:
     ) -> None:
         if shard_count < 1:
             raise ClusterError("need at least one shard")
-        if transport not in ("unix", "tcp"):
-            raise ClusterError(f"unknown transport {transport!r}")
         self.shard_count = shard_count
         self.base_dir = base_dir
         self.auto_restart = auto_restart
@@ -249,7 +244,6 @@ class ShardSupervisor:
                     if journal
                     else None
                 ),
-                transport=transport,
                 codec=codec,
                 io_workers=io_workers,
                 total_memory_mib=total_memory_mib,

@@ -20,10 +20,7 @@ Beyond the paper, this daemon is **crash-safe**:
 - pass a :class:`~repro.core.scheduler.liveness.HeartbeatMonitor` and a
   background reaper synthesizes the missing *close* for containers that
   die without one, through the same ``container_exit`` path the
-  nvidia-docker-plugin uses;
-- ``transport="tcp"`` serves the same protocol over loopback TCP (the
-  ablation transport), which also lets the fault-injection suite exercise
-  recovery on both socket families.
+  nvidia-docker-plugin uses.
 
 The daemon is used by the live experiments (Fig. 4/5) where real AF_UNIX
 round-trips are measured; simulations bypass it and drive the scheduler
@@ -48,7 +45,6 @@ from repro.core.scheduler.service import SchedulerService
 from repro.errors import SchedulerError
 from repro.ipc import protocol
 from repro.ipc.loop import DEFAULT_IO_WORKERS, IoLoop
-from repro.ipc.tcp_socket import TcpSocketServer
 from repro.ipc.unix_socket import UnixSocketServer
 from repro.obs.http import MetricsServer
 from repro.obs.log import get_logger
@@ -59,7 +55,7 @@ from repro.obs.trace import Tracer
 __all__ = ["SchedulerDaemon", "WRAPPER_SONAME", "CONTAINER_SOCKET_NAME"]
 
 _REC = RECORDER
-_EV_START = RECORDER.declare("daemon.start", s="transport", a="containers")
+_EV_START = RECORDER.declare("daemon.start", a="containers")
 _EV_STOP = RECORDER.declare("daemon.stop")
 _EV_REGISTER = RECORDER.declare("daemon.register", s="container", a="limit")
 _EV_EXIT = RECORDER.declare("daemon.exit", s="container", a="reclaimed")
@@ -145,16 +141,12 @@ class SchedulerDaemon:
         scheduler: the decision engine to serve.
         base_dir: directory for the control socket and per-container
             directories (a temp dir, removed on stop, when omitted).
-        transport: ``"unix"`` (the paper's choice) or ``"tcp"``; TCP mode
-            listens on ``host``/``control_port`` and hands each container
-            an ephemeral port in its registration reply.
-        io: accepted only as ``"loop"`` and otherwise unused — the control
-            socket and every per-container socket are always served from
-            one shared selector thread plus a bounded worker pool, so the
-            daemon's thread count stays constant no matter how many
-            containers attach.  The parameter survives because the frozen
-            ``benchmarks/perf/_daemon_child.py`` spells it out; it goes
-            when that call site drops it.
+        transport / io: accepted only as ``"unix"`` / ``"loop"`` and
+            otherwise unused — every socket is AF_UNIX (§III-A; loopback
+            TCP lives only in the IPC ablation) and is served from one
+            shared selector thread plus a bounded worker pool; both survive
+            because the frozen ``benchmarks/perf/_daemon_child.py`` spells
+            them out, and go when that call site drops them.
         io_workers: dispatch pool size of the shared I/O loop.
         codec: wire codec offered by every socket the daemon serves —
             ``"auto"`` (default) negotiates binary with capable peers and
@@ -193,8 +185,6 @@ class SchedulerDaemon:
         base_dir: str | None = None,
         *,
         transport: str = "unix",
-        host: str = "127.0.0.1",
-        control_port: int = 0,
         io: str = "loop",
         io_workers: int = DEFAULT_IO_WORKERS,
         codec: str = "auto",
@@ -208,7 +198,7 @@ class SchedulerDaemon:
         shard_id: int | None = None,
         shard_count: int | None = None,
     ) -> None:
-        if transport not in ("unix", "tcp"):
+        if transport != "unix":
             raise SchedulerError(f"unknown transport {transport!r}")
         if io != "loop":
             raise SchedulerError(f"unknown io backend {io!r}")
@@ -242,9 +232,6 @@ class SchedulerDaemon:
             tracer=tracer,
             shard_id=shard_id,
         )
-        self.transport = transport
-        self.host = host
-        self.control_port = control_port
         self.io_workers = io_workers
         self.codec = codec
         self._control_handler = _ControlHandler(self)
@@ -253,10 +240,9 @@ class SchedulerDaemon:
         self.base_dir = base_dir or tempfile.mkdtemp(prefix="convgpu-")
         os.makedirs(self.base_dir, exist_ok=True)
         self.control_path = os.path.join(self.base_dir, "control.sock")
-        self._control_server: UnixSocketServer | TcpSocketServer | None = None
-        self._container_servers: dict[str, UnixSocketServer | TcpSocketServer] = {}
+        self._control_server: UnixSocketServer | None = None
+        self._container_servers: dict[str, UnixSocketServer] = {}
         self._container_dirs: dict[str, str] = {}
-        self._container_ports: dict[str, int] = {}
         self._teardown_lock = threading.Lock()
         self._reaper: threading.Thread | None = None
         self._reaper_stop = threading.Event()
@@ -329,27 +315,14 @@ class SchedulerDaemon:
             self._collector_registered = True
             REGISTRY.add_collector(self._collector, owner=self)
         self._io_loop = IoLoop(workers=self.io_workers).start()
-        if self.transport == "unix":
-            self._control_server = UnixSocketServer(
-                self.control_path,
-                self._control_handler,
-                loop=self._io_loop,
-                codec=self.codec,
-                identity=self.identity,
-            )
-            self._control_server.start()
-        else:
-            server = TcpSocketServer(
-                self._control_handler,
-                host=self.host,
-                port=self.control_port,
-                loop=self._io_loop,
-                codec=self.codec,
-                identity=self.identity,
-            )
-            server.start()
-            self.control_port = server.port
-            self._control_server = server
+        self._control_server = UnixSocketServer(
+            self.control_path,
+            self._control_handler,
+            loop=self._io_loop,
+            codec=self.codec,
+            identity=self.identity,
+        )
+        self._control_server.start()
         # Recovery: every container restored open from the journal gets its
         # socket back at the same path, and a fresh heartbeat grace period
         # so reconnecting wrappers are not reaped while they back off.
@@ -373,10 +346,9 @@ class SchedulerDaemon:
             self._watchdog_stop.clear()
             self._watchdog = threading.Thread(target=self._watchdog_loop, daemon=True)
             self._watchdog.start()
-        _REC.record(_EV_START, s=self.transport, a=len(self._container_dirs))
+        _REC.record(_EV_START, a=len(self._container_dirs))
         self.log.info(
             "daemon_started",
-            transport=self.transport,
             base_dir=self.base_dir,
             containers=len(self._container_dirs),
             metrics_url=(
@@ -396,7 +368,6 @@ class SchedulerDaemon:
             _USED.remove(container=container_id)
             shutil.rmtree(directory, ignore_errors=True)
         self._container_dirs.clear()
-        self._container_ports.clear()
         if self.journal is not None:
             self.journal.close()
         if self._owns_base_dir:
@@ -471,9 +442,6 @@ class SchedulerDaemon:
                 if container_id not in self._container_dirs:
                     self._prepare_container_dir(container_id)
                 reply = {**reply, "socket_dir": self._container_dirs[container_id]}
-                if self.transport == "tcp":
-                    reply["host"] = self.host
-                    reply["port"] = self._container_ports[container_id]
                 _REC.record(_EV_REGISTER, s=container_id, a=message["limit"])
                 self.log.info(
                     "container_registered",
@@ -522,31 +490,17 @@ class SchedulerDaemon:
         # Python object, so the copy is a marker file recording the mount.
         with open(os.path.join(directory, WRAPPER_SONAME), "w", encoding="utf-8") as fh:
             fh.write(f"ConVGPU wrapper module for container {container_id}\n")
-        server: UnixSocketServer | TcpSocketServer
-        if self.transport == "unix":
-            socket_path = os.path.join(directory, CONTAINER_SOCKET_NAME)
-            # (UnixSocketServer.start unlinks a stale socket left by a crash.)
-            # The service *object* (not its bound .handle) goes in so the
-            # batch dispatcher finds the batch_begin/batch_commit hooks.
-            server = UnixSocketServer(
-                socket_path,
-                self.service,
-                loop=self._io_loop,
-                codec=self.codec,
-                identity=self.identity,
-            )
-            server.start()
-        else:
-            server = TcpSocketServer(
-                self.service,
-                host=self.host,
-                port=0,
-                loop=self._io_loop,
-                codec=self.codec,
-                identity=self.identity,
-            )
-            server.start()
-            self._container_ports[container_id] = server.port
+        # (UnixSocketServer.start unlinks a stale socket left by a crash.)
+        # The service *object* (not its bound .handle) goes in so the
+        # batch dispatcher finds the batch_begin/batch_commit hooks.
+        server = UnixSocketServer(
+            os.path.join(directory, CONTAINER_SOCKET_NAME),
+            self.service,
+            loop=self._io_loop,
+            codec=self.codec,
+            identity=self.identity,
+        )
+        server.start()
         self._container_servers[container_id] = server
         self._container_dirs[container_id] = directory
         return directory
@@ -562,7 +516,6 @@ class SchedulerDaemon:
         with self._teardown_lock:
             server = self._container_servers.pop(container_id, None)
             directory = self._container_dirs.pop(container_id, None)
-            self._container_ports.pop(container_id, None)
         _RESERVED.remove(container=container_id)
         _USED.remove(container=container_id)
         if self.monitor is not None:
@@ -687,12 +640,3 @@ class SchedulerDaemon:
         if directory is None:
             raise SchedulerError(f"container {container_id!r} not registered")
         return os.path.join(directory, CONTAINER_SOCKET_NAME)
-
-    def container_port(self, container_id: str) -> int:
-        """Port of the per-container TCP server (``transport="tcp"`` only)."""
-        port = self._container_ports.get(container_id)
-        if port is None:
-            raise SchedulerError(
-                f"container {container_id!r} has no TCP port (transport={self.transport})"
-            )
-        return port

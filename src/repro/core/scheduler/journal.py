@@ -455,18 +455,19 @@ def _copy_bytes(src: BinaryIO, dst: BinaryIO, start: int, stop: int) -> None:
 
 
 def read_meta(path: str) -> dict[str, Any] | None:
-    """The journal's meta record, reading no further than its line.
+    """The journal's meta record: its first complete line, and no further.
 
-    Streams from the top and stops at the first ``meta`` — O(1) for every
-    well-formed journal, where meta is the first line — instead of
-    parsing the whole file.  Returns ``None`` when the file has no meta
-    record at all.
+    Returns ``None`` when the file holds no complete line (empty, or a
+    crash tore the meta write itself).  A first line that is anything but
+    ``meta`` raises :class:`~repro.errors.JournalError` — the refusal
+    :meth:`JournalReader.scan` makes at restore, made before anything is
+    appended to a file no restore could read.
     """
     with JournalReader(path) as reader:
-        for record in reader:
-            if record.get("kind") == "meta":
-                return record
-    return None
+        first = next(iter(reader), None)
+    if first is not None and first["kind"] != "meta":
+        raise JournalError(f"journal {path} has no meta record on its first line")
+    return first
 
 
 def _truncate_torn_tail(path: str) -> int:
@@ -619,8 +620,9 @@ class SchedulerJournal:
         Re-attach hygiene: a stale ``<path>.compact`` sidecar (crash mid-
         compaction) is deleted — the live journal is authoritative until
         the rename — and an unterminated torn tail is truncated so new
-        appends start on a fresh line.  Only the meta line is read; attach
-        cost is O(1) in journal size.
+        appends start on a fresh line.  Only the first line is read, and a
+        journal whose first line is not ``meta`` is refused before the file
+        is touched; attach cost is O(1) in journal size.
         """
         if self._scheduler is not None:
             raise JournalError(f"journal {self.path} already attached")
@@ -629,8 +631,8 @@ class SchedulerJournal:
             os.remove(sidecar)
         existing_meta = None
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            _truncate_torn_tail(self.path)
             existing_meta = read_meta(self.path)
+            _truncate_torn_tail(self.path)
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -1090,8 +1092,9 @@ def compact_journal(path: str) -> dict[str, Any]:
     through a fsynced sidecar and one atomic ``os.rename`` — the same
     scan, the same checks and the same crash discipline as the online
     compactor.  A journal that has never snapshotted gets one synthesized
-    by replaying it, so the rewrite always compacts instead of copying the
-    event log.  A torn final line is dropped (it would have been dropped
+    by replaying it through the same open reader (one scan, no second
+    pass), so the rewrite always compacts instead of copying the event
+    log.  A torn final line is dropped (it would have been dropped
     at recovery anyway); real corruption raises and leaves the file
     untouched.
 
@@ -1108,7 +1111,7 @@ def compact_journal(path: str) -> dict[str, Any]:
         snapshot = None
         events_kept = reader.replayed
         if reader.snapshot_at is None:
-            state = serialize_state(restore(path))
+            state = serialize_state(_rebuild(reader))
             snapshot = (
                 _encode_json({"kind": "snapshot", "state": state}) + "\n"
             ).encode("utf-8")
@@ -1195,24 +1198,41 @@ def restore(
     """
     with JournalReader(path) as reader:
         reader.scan(event_limit)
-        meta = reader.meta
-        if policy is None:
-            policy = make_policy(meta["policy"], rng)
-        scheduler = GpuMemoryScheduler(
-            meta["total_memory"],
-            policy,
-            clock=clock,
-            context_overhead=meta["context_overhead"],
-            resume_mode=meta["resume_mode"],
-        )
-        state, log = scheduler.state, scheduler.log
-        for record in reader.tail():
-            if record["kind"] == "snapshot":  # the newest one, first in the tail
-                state.load_snapshot(record["state"])
-            else:
-                event = decode_event(record)
-                state.apply_event(event)
-                log.append(event)
+        return _rebuild(reader, clock=clock, policy=policy, rng=rng)
+
+
+def _rebuild(
+    reader: JournalReader,
+    *,
+    clock: Callable[[], float] | None = None,
+    policy: SchedulingPolicy | None = None,
+    rng=None,
+) -> GpuMemoryScheduler:
+    """After :meth:`JournalReader.scan`: the scheduler its tail rebuilds.
+
+    A scheduler configured from the scanned meta record, the newest
+    snapshot loaded once, and the events after it decoded and applied —
+    the second read of :func:`restore`, and the snapshot a never-
+    snapshotted journal's :func:`compact_journal` synthesizes.
+    """
+    meta = reader.meta
+    if policy is None:
+        policy = make_policy(meta["policy"], rng)
+    scheduler = GpuMemoryScheduler(
+        meta["total_memory"],
+        policy,
+        clock=clock,
+        context_overhead=meta["context_overhead"],
+        resume_mode=meta["resume_mode"],
+    )
+    state, log = scheduler.state, scheduler.log
+    for record in reader.tail():
+        if record["kind"] == "snapshot":  # the newest one, first in the tail
+            state.load_snapshot(record["state"])
+        else:
+            event = decode_event(record)
+            state.apply_event(event)
+            log.append(event)
     return scheduler
 
 

@@ -1,8 +1,8 @@
 """Protocol service: binds the scheduler core to any IPC transport.
 
 The handler below implements the ``handler(message, reply_handle) ->
-reply | DEFER`` contract shared by :class:`repro.ipc.UnixSocketServer`,
-:class:`repro.ipc.TcpSocketServer` and :class:`repro.ipc.InProcessChannel`.
+reply | DEFER`` contract shared by :class:`repro.ipc.UnixSocketServer` and
+:class:`repro.ipc.InProcessChannel`.
 A paused allocation is expressed as ``DEFER``: the reply handle is captured
 into the scheduler's pending record and completed when redistribution (or a
 release) resumes the container — at which point the wrapper's blocked

@@ -22,9 +22,9 @@ way this repo serves a socket, the classic reactor shape:
   pipelining client's burst is decoded and dispatched together and the
   server can cover the whole burst with a single group-commit ``fsync``.
 
-Both :class:`repro.ipc.unix_socket.UnixSocketServer` and
-:class:`repro.ipc.tcp_socket.TcpSocketServer` register their listener with
-a loop and spawn no threads of their own; the scheduler daemon creates one
+Every socket server (:class:`repro.ipc.unix_socket.UnixSocketServer` and
+its loopback-TCP ablation subclass) registers its listener with a loop and
+spawns no threads of its own; the scheduler daemon creates one
 loop and shares it (``loop=``) across the control socket and every
 per-container socket, so the daemon's thread count is ``1 + workers``
 regardless of how many containers are attached.  A server built without

@@ -1,4 +1,4 @@
-"""ShardRouter against a real 2-shard daemon fleet (unix transport).
+"""ShardRouter against a real 2-shard daemon fleet.
 
 One module-scoped fleet keeps the subprocess cost down; every test talks
 to the router exactly like a wrapper/plugin would — control socket for
@@ -28,7 +28,6 @@ def fleet(tmp_path_factory):
     supervisor = ShardSupervisor(
         2,
         base_dir=str(base / "shards"),
-        transport="unix",
         total_memory_mib=2048,
         auto_restart=False,
     )
@@ -71,6 +70,7 @@ def test_register_reply_reports_ring_agreed_shard(fleet):
     assert reply["limit"] == LIMIT
     # The advertised socket dir is the *router's* proxy, not the shard's.
     assert reply["socket_dir"].startswith(router.base_dir)
+    assert "host" not in reply and "port" not in reply
     assert router.placements()["cont-ring-agree"] == reply["shard"]
 
 
@@ -204,16 +204,8 @@ def test_unknown_container_has_no_proxy(fleet):
     _, router = fleet
     with pytest.raises(ClusterError):
         router.container_socket_path("never-registered")
-    with pytest.raises(ClusterError):
-        router.container_port("never-registered")
 
 
 def test_router_requires_shards_and_one_transport():
     with pytest.raises(ClusterError):
         ShardRouter([])
-    mixed = [
-        ShardEndpoint(shard_id=0, transport="unix", base_dir="/x", control="/x/c"),
-        ShardEndpoint(shard_id=1, transport="tcp", base_dir="/y", control="h:1"),
-    ]
-    with pytest.raises(ClusterError):
-        ShardRouter(mixed)

@@ -30,7 +30,12 @@ from repro.core.scheduler.events import (
     AllocationPaused,
     ContainerRegistered,
 )
-from repro.core.scheduler.journal import EVENT_TYPES, decode_event, encode_event
+from repro.core.scheduler.journal import (
+    EVENT_TYPES,
+    JournalReader,
+    decode_event,
+    encode_event,
+)
 from repro.core.scheduler.state import SchedulerState
 from repro.errors import JournalError, SchedulerError
 from repro.obs.metrics import REGISTRY
@@ -643,6 +648,26 @@ class TestStreamingAttach:
         final = restore(journal_path, clock=sched.test_clock)
         assert snapshot(final) == snapshot(restored)
 
+    def test_attach_refuses_meta_off_the_first_line(self, journal_path):
+        """A journal restore() would refuse is refused at attach, before a
+        single byte is appended to it."""
+        sched = make_scheduler()
+        with SchedulerJournal(journal_path) as journal:
+            journal.attach(sched, compact=True)
+            sched.register_container("a", 1 * GiB)
+        with open(journal_path, "rb") as fh:
+            meta, snap, *rest = fh.readlines()
+        assert b'"meta"' in meta and b'"snapshot"' in snap
+        swapped = b"".join([snap, meta, *rest])
+        with open(journal_path, "wb") as fh:
+            fh.write(swapped)
+        with pytest.raises(JournalError, match="first line"):
+            restore(journal_path)
+        with pytest.raises(JournalError, match="first line"):
+            SchedulerJournal(journal_path).attach(make_scheduler())
+        with open(journal_path, "rb") as fh:
+            assert fh.read() == swapped
+
     def test_attach_removes_stale_sidecar(self, journal_path):
         sched = make_scheduler()
         with SchedulerJournal(journal_path) as journal:
@@ -754,6 +779,26 @@ class TestCompaction:
         assert journal_summary(journal_path)["snapshots"] == 1
         restored = restore(journal_path, clock=sched.test_clock)
         assert serialize_state(restored) == serialize_state(sched)
+
+    def test_offline_compact_synthesizes_from_its_one_scan(
+        self, journal_path, monkeypatch
+    ):
+        """The synthesized snapshot is rebuilt from the reader compaction
+        already holds: one validating scan of the file, not two."""
+        sched = make_scheduler()
+        with SchedulerJournal(journal_path, snapshot_interval=None) as journal:
+            journal.attach(sched)
+            churn(sched, "a", cycles=20)
+        scans = []
+        real_scan = JournalReader.scan
+
+        def counting_scan(reader, *args, **kwargs):
+            scans.append(reader.path)
+            return real_scan(reader, *args, **kwargs)
+
+        monkeypatch.setattr(JournalReader, "scan", counting_scan)
+        compact_journal(journal_path)
+        assert scans == [journal_path]
 
     def test_offline_compact_missing_file_raises(self, tmp_path):
         with pytest.raises(JournalError, match="cannot read"):

@@ -198,6 +198,27 @@ class TestDaemon:
         with pytest.raises(SchedulerError):
             daemon.start()
 
+    def test_registration_reply_names_the_socket_dir_only(self, daemon):
+        with UnixSocketClient(daemon.control_path) as control:
+            reply = control.call(
+                protocol.MSG_REGISTER_CONTAINER, container_id="c1", limit=GiB
+            )
+        assert reply["status"] == "ok"
+        assert "socket_dir" in reply
+        assert "host" not in reply and "port" not in reply
+
+    def test_only_the_unix_transport_is_accepted(self, tmp_path):
+        scheduler = GpuMemoryScheduler(5 * GiB, make_policy("BF"))
+        with pytest.raises(SchedulerError, match="transport"):
+            SchedulerDaemon(scheduler, base_dir=str(tmp_path), transport="tcp")
+        # The benchmark launcher's frozen spelling still builds a daemon.
+        daemon = SchedulerDaemon(
+            scheduler, base_dir=str(tmp_path), io="loop", transport="unix"
+        )
+        with daemon:
+            assert os.path.exists(daemon.control_path)
+        assert not hasattr(daemon, "transport")
+
     def test_only_the_loop_io_value_is_accepted(self, tmp_path):
         scheduler = GpuMemoryScheduler(5 * GiB, make_policy("BF"))
         with pytest.raises(SchedulerError):

@@ -66,6 +66,15 @@ class TestCli:
         assert "--io-workers" in out
         assert "--io" not in out.replace("--io-workers", "")
 
+    def test_daemon_has_no_transport_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["daemon", "--help"])
+        out = capsys.readouterr().out
+        # AF_UNIX is the only served transport: its address is --base-dir.
+        assert "--base-dir" in out
+        for flag in ("--transport", "--host", "--port"):
+            assert flag not in out, flag
+
     def test_run_command_exit_zero(self, capsys):
         code = main(["run", "--policy", "FIFO", "--count", "4", "--seed", "11"])
         assert code == 0

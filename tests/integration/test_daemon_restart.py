@@ -2,8 +2,7 @@
 from the journal, and verify reconnecting clients see exact state.
 
 This is the full stack under fault injection — separate OS process running
-``python -m repro daemon``, real sockets (both AF_UNIX and loopback TCP),
-a real SIGKILL mid-pause, and recovery through ``--recover``:
+``python -m repro daemon``, real AF_UNIX sockets, a real SIGKILL mid-pause, and recovery through ``--recover``:
 
 1. daemon up; containers A (2000 MiB), B (3000 MiB), C (500 MiB) register;
 2. A commits 1800 MiB (+66 MiB context overhead -> 1866 used);
@@ -31,7 +30,6 @@ import pytest
 
 from repro.errors import TransportError
 from repro.ipc import protocol
-from repro.ipc.tcp_socket import TcpSocketClient
 from repro.ipc.unix_socket import UnixSocketClient
 from repro.units import MiB
 
@@ -62,14 +60,12 @@ def _wait_for(predicate, *, timeout=15.0, interval=0.02, message="condition"):
 class DaemonProcess:
     """One `python -m repro daemon` subprocess + its advertised endpoints."""
 
-    def __init__(self, tmp_path: Path, transport: str, *, recover: bool, tag: str):
-        self.transport = transport
+    def __init__(self, tmp_path: Path, *, recover: bool, tag: str):
         ready = tmp_path / f"ready-{tag}.json"
         argv = [
             sys.executable, "-m", "repro", "daemon",
             "--journal-path", str(tmp_path / "daemon.journal"),
             "--base-dir", str(tmp_path / "sockets"),
-            "--transport", transport,
             "--total-memory", "4096",
             "--ready-file", str(ready),
         ]
@@ -93,19 +89,11 @@ class DaemonProcess:
     # -- clients ----------------------------------------------------------
 
     def control_client(self):
-        if self.transport == "unix":
-            return UnixSocketClient(self.endpoints["control"], timeout=CLIENT_TIMEOUT)
-        return TcpSocketClient(
-            self.endpoints["host"], self.endpoints["port"], timeout=CLIENT_TIMEOUT
-        )
+        return UnixSocketClient(self.endpoints["control"], timeout=CLIENT_TIMEOUT)
 
     def container_client(self, register_reply):
-        if self.transport == "unix":
-            path = os.path.join(register_reply["socket_dir"], "convgpu.sock")
-            return UnixSocketClient(path, timeout=CLIENT_TIMEOUT)
-        return TcpSocketClient(
-            register_reply["host"], register_reply["port"], timeout=CLIENT_TIMEOUT
-        )
+        path = os.path.join(register_reply["socket_dir"], "convgpu.sock")
+        return UnixSocketClient(path, timeout=CLIENT_TIMEOUT)
 
     def register(self, control, container_id, limit_mib):
         reply = control.call(
@@ -137,10 +125,11 @@ class DaemonProcess:
 
 @pytest.mark.integration
 @pytest.mark.slow
-@pytest.mark.parametrize("transport", ["unix", "tcp"])
+# One value: the daemon serves AF_UNIX only; the param keeps the ``[unix]`` id.
+@pytest.mark.parametrize("transport", ("unix",))
 def test_sigkill_recover_reconnect(tmp_path, transport):
     journal_path = tmp_path / "daemon.journal"
-    daemon = DaemonProcess(tmp_path, transport, recover=False, tag="first")
+    daemon = DaemonProcess(tmp_path, recover=False, tag="first")
     blocked_errors = []
     try:
         control = daemon.control_client()
@@ -200,7 +189,7 @@ def test_sigkill_recover_reconnect(tmp_path, transport):
 
     # ---- recovery ------------------------------------------------------
     blocked_errors.clear()
-    recovered = DaemonProcess(tmp_path, transport, recover=True, tag="second")
+    recovered = DaemonProcess(tmp_path, recover=True, tag="second")
     try:
         control = recovered.control_client()
         # Reconnect-and-reregister: same limits are acked as a reattach.
@@ -269,7 +258,7 @@ def test_sigkill_recover_reconnect(tmp_path, transport):
 @pytest.mark.slow
 def test_recover_cli_inspects_journal_after_kill(tmp_path):
     """`repro recover <journal>` replays a killed daemon's journal offline."""
-    daemon = DaemonProcess(tmp_path, "unix", recover=False, tag="first")
+    daemon = DaemonProcess(tmp_path, recover=False, tag="first")
     try:
         control = daemon.control_client()
         reply = daemon.register(control, "inspected", 1024)
@@ -300,6 +289,37 @@ def test_recover_cli_inspects_journal_after_kill(tmp_path):
     assert "AllocationCommitted" in result.stdout
     assert "inspected" in result.stdout
     assert "invariants: OK" in result.stdout
+
+
+@pytest.mark.integration
+@pytest.mark.parametrize(
+    "extra", [[], ["--shards", "1"]], ids=["unsharded", "sharded"]
+)
+def test_ready_file_names_unix_endpoints_only(tmp_path, extra):
+    """Both ready files (daemon and router) advertise AF_UNIX paths only."""
+    ready = tmp_path / "ready.json"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "daemon",
+            "--base-dir", str(tmp_path / "sockets"),
+            "--no-metrics",
+            "--ready-file", str(ready),
+            *extra,
+        ],
+        env=_env(), cwd=str(REPO_ROOT),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        _wait_for(ready.exists, message="ready file")
+        endpoints = json.loads(ready.read_text())
+        assert os.path.exists(endpoints["control"])
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    served = [endpoints, *endpoints.get("shard_endpoints", {}).values()]
+    for record in served:
+        assert not {"transport", "host", "port"} & set(record), record
 
 
 def _mem_info(client, container_id, pid):

@@ -59,7 +59,6 @@ def test_doctor_correlates_sigusr2_dump_after_sigkill(tmp_path):
         sys.executable, "-m", "repro", "daemon",
         "--journal-path", str(journal_path),
         "--base-dir", str(tmp_path / "sockets"),
-        "--transport", "unix",
         "--total-memory", "4096",
         "--flight-dump", str(flight_path),
         "--ready-file", str(ready),

@@ -1,4 +1,4 @@
-"""Shard crash and recovery through the router, both transports and codecs.
+"""Shard crash and recovery through the router, across both wire codecs.
 
 The contract under test (DESIGN.md §15 failure matrix):
 
@@ -22,7 +22,6 @@ import pytest
 from repro.cluster import ShardEndpoint, ShardRouter, ShardSupervisor
 from repro.errors import IpcDisconnected, TransportError
 from repro.ipc import protocol
-from repro.ipc.tcp_socket import TcpSocketClient
 from repro.ipc.unix_socket import UnixSocketClient
 
 MIB = 1024 * 1024
@@ -41,21 +40,13 @@ def _wait_until(predicate, timeout=DEADLINE, interval=0.05):
 
 def _data_client(router: ShardRouter, cid: str, codec: str):
     codec = "auto" if codec == "binary" else "json"
-    if router.transport == "unix":
-        return UnixSocketClient(
-            router.container_socket_path(cid), timeout=DEADLINE, codec=codec
-        )
-    return TcpSocketClient(
-        router.host, router.container_port(cid), timeout=DEADLINE, codec=codec
+    return UnixSocketClient(
+        router.container_socket_path(cid), timeout=DEADLINE, codec=codec
     )
 
 
 def _control_client(router: ShardRouter):
-    if router.transport == "unix":
-        return UnixSocketClient(router.control_path, timeout=DEADLINE, codec="json")
-    return TcpSocketClient(
-        router.host, router.control_port, timeout=DEADLINE, codec="json"
-    )
+    return UnixSocketClient(router.control_path, timeout=DEADLINE, codec="json")
 
 
 def _containers_per_shard(router: ShardRouter, per_shard: int) -> dict[int, list[str]]:
@@ -71,13 +62,13 @@ def _containers_per_shard(router: ShardRouter, per_shard: int) -> dict[int, list
     return chosen
 
 
-@pytest.mark.parametrize("transport", ["unix", "tcp"])
+# One value: the daemon serves AF_UNIX only; the param keeps the ``[unix]`` ids.
+@pytest.mark.parametrize("transport", ("unix",))
 @pytest.mark.parametrize("codec", ["binary", "json"])
 def test_shard_kill_midchurn_recovers(tmp_path, transport, codec):
     supervisor = ShardSupervisor(
         2,
         base_dir=str(tmp_path / "shards"),
-        transport=transport,
         total_memory_mib=2048,
         auto_restart=True,
         monitor_interval=0.1,

@@ -1,8 +1,8 @@
 """Tests for the selector-based I/O loop (`repro.ipc.loop`).
 
-Every test runs both transports through an :class:`IoLoop` — shared, the
-way the scheduler daemon serves, or private to one bare server — and
-asserts the wire contract: request/reply, deferred (paused) replies,
+Every server-level test runs both transports through an :class:`IoLoop` —
+shared, the way the scheduler daemon serves, or private to one bare server
+— and asserts the wire contract: request/reply, deferred (paused) replies,
 in-band protocol errors, notification ordering, and oversized-frame
 hangups.
 """
@@ -333,11 +333,11 @@ class TestPrivateLoop:
             self._echo(connect, "shared-again")
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestStopNeverPolls:
     """``stop()`` is event-driven: the last ``_forget`` wakes an outside
     caller, and a loop worker never waits on its own pool (DESIGN.md §10)."""
 
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_outside_stop_returns_with_every_connection_closed(
         self, make_server, transport, monkeypatch
     ):
@@ -367,6 +367,8 @@ class TestStopNeverPolls:
         for client in clients:
             client.close()
 
+    # One value: the daemon serves AF_UNIX only; the param keeps the ``[unix]`` id.
+    @pytest.mark.parametrize("transport", ("unix",))
     def test_exit_storm_never_parks_the_pool(self, tmp_path, transport):
         """``2 x io_workers`` concurrent exits of containers that each hold
         a live data connection: every tear-down runs on a loop worker, and
@@ -375,22 +377,13 @@ class TestStopNeverPolls:
         scheduler = GpuMemoryScheduler(
             1024 * MiB, make_policy("FIFO"), context_overhead=0
         )
-        daemon = SchedulerDaemon(
-            scheduler, base_dir=str(tmp_path / "storm"), transport=transport
-        ).start()
+        daemon = SchedulerDaemon(scheduler, base_dir=str(tmp_path / "storm")).start()
 
         def connect(container_id=None):
-            if transport == "unix":
-                return UnixSocketClient(
-                    daemon.control_path
-                    if container_id is None
-                    else daemon.container_socket_path(container_id)
-                )
-            return TcpSocketClient(
-                daemon.host,
-                daemon.control_port
+            return UnixSocketClient(
+                daemon.control_path
                 if container_id is None
-                else daemon.container_port(container_id),
+                else daemon.container_socket_path(container_id)
             )
 
         gauge = OPEN_CONNECTIONS.labels(transport=transport)
