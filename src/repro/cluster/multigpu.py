@@ -114,10 +114,10 @@ class MultiGpuScheduler:
         """The container's record on its placed device."""
         return self.scheduler_of(container_id).container(container_id)
 
-    def containers(self, *, include_closed: bool = False) -> list[ContainerRecord]:
+    def containers(self) -> list[ContainerRecord]:
         records: list[ContainerRecord] = []
         for scheduler in self.schedulers:
-            records.extend(scheduler.containers(include_closed=include_closed))
+            records.extend(scheduler.containers())
         return sorted(records, key=lambda r: (r.created_at, r.container_id))
 
     # -- routed single-GPU operations --------------------------------------

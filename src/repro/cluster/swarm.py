@@ -32,6 +32,7 @@ import numpy as np
 from repro.cluster.placement import make_placement
 from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
+from repro.core.scheduler.events import ContainerClosed
 from repro.errors import ClusterError, LimitExceededError
 from repro.sim.engine import Environment
 from repro.workloads.api import ProcessApi
@@ -122,7 +123,10 @@ class SwarmCluster:
         return self.nodes[index]
 
     def submit(self, arrival: Arrival) -> "repro.sim.events.Process":  # noqa: F821
-        """Schedule one arrival: dispatch, run, record (a DES process)."""
+        """Schedule one arrival: dispatch and run it (a DES process).
+
+        The process's value is ``(name, exit_code)``.
+        """
 
         def _process():
             yield self.env.timeout(arrival.time)
@@ -149,8 +153,7 @@ class SwarmCluster:
                 ),
             )
             exit_code = yield proc
-            record = system.scheduler.container(arrival.name)
-            return arrival.name, exit_code, record.suspended_total
+            return arrival.name, exit_code
 
         return self.env.process(_process())
 
@@ -159,14 +162,23 @@ class SwarmCluster:
         processes = [self.submit(arrival) for arrival in arrivals]
         self.env.run()
         outcomes = [p.value for p in processes]
+        # An exited container leaves no record: its suspension is on the
+        # ContainerClosed event its node's scheduler logged.
+        suspended = {
+            event.container_id: event.suspended_total
+            for node in self.nodes
+            for event in node.system.scheduler.log.of_type(ContainerClosed)
+        }
         for node in self.nodes:
             node.system.scheduler.check_invariants()
         return SwarmRunResult(
             strategy=self.strategy_name,
             finished_time=self.env.now,
             avg_suspended=(
-                sum(s for _n, _c, s in outcomes) / len(outcomes) if outcomes else 0.0
+                sum(suspended[name] for name, _c in outcomes) / len(outcomes)
+                if outcomes
+                else 0.0
             ),
-            failures=sum(1 for _n, code, _s in outcomes if code != 0),
+            failures=sum(1 for _n, code in outcomes if code != 0),
             per_node_containers={n.name: len(n.containers) for n in self.nodes},
         )

@@ -650,10 +650,10 @@ class SchedulerJournal:
             self._write_items([("meta", meta)])
         else:
             self._check_meta(existing_meta, scheduler)
-        needs_snapshot = compact or (
-            existing_meta is None
-            and (scheduler.state.records() or len(scheduler.log) > 0)
-        )
+        # On the sequence counter, not the records: a state whose
+        # containers all exited holds none, and a snapshot already trimmed
+        # its log, yet ``created_seq`` must carry on from where it stands.
+        needs_snapshot = compact or (existing_meta is None and scheduler.state.seq)
         if needs_snapshot:
             self.write_snapshot()
         scheduler.log.listeners.append(self.record)

@@ -61,8 +61,8 @@ __all__ = [
 class CandidateIndex:
     """Incremental redistribution-candidate view over one scheduler state.
 
-    A container is a candidate while it is open, paused and still short of
-    its limit (``ContainerRecord.is_redistribution_candidate``).  The
+    A container is a candidate while it is paused and still short of its
+    limit (``ContainerRecord.is_redistribution_candidate``).  The
     transition core invokes the hooks below at every point where a record's
     candidacy or ordering key can change; ``pick`` returns the policy's
     choice among current candidates, or ``None`` when there is none.
@@ -87,7 +87,7 @@ class CandidateIndex:
         """``record.assigned`` changed (redistribution or wedge reclaim)."""
 
     def on_close(self, record: ContainerRecord) -> None:
-        """``record`` closed (never a candidate again)."""
+        """``record`` exited: its queue is empty and it leaves the state."""
 
     def rebuild(self) -> None:
         """Resynchronize from scratch (snapshot load)."""
@@ -123,7 +123,7 @@ class FifoHeapIndex(CandidateIndex):
     """Lazy-deletion min-heap on ``created_seq`` (FIFO's only key).
 
     ``created_seq`` never changes, so entries are pushed once per candidacy
-    episode and invalid entries (resumed, satisfied or closed records) are
+    episode and invalid entries (resumed, satisfied or exited records) are
     discarded when they surface at the heap top.
     """
 

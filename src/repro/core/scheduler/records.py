@@ -59,7 +59,6 @@ class ContainerRecord:
     assigned: int = 0
     used: int = 0
     inflight: int = 0
-    closed: bool = False
     #: address -> AllocationRecord (the paper's hash structure).
     allocations: dict[int, AllocationRecord] = field(default_factory=dict)
     #: pids that have been charged the first-allocation context overhead.
@@ -105,11 +104,11 @@ class ContainerRecord:
     def is_redistribution_candidate(self) -> bool:
         """Eligible to receive freed memory from the policy (§III-D).
 
-        Open, paused, and still short of its declared limit — the exact
+        Paused and still short of its declared limit — the exact
         filter the redistribution loop applies before asking the policy,
         and the candidacy predicate every incremental policy index keys on.
         """
-        return not self.closed and bool(self.pending) and self.insufficiency > 0
+        return bool(self.pending) and self.insufficiency > 0
 
     def effective_size(self, pid: int, size: int, overhead: int) -> int:
         """Request size adjusted with the first-allocation overhead (§III-D)."""

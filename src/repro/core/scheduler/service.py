@@ -182,7 +182,7 @@ class SchedulerService:
                 record = self.scheduler.container(message["container_id"])
             except UnknownContainerError:
                 raise exc
-            if record.closed or record.limit != message["limit"]:
+            if record.limit != message["limit"]:
                 raise
             return protocol.make_reply(
                 message,

@@ -157,7 +157,7 @@ class SchedulerState:
         self.resume_mode = resume_mode
         self._containers: dict[str, ContainerRecord] = {}
         self._seq = 0
-        #: Sum of open containers' ``assigned``, maintained incrementally.
+        #: Sum of the containers' ``assigned``, maintained incrementally.
         self._reserved = 0
         #: The policy's incremental candidate index over *this* state (one
         #: index per state, so one policy instance can serve many devices).
@@ -177,8 +177,13 @@ class SchedulerState:
         """Physical memory not promised to any container (O(1))."""
         return self.total_memory - self._reserved
 
+    @property
+    def seq(self) -> int:
+        """Registrations so far: the counter ``created_seq`` is drawn from."""
+        return self._seq
+
     def records(self) -> Iterable[ContainerRecord]:
-        """All container records (open and closed) in registration order.
+        """The live containers' records, in ``created_seq`` order.
 
         A snapshot tuple, not a live view: callers iterate outside the
         runtime lock (policy indexes hold one across transitions), and a
@@ -194,19 +199,13 @@ class SchedulerState:
 
     def mem_get_info(self, container_id: str, pid: int) -> tuple[int, int]:
         """The container's virtualized ``cudaMemGetInfo`` view (§IV-B)."""
-        record = self._require_open(container_id)
+        record = self.container(container_id)
         return record.limit - record.used - record.inflight, record.limit
 
     def check_invariants(self) -> None:
         """Assert global accounting invariants (property tests lean on this)."""
         reserved = 0
         for record in self._containers.values():
-            if record.closed:
-                if record.assigned or record.used or record.inflight:
-                    raise SchedulerError(
-                        f"{record.container_id}: closed but holds memory"
-                    )
-                continue
             if not 0 <= record.assigned <= record.limit:
                 raise SchedulerError(
                     f"{record.container_id}: assigned {record.assigned} "
@@ -258,8 +257,7 @@ class SchedulerState:
                 f"limit {format_size(limit)} exceeds GPU capacity "
                 f"{format_size(self.total_memory)}"
             )
-        existing = self._containers.get(container_id)
-        if existing is not None and not existing.closed:
+        if container_id in self._containers:
             raise SchedulerError(f"container {container_id!r} already registered")
         transition = Transition()
         self._emit(
@@ -284,7 +282,7 @@ class SchedulerState:
         """
         transition = Transition(value=0)
         record = self._containers.get(container_id)
-        if record is None or record.closed:
+        if record is None:
             return transition
         reclaimed = record.assigned
         suspended_total = record.suspended_total
@@ -332,7 +330,7 @@ class SchedulerState:
         if size <= 0:
             raise SchedulerError(f"allocation size must be positive: {size}")
         transition = Transition()
-        record = self._require_open(container_id)
+        record = self.container(container_id)
         if on_resume is not None and self._adopt_orphan(
             record, pid, size, api, on_resume
         ):
@@ -394,7 +392,7 @@ class SchedulerState:
         materializes its context-overhead record.
         """
         transition = Transition()
-        record = self._require_open(container_id)
+        record = self.container(container_id)
         if address in record.allocations:
             raise SchedulerError(
                 f"duplicate commit for address {address:#x} in {container_id}"
@@ -425,7 +423,7 @@ class SchedulerState:
         container's own pending queue — the freed headroom may unblock it.
         """
         transition = Transition()
-        record = self._require_open(container_id)
+        record = self.container(container_id)
         effective = size + (
             self.context_overhead if pid in record.overhead_pending else 0
         )
@@ -452,7 +450,7 @@ class SchedulerState:
         pending allocations.  ``value`` is the released size.
         """
         transition = Transition()
-        record = self._require_open(container_id)
+        record = self.container(container_id)
         allocation = record.allocations.get(address)
         if allocation is None:
             raise SchedulerError(
@@ -481,7 +479,7 @@ class SchedulerState:
         charge.  ``value`` is the bytes reclaimed into the reservation.
         """
         transition = Transition()
-        record = self._require_open(container_id)
+        record = self.container(container_id)
         reclaimed = record.usage_of_pid(pid)
         self._emit(
             transition,
@@ -543,11 +541,11 @@ class SchedulerState:
         re-run the policy loop, which then completes containers one at a
         time instead of leaving everyone starved.
         """
-        open_records = [r for r in self._containers.values() if not r.closed]
-        if not open_records or any(not r.paused for r in open_records):
+        records = self._containers.values()
+        if not records or any(not r.paused for r in records):
             return
         reclaimed = 0
-        for record in open_records:
+        for record in records:
             idle = record.assigned - record.used - record.inflight
             if idle > 0:
                 reclaimed += idle
@@ -748,15 +746,12 @@ class SchedulerState:
             record.pids_charged.discard(event.pid)
             record.overhead_pending.discard(event.pid)
         elif kind is ContainerClosed:
+            # An exited container leaves no record (§III-B).  Emptying the
+            # queue first makes any index entry left for it read as stale.
             self._reserved -= record.assigned
             record.pending.clear()
-            record.allocations.clear()
-            record.used = 0
-            record.inflight = 0
-            record.assigned = 0
-            record.closed = True
-            record.suspended_total = event.suspended_total
             self._index.on_close(record)
+            del self._containers[event.container_id]
         else:  # pragma: no cover - registry and appliers move in lockstep
             raise JournalError(f"no replay rule for {type(event).__name__}")
 
@@ -779,7 +774,6 @@ class SchedulerState:
                     "assigned": r.assigned,
                     "used": r.used,
                     "inflight": r.inflight,
-                    "closed": r.closed,
                     "allocations": [
                         [a.address, a.pid, a.size, a.is_context_overhead]
                         for a in r.allocations.values()
@@ -809,6 +803,8 @@ class SchedulerState:
         self._seq = state["seq"]
         self._containers.clear()
         for entry in state["containers"]:
+            if entry.get("closed"):  # written before exits dropped the record
+                continue
             record = ContainerRecord(
                 container_id=entry["container_id"],
                 limit=entry["limit"],
@@ -817,7 +813,6 @@ class SchedulerState:
                 assigned=entry["assigned"],
                 used=entry["used"],
                 inflight=entry["inflight"],
-                closed=entry["closed"],
                 last_suspended_at=entry["last_suspended_at"],
                 suspended_total=entry["suspended_total"],
                 pause_count=entry["pause_count"],
@@ -842,20 +837,10 @@ class SchedulerState:
                 for p in entry["pending"]
             ]
             self._containers[record.container_id] = record
-        self._reserved = sum(
-            r.assigned for r in self._containers.values() if not r.closed
-        )
+        self._reserved = sum(r.assigned for r in self._containers.values())
         self._index.rebuild()
 
     # ------------------------------------------------------------------
-
-    def _require_open(self, container_id: str) -> ContainerRecord:
-        record = self._containers.get(container_id)
-        if record is None:
-            raise UnknownContainerError(f"unknown container {container_id!r}")
-        if record.closed:
-            raise UnknownContainerError(f"container {container_id!r} already closed")
-        return record
 
     @staticmethod
     def _overhead_key(pid: int) -> int:

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
 from repro.core.scheduler.core import CONTEXT_OVERHEAD_CHARGE
-from repro.core.scheduler.events import AllocationAborted, AllocationRejected
+from repro.core.scheduler.events import (
+    AllocationAborted,
+    AllocationRejected,
+    ContainerClosed,
+    EventLog,
+)
 from repro.sim.engine import Environment
 from repro.sim.rng import SeedSequenceFactory
 from repro.workloads.api import ProcessApi
@@ -59,6 +64,16 @@ class ContainerOutcome:
     @property
     def turnaround(self) -> float:
         return self.finished_at - self.submitted_at
+
+
+def _outcomes(finished: list[tuple], log: EventLog) -> list[ContainerOutcome]:
+    """One outcome per ``(name, type, submitted, finished, exit code)`` row.
+
+    The suspension comes from the container's ``ContainerClosed``: an
+    exited container leaves no record in the scheduler to read it from.
+    """
+    suspended = {e.container_id: e.suspended_total for e in log.of_type(ContainerClosed)}
+    return [ContainerOutcome(*row, suspended=suspended[row[0]]) for row in finished]
 
 
 @dataclass
@@ -150,7 +165,7 @@ def run_schedule(
     runner = SimProgramRunner(env, system.device, bridge)
     if arrivals is None:
         arrivals = cloud_arrivals(count, factory.generator("arrivals"), interval=interval)
-    outcomes: list[ContainerOutcome] = []
+    finished: list[tuple] = []
 
     def submit(arrival: Arrival):
         yield env.timeout(arrival.time)
@@ -183,21 +198,14 @@ def run_schedule(
             ),
         )
         exit_code = yield proc
-        record = system.scheduler.container(arrival.name)
-        outcomes.append(
-            ContainerOutcome(
-                name=arrival.name,
-                type_name=arrival.container_type.name,
-                submitted_at=arrival.time,
-                finished_at=env.now,
-                exit_code=exit_code,
-                suspended=record.suspended_total,
-            )
+        finished.append(
+            (arrival.name, arrival.container_type.name, arrival.time, env.now, exit_code)
         )
 
     for arrival in arrivals:
         env.process(submit(arrival))
     env.run()
+    outcomes = _outcomes(finished, system.scheduler.log)
     system.scheduler.check_invariants()
     system.device.allocator.check_invariants()
 
@@ -343,7 +351,7 @@ def run_trace(
     system.engine.images.add(make_cuda_image("trace"))
     bridge = SimIpcBridge(env, system.service.handle)
     runner = SimProgramRunner(env, system.device, bridge)
-    outcomes: list[ContainerOutcome] = []
+    finished: list[tuple] = []
 
     def make_command(entry):
         if entry.kind == "mnist":
@@ -380,21 +388,12 @@ def run_trace(
             ),
         )
         exit_code = yield proc
-        record = system.scheduler.container(entry.name)
-        outcomes.append(
-            ContainerOutcome(
-                name=entry.name,
-                type_name=entry.kind,
-                submitted_at=entry.at,
-                finished_at=env.now,
-                exit_code=exit_code,
-                suspended=record.suspended_total,
-            )
-        )
+        finished.append((entry.name, entry.kind, entry.at, env.now, exit_code))
 
     for entry in entries:
         env.process(submit(entry))
     env.run()
+    outcomes = _outcomes(finished, system.scheduler.log)
     system.scheduler.check_invariants()
     system.device.allocator.check_invariants()
     finished_time = max((o.finished_at for o in outcomes), default=0.0)

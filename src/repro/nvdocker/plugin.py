@@ -149,8 +149,8 @@ class NvidiaDockerPlugin:
         except Exception as exc:
             # The daemon is gone for good during teardown; the heartbeat
             # reaper (liveness.py) is the backstop that reclaims the
-            # reservation, and the scheduler treats unknown/closed
-            # containers as no-ops if the close raced a recovery.
+            # reservation, and the scheduler treats an exit of an unknown
+            # container as a no-op if the close raced a recovery.
             self.close_failures.append(scheduler_key)
             self.log.error(
                 "close_delivery_failed",

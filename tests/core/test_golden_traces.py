@@ -69,10 +69,12 @@ def drive_scenario(policy_name: str, seed: int = SEED) -> GpuMemoryScheduler:
     The op mix is chosen to exercise every transition: registration with
     partial assignment, grants, pauses (over-assigned requests), rejects
     (over-limit requests), commits, aborts, releases, process exits,
-    container exits (redistribution), re-registration of exited names, and
-    — when the policy's picks strand partial reservations — the all-paused
-    wedge reclaim.  Resumed grants are committed by the harness exactly as
-    the wrapper would.
+    container exits (redistribution) and — when the policy's picks strand
+    partial reservations — the all-paused wedge reclaim.  Resumed grants are
+    committed by the harness exactly as the wrapper would.  Every
+    registration uses a fresh name (``c000``–``c040``, ``wa``–``wc``,
+    ``wh``); the re-registration of an exited name is covered by
+    ``test_reference_model.py`` and ``test_exited_containers.py``.
     """
     rng = np.random.default_rng(seed)
     clock = _TickClock()

@@ -6,6 +6,7 @@ from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
 from repro.core.scheduler.core import CONTEXT_OVERHEAD_CHARGE
 from repro.cuda.errors import cudaError
+from repro.errors import UnknownContainerError
 from repro.experiments.live import HybridClock, LiveProgramRunner
 from repro.sim.engine import Environment
 from repro.units import GiB, MiB
@@ -116,7 +117,8 @@ class TestLiveEndToEnd:
             assert code == 0
             system.engine.notify_main_exit(container.container_id, code)
             # Close signal travelled over the real control socket.
-            assert system.scheduler.container("live1").closed
+            with pytest.raises(UnknownContainerError):
+                system.scheduler.container("live1")
         finally:
             system.close()
 

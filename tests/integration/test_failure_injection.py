@@ -11,6 +11,7 @@ import pytest
 
 from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
+from repro.core.scheduler.events import AllocationCommitted
 from repro.cuda.effects import HostCompute
 from repro.cuda.errors import cudaError
 from repro.sim.engine import Environment
@@ -187,7 +188,11 @@ class TestStaticLinkEscape:
         env.run()
         # The rogue allocated 4 GiB the scheduler knows nothing about...
         assert rogue_proc.value == 0
-        assert system.scheduler.container("rogue").used == 0
+        assert system.scheduler.reserved == 0
+        assert not [
+            e for e in system.scheduler.log.of_type(AllocationCommitted)
+            if e.container_id == "rogue"
+        ]
         # ...so the *managed* victim got a granted allocation that failed
         # natively: exactly the §III-C warning about static linking.
         assert victim_proc.value == 2
@@ -206,7 +211,8 @@ class TestStaticLinkEscape:
         env.run()
         # Intercepted: the 4 GiB request is *rejected* by the 128 MiB limit.
         assert proc.value == 2
-        assert system.scheduler.container("bounded").used == 0
+        assert system.scheduler.reserved == 0
+        assert not system.scheduler.log.of_type(AllocationCommitted)
 
 
 @pytest.mark.integration

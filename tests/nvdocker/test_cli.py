@@ -4,7 +4,7 @@ import pytest
 
 from repro.container.image import Image, make_cuda_image
 from repro.core.middleware import ConVGPU
-from repro.errors import ContainerError
+from repro.errors import ContainerError, UnknownContainerError
 from repro.nvdocker.cli import (
     CONTAINER_WRAPPER_DIR,
     DEFAULT_GPU_MEMORY_LIMIT,
@@ -175,8 +175,9 @@ class TestExitDetection:
     def test_dummy_volume_unmount_sends_close(self, system):
         """§III-B: plugin detects the stop and signals the scheduler."""
         container = system.nvdocker.run("cuda-app", name="watched")
-        assert not system.scheduler.container("watched").closed
+        assert system.scheduler.container("watched").limit
         system.engine.stop(container.container_id)
         assert system.plugin.close_signals == ["watched"]
-        assert system.scheduler.container("watched").closed
+        with pytest.raises(UnknownContainerError):
+            system.scheduler.container("watched")
         assert system.scheduler.unreserved == system.scheduler.total_memory

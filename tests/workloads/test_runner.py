@@ -5,6 +5,7 @@ import pytest
 from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
 from repro.core.scheduler.core import CONTEXT_OVERHEAD_CHARGE
+from repro.core.scheduler.events import AllocationPaused, ContainerClosed, ProcessExited
 from repro.cuda.effects import HostCompute
 from repro.cuda.errors import cudaError
 from repro.sim.engine import Environment
@@ -99,7 +100,9 @@ class TestBasicExecution:
         env.run()
         assert proc.value == 0
         assert system.device.allocator.used == 0
-        assert system.scheduler.container("c1").used == 0
+        # The process exit, not the container exit, took the leak back.
+        (exited,) = system.scheduler.log.of_type(ProcessExited)
+        assert exited.reclaimed == 100 * MiB + CONTEXT_OVERHEAD_CHARGE
 
 
 class TestPauseResume:
@@ -125,10 +128,11 @@ class TestPauseResume:
         )
         env.run()
         assert p2.value == 0
-        record = system.scheduler.container("late")
+        log = system.scheduler.log
+        (closed,) = [e for e in log.of_type(ContainerClosed) if e.container_id == "late"]
         # 'late' waited roughly as long as the hog's kernel.
-        assert record.suspended_total > 5.0
-        assert record.pause_count == 1
+        assert closed.suspended_total > 5.0
+        assert [e.container_id for e in log.of_type(AllocationPaused)] == ["late"]
 
     def test_suspension_blocks_virtual_time(self):
         env, system, runner = build(policy="FIFO")

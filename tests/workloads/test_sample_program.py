@@ -5,6 +5,7 @@ import pytest
 from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
 from repro.core.scheduler.core import CONTEXT_OVERHEAD_CHARGE
+from repro.core.scheduler.events import AllocationPaused, ContainerClosed
 from repro.sim.engine import Environment
 from repro.units import GiB, MiB
 from repro.workloads.api import ProcessApi
@@ -115,10 +116,11 @@ class TestChunkedVariant:
         )
         env.run()
         assert proc.value == 0
-        record = system.scheduler.container("chunked")
+        log = system.scheduler.log
+        (closed,) = [e for e in log.of_type(ContainerClosed) if e.container_id == "chunked"]
         # It paused (insufficient partial reservation) and later resumed.
-        assert record.pause_count >= 1
-        assert record.suspended_total > 0
+        assert any(e.container_id == "chunked" for e in log.of_type(AllocationPaused))
+        assert closed.suspended_total > 0
 
     def test_invalid_chunks_rejected(self):
         with pytest.raises(ValueError):
