@@ -39,22 +39,8 @@ import sys
 import threading
 import time
 
-from repro.experiments import export as export_mod
-from repro.experiments.failure import deadlock_experiment, overcommit_experiment
-from repro.experiments.multi import DEFAULT_SEED, run_schedule, sweep
-from repro.experiments.report import (
-    ascii_series_plot,
-    format_fig4,
-    format_policy_table,
-    format_table,
-)
-from repro.experiments.single import (
-    api_response_experiment,
-    creation_time_experiment,
-    mnist_runtime_experiment,
-)
 from repro.obs.log import LEVELS, configure_logging
-from repro.workloads.arrivals import PAPER_CONTAINER_COUNTS
+from repro.tables import format_table
 
 __all__ = ["main", "build_parser"]
 
@@ -80,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="one multi-container schedule")
     run.add_argument("--policy", default="BF")
     run.add_argument("--count", type=int, default=16)
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument("--seed", type=int, default=None)
     run.add_argument(
         "--chrome-trace", default=None, metavar="PATH",
         help="write the run as a Chrome trace-event file (about://tracing)",
@@ -88,11 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_cmd = sub.add_parser("sweep", help="the full Fig. 7/8 grid")
     sweep_cmd.add_argument("--repeats", type=int, default=6)
-    sweep_cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sweep_cmd.add_argument("--seed", type=int, default=None)
     sweep_cmd.add_argument(
-        "--counts",
-        default=",".join(str(c) for c in PAPER_CONTAINER_COUNTS),
-        help="comma-separated container counts",
+        "--counts", default=None,
+        help="comma-separated container counts (default: the paper's, 4-38)",
     )
 
     sub.add_parser("deadlock", help="the §I failure scenarios")
@@ -103,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     export_cmd = sub.add_parser("export", help="write JSON/CSV results")
     export_cmd.add_argument("--out", default="results")
     export_cmd.add_argument("--repeats", type=int, default=6)
-    export_cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    export_cmd.add_argument("--seed", type=int, default=None)
 
     daemon_cmd = sub.add_parser(
         "daemon", help="run the live scheduler daemon (foreground)"
@@ -374,13 +359,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The figure commands import the simulator and the experiment drivers
+# themselves: the serving commands (daemon, recover, compact, ...) share
+# this module and must not load them (DESIGN.md §11, "the serving closure").
+
+
+def _seed(args) -> int:
+    """``--seed``, or the root seed of the published tables."""
+    from repro.experiments.multi import DEFAULT_SEED
+
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
 def _cmd_fig4(args) -> int:
+    from repro.experiments.report import format_fig4
+    from repro.experiments.single import api_response_experiment
+
     result = api_response_experiment(repeats=args.repeats, mode=args.mode)
     print(format_fig4(result.with_convgpu, result.without_convgpu))
     return 0
 
 
 def _cmd_fig5(args) -> int:
+    from repro.experiments.single import creation_time_experiment
+
     result = creation_time_experiment(repeats=args.repeats, mode=args.mode)
     print(
         format_table(
@@ -397,6 +399,7 @@ def _cmd_fig5(args) -> int:
 
 
 def _cmd_fig6(args) -> int:
+    from repro.experiments.single import mnist_runtime_experiment
     from repro.workloads.mnist import MnistConfig
 
     result = mnist_runtime_experiment(MnistConfig().scaled(args.steps))
@@ -415,9 +418,11 @@ def _cmd_fig6(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.experiments.multi import run_schedule
+
     capture = args.chrome_trace is not None
     result = run_schedule(
-        args.policy, args.count, args.seed,
+        args.policy, args.count, _seed(args),
         capture_trace=capture, capture_events=capture,
     )
     if capture:
@@ -460,8 +465,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    counts = tuple(int(token) for token in args.counts.split(","))
-    result = sweep(counts=counts, repeats=args.repeats, seed=args.seed)
+    from repro.experiments.multi import sweep
+    from repro.experiments.report import ascii_series_plot, format_policy_table
+    from repro.workloads.arrivals import PAPER_CONTAINER_COUNTS
+
+    counts = (
+        PAPER_CONTAINER_COUNTS if args.counts is None
+        else tuple(int(token) for token in args.counts.split(","))
+    )
+    result = sweep(counts=counts, repeats=args.repeats, seed=_seed(args))
     print(
         format_policy_table(
             result.finished, result.counts,
@@ -487,6 +499,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_deadlock(args) -> int:
+    from repro.experiments.failure import deadlock_experiment, overcommit_experiment
+
     for label, experiment in (
         ("over-commit", overcommit_experiment),
         ("deadlock", deadlock_experiment),
@@ -1078,6 +1092,15 @@ def _cmd_doctor(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from repro.experiments import export as export_mod
+    from repro.experiments.multi import run_schedule, sweep
+    from repro.experiments.single import (
+        api_response_experiment,
+        creation_time_experiment,
+        mnist_runtime_experiment,
+    )
+
+    seed = _seed(args)
     os.makedirs(args.out, exist_ok=True)
 
     def write(name: str, text: str) -> None:
@@ -1086,7 +1109,7 @@ def _cmd_export(args) -> int:
             fh.write(text)
         print(f"wrote {path}")
 
-    sweep_result = sweep(repeats=args.repeats, seed=args.seed)
+    sweep_result = sweep(repeats=args.repeats, seed=seed)
     write("sweep.json", export_mod.sweep_to_json(sweep_result))
     write("table4_finished.csv", export_mod.sweep_to_csv(sweep_result, "finished"))
     write("table5_suspended.csv", export_mod.sweep_to_csv(sweep_result, "suspended"))
@@ -1097,7 +1120,7 @@ def _cmd_export(args) -> int:
     fig5 = creation_time_experiment(repeats=10, mode="sim")
     fig6 = mnist_runtime_experiment()
     write("single.json", export_mod.single_results_to_json(fig4, fig5, fig6))
-    one_run = run_schedule("BF", 16, args.seed)
+    one_run = run_schedule("BF", 16, seed)
     write("schedule_bf_16.json", export_mod.schedule_to_json(one_run))
     return 0
 

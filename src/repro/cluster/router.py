@@ -42,9 +42,8 @@ import shutil
 import socket
 import tempfile
 import threading
-import urllib.request
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.cluster.ring import HashRing
 from repro.core.scheduler.daemon import CONTAINER_SOCKET_NAME
@@ -53,10 +52,12 @@ from repro.ipc import protocol
 from repro.ipc.loop import IoLoop
 from repro.ipc.unix_socket import UnixSocketClient, UnixSocketServer, listen_unix
 from repro.obs.exporters import merge_prometheus, render_prometheus
-from repro.obs.http import MetricsServer
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
+
+if TYPE_CHECKING:
+    from repro.obs.http import MetricsServer
 
 __all__ = ["ShardEndpoint", "ShardRouter"]
 
@@ -235,6 +236,9 @@ class ShardRouter:
         )
         self._control_server.start()
         if self.metrics_port is not None:
+            # http.server loads only with a metrics port (DESIGN.md §11).
+            from repro.obs.http import MetricsServer
+
             self.metrics_server = MetricsServer(
                 REGISTRY,
                 port=self.metrics_port,
@@ -638,6 +642,8 @@ class ShardRouter:
     # -- observability aggregation ------------------------------------------
 
     def _scrape(self, url: str) -> str | None:
+        import urllib.request  # only a router with a metrics port scrapes
+
         try:
             with urllib.request.urlopen(url, timeout=_SCRAPE_TIMEOUT) as resp:
                 return resp.read().decode("utf-8")

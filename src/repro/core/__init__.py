@@ -1,27 +1,6 @@
-"""ConVGPU core: scheduler, wrapper module, and the assembled middleware."""
+"""ConVGPU core: scheduler, wrapper module, and the assembled middleware.
 
-from repro.core.middleware import ConVGPU
-from repro.core.scheduler import (
-    CONTEXT_OVERHEAD_CHARGE,
-    Decision,
-    GpuMemoryScheduler,
-    SchedulerDaemon,
-    SchedulerService,
-    make_policy,
-    register_policy,
-)
-from repro.core.wrapper import INTERCEPTED_SYMBOLS, SizeAdjuster, WrapperModule
-
-__all__ = [
-    "ConVGPU",
-    "GpuMemoryScheduler",
-    "Decision",
-    "SchedulerService",
-    "SchedulerDaemon",
-    "CONTEXT_OVERHEAD_CHARGE",
-    "make_policy",
-    "register_policy",
-    "WrapperModule",
-    "INTERCEPTED_SYMBOLS",
-    "SizeAdjuster",
-]
+Import from the subpackages (``repro.core.scheduler``,
+``repro.core.wrapper``, ``repro.core.middleware``): this package re-exports
+nothing, so the scheduler daemon loads no wrapper or middleware code.
+"""

@@ -35,7 +35,7 @@ import tempfile
 import threading
 import time
 import weakref
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.scheduler.core import GpuMemoryScheduler
 from repro.core.scheduler.journal import SchedulerJournal, restore
@@ -46,11 +46,13 @@ from repro.errors import SchedulerError
 from repro.ipc import protocol
 from repro.ipc.loop import DEFAULT_IO_WORKERS, IoLoop
 from repro.ipc.unix_socket import UnixSocketServer
-from repro.obs.http import MetricsServer
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 from repro.obs.trace import Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.http import MetricsServer
 
 __all__ = ["SchedulerDaemon", "WRAPPER_SONAME", "CONTAINER_SOCKET_NAME"]
 
@@ -336,6 +338,9 @@ class SchedulerDaemon:
             self._reaper = threading.Thread(target=self._reap_loop, daemon=True)
             self._reaper.start()
         if self.metrics_port is not None and self.metrics_server is None:
+            # http.server loads only with a metrics port (DESIGN.md §11).
+            from repro.obs.http import MetricsServer
+
             self.metrics_server = MetricsServer(
                 REGISTRY,
                 port=self.metrics_port,

@@ -36,11 +36,11 @@ import heapq
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
 from repro.core.scheduler.records import ContainerRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    import numpy as np
+
     from repro.core.scheduler.state import SchedulerState
 
 __all__ = [
@@ -351,7 +351,13 @@ class RandomPolicy(SchedulingPolicy):
     name = "Rand"
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        if rng is None:
+            # numpy loads with Rand only: the other policies' daemons never
+            # import it (DESIGN.md §11, "the serving closure").
+            import numpy as np
+
+            rng = np.random.default_rng(0)
+        self._rng = rng
 
     def select(self, paused: Sequence[ContainerRecord], free: int) -> ContainerRecord:
         index = int(self._rng.integers(0, len(paused)))

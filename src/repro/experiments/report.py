@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from repro.tables import format_table
+
 __all__ = [
     "format_table",
     "format_fig4",
@@ -16,25 +18,6 @@ __all__ = [
     "ascii_series_plot",
     "ascii_gantt",
 ]
-
-
-def format_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    *,
-    title: str = "",
-) -> str:
-    """Render a simple aligned text table."""
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = []
-    if title:
-        lines.append(title)
-    for index, row in enumerate(cells):
-        lines.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
 
 
 def format_fig4(

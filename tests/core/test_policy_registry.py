@@ -61,11 +61,9 @@ def test_non_callable_factory_rejected():
 
 def test_reexported_at_package_roots():
     import repro
-    import repro.core
     import repro.core.scheduler
 
     assert repro.register_policy is register_policy
-    assert repro.core.register_policy is register_policy
     assert repro.core.scheduler.register_policy is register_policy
 
 
