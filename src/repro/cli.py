@@ -770,20 +770,19 @@ def _resolve_journals(target: str) -> list[str]:
 
 def _cmd_recover_many(args, journals: list[str]) -> int:
     """Per-shard summary table for a sharded deployment's journal set."""
-    from repro.core.scheduler import journal_summary, restore
+    from repro.core.scheduler import inspect_journal
 
     rows = []
     failed = False
     for path in journals:
-        summary = journal_summary(path)
+        summary, scheduler = inspect_journal(path)
         meta = summary["meta"] or {}
-        if summary["corrupt"] is not None:
+        if scheduler is None:
             rows.append((os.path.basename(path), str(meta.get("policy")),
                          str(summary["events"]), "-", "-", "-",
                          f"CORRUPT: {summary['corrupt']}"))
             failed = True
             continue
-        scheduler = restore(path)
         containers = len(scheduler.containers())
         status = "OK"
         if not args.no_verify:
@@ -813,12 +812,7 @@ def _cmd_recover_many(args, journals: list[str]) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from repro.core.scheduler import (
-        format_snapshot,
-        journal_summary,
-        restore,
-        snapshot,
-    )
+    from repro.core.scheduler import format_snapshot, inspect_journal, snapshot
 
     _load_policy_plugins(args.policy_plugins)
     journals = _resolve_journals(args.journal)
@@ -828,7 +822,7 @@ def _cmd_recover(args) -> int:
     if len(journals) > 1:
         return _cmd_recover_many(args, journals)
     args.journal = journals[0]
-    summary = journal_summary(args.journal)
+    summary, scheduler = inspect_journal(args.journal)
     meta = summary["meta"] or {}
     print(
         format_table(
@@ -847,14 +841,13 @@ def _cmd_recover(args) -> int:
     )
     for name, count in summary["event_counts"].items():
         print(f"  {name:24s} {count}")
-    if summary["corrupt"] is not None:
+    if scheduler is None:
         # A terminated-but-unparseable line is real corruption, not a torn
         # write; the counts above stop at that line.
         print(f"\ncorruption detected: {summary['corrupt']}", file=sys.stderr)
         print("restore aborted; repair or truncate the journal first",
               file=sys.stderr)
         return 1
-    scheduler = restore(args.journal)
     print()
     print(format_snapshot(snapshot(scheduler)))
     if not args.no_verify:

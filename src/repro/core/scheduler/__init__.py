@@ -39,6 +39,7 @@ from repro.core.scheduler.journal import (
     JournalReader,
     SchedulerJournal,
     compact_journal,
+    inspect_journal,
     journal_summary,
     read_journal,
     read_meta,
@@ -136,6 +137,7 @@ __all__ = [
     "read_journal",
     "read_meta",
     "journal_summary",
+    "inspect_journal",
     "compact_journal",
     "snapshot",
     "format_snapshot",

@@ -97,6 +97,15 @@ once) and every event line through the two record checks (known type, all
 fields present); building the typed event and applying it are computation,
 not checks, and happen only for the events after the newest snapshot —
 exactly the ones that survive a compaction.
+
+Every line is parsed by one decoder, :func:`_decode_line`: the C scanner
+called directly, its result taken only when the parse ends exactly at the
+line's newline, and the reference ``json.JSONDecoder().decode`` for every
+other line — so what is accepted, and every error message, is the
+reference decoder's.  The scan walks the lines itself and checks an event
+with one subset test against :data:`EVENT_FIELD_SETS`; what a line costs
+is then a UTF-8 decode, one ``scan_once`` (about 80 % of it, the floor for
+parsing every line) and a few dict operations.
 """
 
 from __future__ import annotations
@@ -180,6 +189,7 @@ __all__ = [
     "read_journal",
     "read_meta",
     "journal_summary",
+    "inspect_journal",
 ]
 
 JOURNAL_VERSION = 1
@@ -214,10 +224,34 @@ EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     for name, cls in EVENT_TYPES.items()
 }
 
-# One encoder and one decoder for every line the journal writes or reads
-# (``json.dumps(..., separators=...)`` builds an encoder per call).
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-_decode_json = json.JSONDecoder().decode
+#: The same field names as sets: the validating scan's record check is one
+#: subset test per event line (:func:`_event_fields` gives the diagnostic).
+EVENT_FIELD_SETS: dict[str, frozenset[str]] = {
+    name: frozenset(fields) for name, fields in EVENT_FIELDS.items()
+}
+
+# One encoder for every line the journal writes, built once: the spelling of
+# ``json.dumps(record, separators=(",", ":"))``, which builds a C encoder per
+# call.  No cycle markers: every record is a fresh tree of dicts, lists and
+# scalars (a flat event, the meta dict, a ``serialize()`` snapshot), so it
+# cannot hold a cycle, and a shared markers dict would be mutable state
+# shared by every journal's writer thread.
+if json.encoder.c_make_encoder is not None:
+    _c_encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", False, False, True,
+    )
+
+    def _encode_json(record: dict[str, Any]) -> str:
+        return "".join(_c_encode(record, 0))
+
+else:  # an interpreter without the ``_json`` accelerator
+    _encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+# The reference decoder, and its scanner called directly: see _decode_line.
+_DECODER = json.JSONDecoder()
+_decode_json = _DECODER.decode
+_scan_once = json.scanner.make_scanner(_DECODER)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +274,12 @@ def encode_event(event: SchedulerEvent) -> dict[str, Any]:
 def _event_fields(record: dict[str, Any]) -> tuple[str, ...]:
     """The two record checks: a known event type with every field present.
 
-    Returns the type's field names.  The validating scan runs this on
-    every event line; only :func:`decode_event` goes on to build the event.
+    Returns the type's field names.  :func:`decode_event` runs this before
+    it builds the event; the validating scan runs the same checks as one
+    subset test and calls this only for the diagnostic of a line that fails.
     """
     name = record.get("event")
-    fields = EVENT_FIELDS.get(name)
+    fields = EVENT_FIELDS.get(name) if isinstance(name, str) else None
     if fields is None:
         raise JournalError(f"journal record has unknown event type {name!r}")
     for field in fields:
@@ -349,6 +384,9 @@ class JournalReader:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def _corrupt(self, lineno: int, exc: ValueError) -> JournalError:
+        return JournalError(f"corrupt journal {self.path} at line {lineno}: {exc}")
+
     def __iter__(self) -> Iterator[dict[str, Any]]:
         fh = self._fh
         if fh is None:
@@ -359,13 +397,9 @@ class JournalReader:
                 self.torn = 1
                 return
             try:
-                record = _decode_json(raw.decode("utf-8"))
-                if not isinstance(record, dict) or "kind" not in record:
-                    raise ValueError(f"not a journal record: {record!r}")
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise JournalError(
-                    f"corrupt journal {self.path} at line {lineno}: {exc}"
-                ) from exc
+                record = _decode_line(raw)
+            except ValueError as exc:
+                raise self._corrupt(lineno, exc) from exc
             self.raw = raw
             yield record
             self.offset += len(raw)
@@ -375,17 +409,20 @@ class JournalReader:
 
         On top of iteration's per-line checks: ``meta`` is the first record,
         the only one and of this version, every other record is an event or
-        a snapshot, and every event passes the two record checks
-        (:func:`_event_fields`).  No event is built, nothing is applied and
-        nothing is kept but the meta record, :attr:`snapshot_at` and the
-        counts, so memory is flat in journal size.  Stops at the end of the
-        file or on the ``(event_limit + 1)``-th event — a snapshot between
-        the N-th event and that one still counts — and leaves :attr:`offset`
-        there.  A failed check raises with the counts up to its line in
-        place.
+        a snapshot, and every event passes the two record checks (a known
+        type with all of :data:`EVENT_FIELD_SETS`' fields present).  No
+        event is built, nothing is applied and nothing is kept but the meta
+        record, :attr:`snapshot_at` and the counts, so memory is flat in
+        journal size.  Stops at the end of the file or on the
+        ``(event_limit + 1)``-th event — a snapshot between the N-th event
+        and that one still counts — and leaves :attr:`offset` there.  A
+        failed check raises with the counts up to its line in place.
+
+        The meta line is read through iteration; every later line is
+        walked here, with the same :func:`_decode_line` and the same torn
+        and corrupt rules, but without a generator frame per line.
         """
-        records = iter(self)
-        first = next(records, None)
+        first = next(iter(self), None)
         if first is None or first["kind"] != "meta":
             raise JournalError(
                 f"journal {self.path} has no meta record on its first line"
@@ -396,21 +433,35 @@ class JournalReader:
                 f"journal {self.path} version {first.get('version')!r} "
                 f"!= {JOURNAL_VERSION}"
             )
+        offset = self.offset + len(self.meta_raw)
         counts = self.event_counts
+        required = EVENT_FIELD_SETS
         events = replayed = snapshots = 0
         try:
-            for record in records:
+            for lineno, raw in enumerate(self._fh, 2):
+                if not raw.endswith(b"\n"):
+                    self.torn = 1
+                    break
+                try:
+                    record = _decode_line(raw)
+                except ValueError as exc:
+                    raise self._corrupt(lineno, exc) from exc
                 kind = record["kind"]
                 if kind == "event":
                     if events == event_limit:
                         break
-                    _event_fields(record)
-                    name = record["event"]
+                    name = record.get("event")
+                    try:
+                        complete = record.keys() >= required[name]
+                    except (KeyError, TypeError):  # unknown or unhashable type
+                        complete = False
+                    if not complete:
+                        _event_fields(record)  # raises the diagnostic
                     counts[name] = counts.get(name, 0) + 1
                     events += 1
                     replayed += 1
                 elif kind == "snapshot":
-                    self.snapshot_at = self.offset
+                    self.snapshot_at = offset
                     snapshots += 1
                     replayed = 0
                 elif kind == "meta":
@@ -419,7 +470,9 @@ class JournalReader:
                     raise JournalError(
                         f"unknown journal record kind {kind!r} in {self.path}"
                     )
+                offset += len(raw)
         finally:
+            self.offset = offset
             self.events, self.replayed, self.snapshots = events, replayed, snapshots
 
     def tail(self) -> Iterator[dict[str, Any]]:
@@ -441,6 +494,32 @@ class JournalReader:
     def copy_tail(self, out: BinaryIO) -> None:
         """After :meth:`scan`: byte-copy ``[newest snapshot, offset)`` to ``out``."""
         _copy_bytes(self._fh, out, self.snapshot_at, self.offset)
+
+
+def _decode_line(raw: bytes) -> dict[str, Any]:
+    """One complete journal line, its newline included, as its record.
+
+    The one line decoder every read shares.  The fast path calls the C
+    scanner (``json.scanner.make_scanner``) directly and takes its result
+    only when the parse ends exactly at the line's newline; every other
+    line (leading or trailing whitespace, a ``\\r\\n`` ending, a second
+    value, trailing garbage, an empty line, anything the scanner refuses)
+    goes through the reference ``JSONDecoder().decode``, so the verdict and
+    every error message are the reference's.  The fast path skips that
+    wrapper's two regex whitespace matches per line.  Raises ``ValueError``
+    (``UnicodeDecodeError`` and ``JSONDecodeError`` included) for a line
+    that is not a dict with a ``kind``.
+    """
+    text = raw.decode("utf-8")
+    try:
+        record, end = _scan_once(text, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(text) - 1:
+        record = _decode_json(text)
+    if not isinstance(record, dict) or "kind" not in record:
+        raise ValueError(f"not a journal record: {record!r}")
+    return record
 
 
 def _copy_bytes(src: BinaryIO, dst: BinaryIO, start: int, stop: int) -> None:
@@ -648,6 +727,11 @@ class SchedulerJournal:
                 "resume_mode": scheduler.resume_mode,
             }
             self._write_items([("meta", meta)])
+            if self.fsync:
+                # The file is new: its directory entry is durable only once
+                # the directory is, or a power loss could drop the whole
+                # journal under decisions it already made durable.
+                _fsync_dir(directory)
         else:
             self._check_meta(existing_meta, scheduler)
         # On the sequence counter, not the records: a state whose
@@ -1253,14 +1337,30 @@ def journal_summary(path: str) -> dict[str, Any]:
     ``events_replayed`` is the number of events after the newest snapshot
     — what :func:`restore` has to decode and apply.
     """
-    corrupt: str | None = None
     with JournalReader(path) as reader:
-        try:
-            reader.scan()
-        except JournalError as exc:
-            corrupt = str(exc)
+        return _scan_summary(reader)
+
+
+def inspect_journal(path: str) -> tuple[dict[str, Any], GpuMemoryScheduler | None]:
+    """:func:`journal_summary` and :func:`restore` from one scan (``repro recover``).
+
+    The restored scheduler is ``None`` when the scan found the journal
+    corrupt; the summary's ``corrupt`` key then says why.
+    """
+    with JournalReader(path) as reader:
+        summary = _scan_summary(reader)
+        scheduler = None if summary["corrupt"] is not None else _rebuild(reader)
+    return summary, scheduler
+
+
+def _scan_summary(reader: JournalReader) -> dict[str, Any]:
+    corrupt: str | None = None
+    try:
+        reader.scan()
+    except JournalError as exc:
+        corrupt = str(exc)
     return {
-        "path": path,
+        "path": reader.path,
         "meta": reader.meta,
         "events": reader.events,
         "event_counts": dict(sorted(reader.event_counts.items())),

@@ -8,6 +8,7 @@ import re
 from repro.cli import main
 from repro.core.scheduler import (
     GpuMemoryScheduler,
+    JournalReader,
     SchedulerJournal,
     make_policy,
 )
@@ -102,3 +103,36 @@ def test_tables_say_what_a_restore_replays(tmp_path, capsys):
     )
     column = header.index("events replayed")
     assert [row[column] for row in shards] == ["1", "1"]
+
+
+def test_recover_scans_each_journal_once(tmp_path, monkeypatch, capsys):
+    """The summary and the restore come from one validating scan per
+    journal, on the single-file view and on the per-shard table alike."""
+    base = _shard_dir(tmp_path)
+    scans = []
+    real_scan = JournalReader.scan
+
+    def counting_scan(reader, *args, **kwargs):
+        scans.append(os.path.basename(reader.path))
+        return real_scan(reader, *args, **kwargs)
+
+    monkeypatch.setattr(JournalReader, "scan", counting_scan)
+    assert main(["recover", os.path.join(base, "shard-0.journal")]) == 0
+    assert scans == ["shard-0.journal"]
+    scans.clear()
+    assert main(["recover", base]) == 0
+    assert scans == ["shard-0.journal", "shard-1.journal"]
+    assert "invariants: OK" in capsys.readouterr().out
+
+
+def test_unhashable_event_type_is_reported_as_corruption(tmp_path, capsys):
+    """A complete line whose event type is a JSON list is corruption like
+    any unknown type: reported, not a ``TypeError`` traceback."""
+    base = _shard_dir(tmp_path)
+    path = os.path.join(base, "shard-1.journal")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"kind":"event","event":["x"]}\n')
+    assert main(["recover", path]) == 1
+    assert "corruption detected" in capsys.readouterr().err
+    assert main(["recover", base]) == 1
+    assert "CORRUPT" in capsys.readouterr().out

@@ -30,6 +30,7 @@ from repro.core.scheduler.events import (
     AllocationPaused,
     ContainerRegistered,
 )
+import repro.core.scheduler.journal as journal_mod
 from repro.core.scheduler.journal import (
     EVENT_TYPES,
     JournalReader,
@@ -91,19 +92,28 @@ class TestEventCodec:
     def test_journal_line_is_the_json_dumps_spelling(self, journal_path):
         """The compiled codec writes the bytes ``json.dumps`` of
         ``dataclasses.asdict`` wrote: one event of each type, with a float
-        and a non-ASCII string that an encoder setting would change."""
+        and a non-ASCII string that an encoder setting would change, and
+        a snapshot line, whose state nests dicts and lists."""
         samples = {"float": 0.1 + 0.2, "str": "c-\u00e9", "int": (1 << 40) + 1}
         events = [
             cls(**{f.name: samples[f.type] for f in dataclasses.fields(cls)})
             for cls in EVENT_TYPES.values()
         ]
         assert len(events) == 12
+        sched = make_scheduler()
+        sched.test_clock.advance(0.1 + 0.2)
+        sched.register_container("c-\u00e9", 2 * GiB)
+        assert sched.request_allocation("c-\u00e9", 1, 64 * MiB).granted
+        state = serialize_state(sched)
         with SchedulerJournal(journal_path, mode="sync") as journal:
-            journal.attach(make_scheduler())
+            journal.attach(sched)  # a non-fresh state: snapshot first
             for event in events:
                 journal.record(event)
         with open(journal_path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()[1:]  # after the meta line
+            snapshot_line, *lines = fh.read().splitlines()[1:]  # after meta
+        assert snapshot_line == json.dumps(
+            {"kind": "snapshot", "state": state}, separators=(",", ":")
+        )
         assert lines == [
             json.dumps(
                 {"kind": "event", "event": type(event).__name__,
@@ -117,6 +127,10 @@ class TestEventCodec:
     def test_decode_unknown_event_type(self):
         with pytest.raises(JournalError, match="unknown event type"):
             decode_event({"kind": "event", "event": "NotAnEvent"})
+
+    def test_decode_unhashable_event_type(self):
+        with pytest.raises(JournalError, match="unknown event type"):
+            decode_event({"kind": "event", "event": ["x"]})
 
     def test_decode_missing_fields(self):
         with pytest.raises(JournalError, match="missing fields"):
@@ -238,16 +252,29 @@ class TestJournalFile:
         assert restored.log.events == sched.log.events
 
     #: One bad line and the error every scan of the file gives for it.  The
-    #: first five are line-level (the reader's own checks and the scan's
-    #: ``kind`` rules), the last two are the record checks on an event.
+    #: line-level ones are the reader's own checks (framing, UTF-8, JSON, a
+    #: dict with a ``kind``) and the scan's ``kind`` rules; the last three
+    #: are the record checks on an event.
     BAD_LINES = {
         "garbage": (b"\x00\xffgarbage\n", "corrupt journal"),
         "not_a_dict": (b"[1,2]\n", "corrupt journal"),
         "no_kind": (b'{"event":"AllocationGranted"}\n', "corrupt journal"),
+        "two_values": (
+            b'{"kind":"snapshot"} {"kind":"snapshot"}\n', "Extra data",
+        ),
+        "trailing_garbage": (
+            b'{"kind":"event","event":"ContainerRegistered","time":0.0,'
+            b'"container_id":"z","limit":1,"assigned":1}xyz\n',
+            "Extra data",
+        ),
+        "empty_line": (b"\n", "Expecting value"),
         "unknown_kind": (b'{"kind":"bogus"}\n', "unknown journal record kind"),
         "second_meta": (None, "duplicate meta record"),  # the meta line again
         "unknown_event_type": (
             b'{"kind":"event","event":"NotAnEvent"}\n', "unknown event type",
+        ),
+        "unhashable_event_type": (
+            b'{"kind":"event","event":["x"]}\n', "unknown event type",
         ),
         "missing_field": (
             b'{"kind":"event","event":"ContainerRegistered","time":0.0}\n',
@@ -294,6 +321,42 @@ class TestJournalFile:
             assert journal.compactions == 0
         assert open(journal_path, "rb").read().startswith(corrupted)
         assert not os.path.exists(journal_path + ".compact")
+
+    def test_lines_only_the_reference_decoder_takes_pass_every_scan(
+        self, journal_path
+    ):
+        """Lines the C-scanner fast path hands to the reference decoder —
+        leading spaces, a ``\\r\\n`` ending — and an unknown extra field on
+        an event are accepted by restore, both compactions and the summary,
+        with the plain journal's counts, before and after the newest
+        snapshot."""
+        sched = make_scheduler()
+        with SchedulerJournal(
+            journal_path, snapshot_interval=4, mode="sync"
+        ) as journal:
+            journal.attach(sched)
+            churn(sched, "a", cycles=10)
+        plain = journal_summary(journal_path)
+        assert plain["snapshots"] >= 2 and plain["events_replayed"] >= 1
+        variants = (
+            lambda line: b"  " + line,
+            lambda line: line[:-1] + b"\r\n",
+            lambda line: b'{"extra":[1],' + line[1:],
+        )
+        lines = open(journal_path, "rb").read().splitlines(keepends=True)
+        with open(journal_path, "wb") as fh:
+            for index, line in enumerate(lines):
+                fh.write(variants[index % 3](line))
+
+        assert journal_summary(journal_path) == plain
+        assert serialize_state(restore(journal_path)) == serialize_state(sched)
+        restored = restore(journal_path)
+        with SchedulerJournal(journal_path, mode="sync") as journal:
+            journal.attach(restored)
+            assert journal.compact()
+        assert serialize_state(restore(journal_path)) == serialize_state(sched)
+        compact_journal(journal_path)
+        assert serialize_state(restore(journal_path)) == serialize_state(sched)
 
     def test_background_compaction_failure_is_counted(self, journal_path):
         """A scan failure in the compactor thread is a failed compaction
@@ -667,6 +730,26 @@ class TestStreamingAttach:
             SchedulerJournal(journal_path).attach(make_scheduler())
         with open(journal_path, "rb") as fh:
             assert fh.read() == swapped
+
+    def test_fresh_journal_fsyncs_its_directory(self, tmp_path, monkeypatch):
+        """With fsync on, a fresh journal's directory entry is made durable
+        once its meta is written; a re-attach or fsync off adds no fsync."""
+        synced = []
+        monkeypatch.setattr(
+            journal_mod, "_fsync_dir",
+            lambda directory: synced.append((directory, os.path.getsize(path))),
+        )
+        path = str(tmp_path / "sub" / "scheduler.journal")
+        with SchedulerJournal(path, fsync=True) as journal:
+            journal.attach(make_scheduler())
+        meta_size = os.path.getsize(path)
+        assert synced == [(str(tmp_path / "sub"), meta_size)]
+        with SchedulerJournal(path, fsync=True) as journal:
+            journal.attach(make_scheduler())
+        path = str(tmp_path / "unsynced.journal")
+        with SchedulerJournal(path) as journal:
+            journal.attach(make_scheduler())
+        assert synced == [(str(tmp_path / "sub"), meta_size)]
 
     def test_attach_removes_stale_sidecar(self, journal_path):
         sched = make_scheduler()
