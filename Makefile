@@ -22,7 +22,7 @@ bench-journal:   ## journal ablation: fsync-under-lock vs group commit
 bench-recovery:  ## recovery at scale: compaction vs journal size / restore time
 	$(PYTHON) -m pytest benchmarks/test_bench_recovery.py -q -s
 
-bench-shards:    ## sharded control plane: direct vs routed aggregate throughput
+bench-shards:    ## sharded control plane: aggregate throughput per shard count, on the sockets shard and router replies name
 	$(PYTHON) -m pytest benchmarks/test_bench_shard_scaling.py -q -s
 
 perf:            ## the repo's benchmark (BENCHMARK.json): five workloads, 20 s each; OUT=f.json appends the runs

@@ -4,9 +4,11 @@ The sharded deployment (DESIGN.md §15) runs one full daemon *process* per
 device behind the consistent-hash router.  This benchmark measures what
 sharding buys on this host: N journal-less shard daemons are driven flat
 out and aggregate alloc_request throughput is recorded per shard count,
-both **direct** (load generators connect to the shards' own container
-sockets — the ceiling of the shard fleet itself) and **routed** (through
-the router's byte-splice proxies — what a wrapper actually traverses).
+both **direct** (the sockets each shard's own registration reply names)
+and **routed** (the sockets the router's registration replies name — what
+a wrapper is told to mount).  The router is control plane only, so the two
+are the same sockets — the grid asserts it — and the routed rows differ
+from the direct ones by run-to-run noise alone.
 
 Methodology — built to saturate daemons, not load generators:
 
@@ -24,25 +26,24 @@ Methodology — built to saturate daemons, not load generators:
   single-daemon concurrency baseline, which also measured scheduling +
   wire, not fsync.
 
-Caveat for reading the numbers: this host has a single CPU.  Shard
-daemons, router, and generators all time-share one core, so aggregate
-throughput measures how much *total per-request CPU* the architecture
-needs, not true multi-core parallelism — on an N-core host each shard owns
-a core and the direct rows scale with the fleet.  The committed
-single-daemon baseline (``concurrency_scaling.txt`` at e50ac9e:
-binary/depth-32 at 256 containers) is the reference the acceptance ratio
-is computed against.
+Caveat for reading the numbers: the shard daemons and the generators
+share the host's cores (two vCPUs where ``shard_scaling.txt`` was
+measured), so past two shards the fleet time-shares them; on an N-core
+host each shard owns a core.  Ratios are against the same run's 1-shard
+direct cell, never against a figure from another host.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import socket
 import time
 
 import pytest
 
 from repro.cluster import ShardEndpoint, ShardRouter, ShardSupervisor
+from repro.core.scheduler.daemon import CONTAINER_SOCKET_NAME
 from repro.experiments.report import format_table
 from repro.ipc import protocol
 from repro.ipc.unix_socket import UnixSocketClient
@@ -62,11 +63,21 @@ LIMIT_MIB = 32 * 1024
 DURATION = 2.0
 TRIALS = 3
 
-#: Reference: single-daemon binary/depth-32 peak from
-#: benchmarks/results/concurrency_scaling.txt as committed at e50ac9e on
-#: the single-CPU host shard_scaling.txt was measured on (that table has
-#: since been regenerated on a 2-CPU host and reads higher).
-COMMITTED_BASELINE_RPS = 48435.0
+#: Where the committed ``shard_scaling.txt`` was measured, and what the
+#: grid showed there while the router still byte-spliced every wrapper
+#: frame through a per-container proxy socket (three grids of that tree
+#: alternated with three of this one, same host).
+HOST_NOTE = (
+    "host: 2 vCPUs, CPython 3.11; shard daemons and generators share both "
+    "cores, so past 2 shards the fleet time-shares them (on an N-core host "
+    "each shard owns a core).\n"
+    "For contrast, over three alternating grids on this host the former "
+    "byte-splice router measured routed/direct = 0.68-0.94 per cell "
+    "(median 0.85), and this one, on identical sockets, 0.80-1.11 "
+    "(median 0.90). Routed cells always run after direct ones, so part of "
+    "either figure is that order; at best of 3 x 2 s the grid cannot tell "
+    "the splice's cost from noise."
+)
 
 #: (shards, route) -> req/s; filled by the grid.
 _RESULTS: dict[tuple[int, str], float] = {}
@@ -86,17 +97,17 @@ def _canned_window(container_id: str) -> bytes:
     )
 
 
-def _generator(socket_paths: list[str], t_start: float, t_end: float,
+def _generator(sockets: list[tuple[str, str]], t_start: float, t_end: float,
                result_queue) -> None:
     """One load-generator process: canned windows over its containers.
 
-    Connects one blocking socket per container, then until the deadline:
+    Connects one blocking socket per ``(container_id, path)``, then until
+    the deadline:
     send every connection its window, then drain every connection's
     ``WINDOW`` reply frames (counted, never decoded).
     """
     conns: list[tuple[socket.socket, bytes]] = []
-    for path in socket_paths:
-        cid = path.rsplit("/", 2)[-2]  # <base>/<cid>/convgpu.sock
+    for cid, path in sockets:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.connect(path)
         conns.append((sock, _canned_window(cid)))
@@ -146,7 +157,8 @@ def _measure(endpoints_by_cid: dict[str, str], shards: int) -> float:
     generators = [
         multiprocessing.Process(
             target=_generator,
-            args=([endpoints_by_cid[c] for c in group], t_start, t_end, queue),
+            args=([(c, endpoints_by_cid[c]) for c in group], t_start, t_end,
+                  queue),
         )
         for group in per_generator if group
     ]
@@ -160,7 +172,9 @@ def _measure(endpoints_by_cid: dict[str, str], shards: int) -> float:
     return total / DURATION
 
 
-def _register_all(control_path: str, cids: list[str]) -> None:
+def _register_all(control_path: str, cids: list[str]) -> dict[str, str]:
+    """Register (or reattach) ``cids``; returns each reply's socket path."""
+    paths = {}
     with UnixSocketClient(control_path, timeout=30.0, codec="json") as control:
         for cid in cids:
             reply = control.call(
@@ -168,6 +182,8 @@ def _register_all(control_path: str, cids: list[str]) -> None:
                 limit=LIMIT_MIB * MiB,
             )
             assert reply["status"] == "ok", reply
+            paths[cid] = os.path.join(reply["socket_dir"], CONTAINER_SOCKET_NAME)
+    return paths
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -195,21 +211,17 @@ def test_bench_shard_grid(tmp_path, shards):
     try:
         cids = _container_ids(shards)
         # Register through the router: each shard gets its ring-owned
-        # containers, and both the shard-side and proxy-side socket paths
-        # exist afterwards.
-        _register_all(router.control_path, cids)
-
-        # Shard-side socket paths come from each shard's own daemon layout:
-        # ask the placement map which shard owns each container.
-        placements = router.placements()
-        direct_paths = {
-            cid: f"{supervisor.shard(placements[cid]).spec.base_dir}"
-                 f"/{cid[:12]}/convgpu.sock"
-            for cid in cids
-        }
-        routed_paths = {
-            cid: router.container_socket_path(cid) for cid in cids
-        }
+        # containers, and the replies name the sockets a wrapper mounts.
+        routed_paths = _register_all(router.control_path, cids)
+        # Each owner's own reply for the same containers (its idempotent
+        # reattach) names the shard-side sockets: the router rewrote none.
+        direct_paths: dict[str, str] = {}
+        for shard_id in range(shards):
+            owned = [cid for cid in cids if router.shard_of(cid) == shard_id]
+            direct_paths.update(
+                _register_all(supervisor.endpoints(shard_id)["control"], owned)
+            )
+        assert routed_paths == direct_paths
         _RESULTS[(shards, "direct")] = max(
             _measure(direct_paths, shards) for _ in range(TRIALS)
         )
@@ -230,33 +242,29 @@ def test_bench_shard_summary(record_output):
             route,
             str(shards * CONTAINERS_PER_SHARD),
             f"{rps:.0f}",
-            f"{rps / COMMITTED_BASELINE_RPS:.2f}x",
+            f"{rps / _RESULTS[(1, 'direct')]:.2f}x",
         )
         for (shards, route), rps in sorted(_RESULTS.items())
     ]
     record_output(
         "shard_scaling",
         format_table(
-            ("shards", "route", "containers", "req/s", "vs 1-daemon baseline"),
+            ("shards", "route", "containers", "req/s", "vs 1-shard direct"),
             rows,
             title="Shard scaling — alloc_request throughput, canned-frame "
                   "multiprocess generators",
         )
         + f"\n\nbest of {TRIALS} trials per cell, {DURATION:.0f}s each; "
         f"windows of {WINDOW} canned binary alloc_requests per connection "
-        "(the committed baseline's load shape: requests only, no "
-        "aborts/commits).\n"
-        "direct: generators connect to the shards' own container sockets; "
-        "routed: through the router's byte-splice proxies.\n"
-        f"baseline {COMMITTED_BASELINE_RPS:.0f} req/s = committed "
-        "single-daemon binary/depth-32 peak "
-        "(concurrency_scaling.txt at e50ac9e, same single-CPU host).\n"
-        "single-CPU host: shards, router and generators time-share one "
-        "core, so the ratios measure per-request CPU cost, not multi-core "
-        "parallelism; on an N-core host each shard owns a core.",
+        "(requests only, no aborts/commits).\n"
+        "direct: the sockets each shard's own registration reply names; "
+        "routed: the sockets the router's registration replies name. The "
+        "router is control plane only, so both are the shards' own sockets "
+        "(asserted) and routed vs direct is run-to-run noise.\n"
+        f"{HOST_NOTE}",
     )
     # The fleet must never be slower than one shard of itself: aggregate
     # direct throughput is monotone in shard count on this host.
     assert _RESULTS[(4, "direct")] >= _RESULTS[(1, "direct")] * 0.9
-    # The router's splice must not halve what the fleet can do.
+    # What a wrapper is told to mount must not halve what the fleet can do.
     assert _RESULTS[(4, "routed")] >= _RESULTS[(4, "direct")] * 0.4

@@ -133,7 +133,7 @@ class LintConfig:
     #: blocking call — may be acquired while one is held.  The hash ring's
     #: ``_ring_lock`` is the canonical case: the router's control handler
     #: consults the ring on its hot path, so any edge out of the ring lock
-    #: risks an inversion against the placement tables.
+    #: risks an inversion against the router's client table.
     lock_leaf_attrs: frozenset[str] = frozenset({"_ring_lock"})
 
     # -- loop-thread safety (DESIGN.md §10: the selector thread never blocks)

@@ -20,7 +20,7 @@ edge *out* of one — acquiring anything else while it is held — is a
 finding on its own, cycle or not.  The hash ring's ``_ring_lock`` is the
 canonical leaf: the router consults the ring from its control handlers,
 so an edge out of the ring lock would order it against the router's
-placement tables and invite an inversion the cycle check could only see
+client table and invite an inversion the cycle check could only see
 once both halves are written.
 """
 

@@ -717,15 +717,14 @@ def _cmd_daemon_sharded(args) -> int:
             ],
             base_dir=os.path.join(base_dir, "router"),
             codec=args.codec,
-            io_workers=args.io_workers,
             metrics_port=None if args.no_metrics else args.metrics_port,
         )
         router.start()
     except Exception:
         supervisor.stop()
         raise
-    # Restarted shards re-route through the router (fresh control/data
-    # endpoints); the supervisor reads this attribute per restart.
+    # A restarted shard's endpoints reach the router (its metrics URL may
+    # change); the supervisor reads this attribute per restart.
     supervisor.on_restart = router.refresh_shard
 
     endpoints = {

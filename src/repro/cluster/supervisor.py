@@ -13,8 +13,9 @@ module owns the process lifecycle:
 - **monitor**: a sweep thread polls every child; an unexpected exit is
   restarted from that shard's journal (``--recover``), which restores the
   scheduler state and recreates every open container's socket;
-- **notify**: an ``on_restart(shard_id, endpoints)`` callback tells the
-  router to refresh its forwarding state for the shard's containers.
+- **notify**: an ``on_restart(shard_id, endpoints)`` callback hands the
+  router the restarted shard's ready-file endpoints; the shard's own
+  per-container sockets are back at their old paths by then.
 
 Lock discipline (reprolint-enforced): ``_shards_lock`` only claims and
 publishes table state — spawning, killing and ready-file waiting all
@@ -198,8 +199,7 @@ class ShardSupervisor:
             journal).  The monitor thread only runs when this is on.
         monitor_interval: seconds between liveness sweeps.
         on_restart: ``callback(shard_id, endpoints)`` after a shard came
-            back ready — the router hooks this to re-route the shard's
-            containers.
+            back ready — the router hooks this to adopt its new endpoints.
         spawn_timeout: seconds to wait for a shard's ready file.
     """
 

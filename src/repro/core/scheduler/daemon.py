@@ -29,6 +29,7 @@ core directly.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import tempfile
@@ -91,6 +92,19 @@ _UNRESERVED = REGISTRY.gauge(
 WRAPPER_SONAME = "libgpushare.so"
 #: Socket file name inside each container directory.
 CONTAINER_SOCKET_NAME = "convgpu.sock"
+
+
+def _container_dir_name(container_id: str) -> str:
+    """Directory name of one container's socket and wrapper copy.
+
+    Derived from the *full* id, so two ids that share a prefix never share
+    a socket; deterministic, so a recovering daemon re-creates every
+    restored container's socket at the path its registration reply gave;
+    and 12 characters long whatever the id (AF_UNIX paths are limited to
+    108 bytes), with no path separator an id could smuggle in.  Distinct
+    ids collide only if their SHA-256 digests share their first 48 bits.
+    """
+    return hashlib.sha256(container_id.encode("utf-8")).hexdigest()[:12]
 
 
 class _ControlHandler:
@@ -489,7 +503,7 @@ class SchedulerDaemon:
 
     def _prepare_container_dir(self, container_id: str) -> str:
         """Create the container's directory, socket and wrapper copy (§III-D)."""
-        directory = os.path.join(self.base_dir, container_id[:12])
+        directory = os.path.join(self.base_dir, _container_dir_name(container_id))
         os.makedirs(directory, exist_ok=True)
         # "copies the wrapper module to the directory" — our wrapper is a
         # Python object, so the copy is a marker file recording the mount.

@@ -7,8 +7,8 @@ way this repo serves a socket, the classic reactor shape:
 
 - **one I/O thread** multiplexes every registered listener and connection
   through :mod:`selectors` — accepting, reading, and splitting the byte
-  stream into frames with the connection's ``split`` function (servers
-  install :func:`repro.ipc.protocol.split_frames` to speak both codecs);
+  stream into frames with :func:`repro.ipc.protocol.split_frames` (both
+  codecs);
 - **a small bounded worker pool** runs protocol decode and the scheduler
   handler, so a deferred (paused) reply or a slow handler never blocks
   reads for the other few hundred containers;
@@ -48,6 +48,7 @@ from queue import Queue
 from typing import Any, Callable
 
 from repro.errors import ProtocolError, TransportError
+from repro.ipc import protocol
 from repro.obs import stages as _stages
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
@@ -55,6 +56,10 @@ from repro.obs.recorder import RECORDER
 __all__ = ["IoLoop", "DEFAULT_IO_WORKERS"]
 
 _perf_counter = time.perf_counter
+# Every connection speaks the ConVGPU wire: frames split by the protocol's
+# two-codec splitter, and a buffer past the frame cap is a hostile peer.
+_split_frames = protocol.split_frames
+_MAX_FRAME_BYTES = protocol.MAX_FRAME_BYTES
 
 # Module alias so the obs-overhead benchmark can stub the recorder per
 # module (the _HOT_METRICS idiom); flight events declared once at import.
@@ -116,8 +121,7 @@ class _ConnState:
     """Loop-side bookkeeping for one registered connection."""
 
     __slots__ = (
-        "sock", "on_batch", "on_close", "on_frame_error", "splitter",
-        "max_buffer",
+        "sock", "on_batch", "on_close", "on_frame_error",
         "buffer", "pending", "scheduled", "lock", "finished",
     )
 
@@ -127,15 +131,11 @@ class _ConnState:
         on_batch: Callable[[list[bytes]], None],
         on_close: Callable[[], None],
         on_frame_error: Callable[[str], None] | None,
-        splitter: Callable[[bytes], tuple[list[bytes], bytes]],
-        max_buffer: int,
     ) -> None:
         self.sock = sock
         self.on_batch = on_batch
         self.on_close = on_close
         self.on_frame_error = on_frame_error
-        self.splitter = splitter
-        self.max_buffer = max_buffer
         self.buffer = b""
         #: Frame batches (and finally a _CLOSE/_BadFrame sentinel)
         #: awaiting a worker.
@@ -311,9 +311,7 @@ class IoLoop:
         *,
         on_batch: Callable[[list[bytes]], None],
         on_close: Callable[[], None],
-        split: Callable[[bytes], tuple[list[bytes], bytes]],
         on_frame_error: Callable[[str], None] | None = None,
-        max_buffer: int = 64 * 1024,
     ) -> None:
         """Register an accepted connection for read multiplexing.
 
@@ -323,16 +321,13 @@ class IoLoop:
         delivered strictly in order.
         ``on_close()`` runs exactly once when the connection is finished
         (peer EOF, error, :meth:`close_connection` or :meth:`stop`).
-        ``split(buffer)`` is the framing function ``(complete_frames,
-        remainder)``; it may raise :class:`~repro.errors.ProtocolError` for
-        unrecoverable framing (bad binary header).  That, and a peer that
-        exceeds ``max_buffer`` without completing a frame, is routed to
-        ``on_frame_error(message)`` on a worker and then closes the
-        connection.
+        The stream is framed by :func:`repro.ipc.protocol.split_frames`
+        (both codecs).  Unrecoverable framing (bad binary header), and a
+        peer that exceeds :data:`~repro.ipc.protocol.MAX_FRAME_BYTES`
+        without completing a frame, is routed to ``on_frame_error(message)``
+        on a worker and then closes the connection.
         """
-        state = _ConnState(
-            conn, on_batch, on_close, on_frame_error, split, max_buffer,
-        )
+        state = _ConnState(conn, on_batch, on_close, on_frame_error)
 
         def op() -> None:
             if self._selector is None:  # loop already stopped: close out
@@ -455,7 +450,7 @@ class IoLoop:
         received = _perf_counter() if timed else 0.0
         state.buffer += chunk
         try:
-            frames, state.buffer = state.splitter(state.buffer)
+            frames, state.buffer = _split_frames(state.buffer)
         except ProtocolError as exc:
             # Unrecoverable framing (bad magic/version/length): the stream
             # position is meaningless from here on.  A worker reports the
@@ -470,14 +465,14 @@ class IoLoop:
         _REC.record(_EV_READ, a=state.sock.fileno(), b=len(chunk), c=len(frames))
         if frames:
             self._enqueue(state, frames)
-        if len(state.buffer) > state.max_buffer:
+        if len(state.buffer) > _MAX_FRAME_BYTES:
             # A frame that large can never be valid; stop reading and let a
             # worker send the in-band error and hang up.
             if self._drop(state.sock) is not None:
                 _REC.record(_EV_OVERFLOW, a=state.sock.fileno(), b=len(state.buffer))
                 self._enqueue(
                     state,
-                    _BadFrame(f"frame exceeds {state.max_buffer} bytes"),
+                    _BadFrame(f"frame exceeds {_MAX_FRAME_BYTES} bytes"),
                 )
 
     def _drop(self, conn: socket.socket) -> _ConnState | None:

@@ -24,10 +24,7 @@ __all__ = ["TcpSocketServer", "TcpSocketClient", "listen_tcp"]
 
 
 def listen_tcp(host: str, port: int) -> socket.socket:
-    """Bound, listening TCP socket (``port`` 0 = ephemeral).
-
-    Shared by the servers and the shard router's proxies.
-    """
+    """Bound, listening TCP socket (``port`` 0 = ephemeral)."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((host, port))

@@ -116,7 +116,7 @@ def listen_unix(path: str) -> socket.socket:
     """Bound, listening AF_UNIX socket at ``path``.
 
     Replaces a stale socket file (left by a crash) and creates the parent
-    directory; shared by the servers and the shard router's proxies.
+    directory.
     """
     if os.path.exists(path):
         os.unlink(path)
@@ -358,8 +358,6 @@ class _BaseSocketServer:
             on_frame_error=lambda message: self._send_frame_error(
                 conn, write_lock, message
             ),
-            split=protocol.split_frames,
-            max_buffer=protocol.MAX_FRAME_BYTES,
         )
 
     def _forget(self, conn: socket.socket) -> None:

@@ -1,8 +1,9 @@
 """ShardRouter against a real 2-shard daemon fleet.
 
 One module-scoped fleet keeps the subprocess cost down; every test talks
-to the router exactly like a wrapper/plugin would — control socket for
-lifecycle, per-container proxy socket for allocation traffic.
+to the fleet exactly like a wrapper/plugin would — the router's control
+socket for lifecycle, the owning shard's own per-container socket (the
+``socket_dir`` the registration reply names) for allocation traffic.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.cluster import ShardEndpoint, ShardRouter, ShardSupervisor
+from repro.core.scheduler.daemon import CONTAINER_SOCKET_NAME
 from repro.errors import ClusterError, IpcDisconnected
 from repro.ipc import protocol
 from repro.ipc.unix_socket import UnixSocketClient
@@ -63,30 +65,33 @@ def _register(router: ShardRouter, container_id: str) -> dict:
     return reply
 
 
+def _socket_path(reply: dict) -> str:
+    return os.path.join(reply["socket_dir"], CONTAINER_SOCKET_NAME)
+
+
 def test_register_reply_reports_ring_agreed_shard(fleet):
-    _, router = fleet
+    supervisor, router = fleet
     reply = _register(router, "cont-ring-agree")
     assert reply["shard"] == router.shard_of("cont-ring-agree")
     assert reply["limit"] == LIMIT
-    # The advertised socket dir is the *router's* proxy, not the shard's.
-    assert reply["socket_dir"].startswith(router.base_dir)
+    # The advertised socket dir is the owning shard's own, not a router's.
+    shard_base = supervisor.shard(reply["shard"]).spec.base_dir
+    assert os.path.dirname(reply["socket_dir"]) == shard_base
+    assert os.path.exists(_socket_path(reply))
     assert "host" not in reply and "port" not in reply
-    assert router.placements()["cont-ring-agree"] == reply["shard"]
 
 
 @pytest.mark.parametrize("codec", ["binary", "json"])
-def test_allocation_splices_through_proxy(fleet, codec):
+def test_allocation_over_the_shard_socket(fleet, codec):
     _, router = fleet
-    cid = f"cont-splice-{codec}"
-    _register(router, cid)
-    path = router.container_socket_path(cid)
+    cid = f"cont-alloc-{codec}"
+    path = _socket_path(_register(router, cid))
     client_codec = "auto" if codec == "binary" else "json"
     with UnixSocketClient(path, timeout=30.0, codec=client_codec) as client:
         if codec == "binary":
-            # Hello is answered by the shard through the splice: the client
-            # sees the shard's identity, proving codec negotiation and
-            # routing both survived the byte-level proxy.  (A JSON-pinned
-            # client skips the handshake by design.)
+            # Hello is answered by the shard that owns the socket: its
+            # identity names the ring owner.  (A JSON-pinned client skips
+            # the handshake by design.)
             assert client.server_identity.get("shard") == router.shard_of(cid)
             assert client.server_identity.get("shards") == 2
         reply = client.call(
@@ -126,7 +131,7 @@ def test_aggregated_metrics_labels_every_shard(fleet):
     with urllib.request.urlopen(url, timeout=5.0) as resp:
         text = resp.read().decode("utf-8")
     # Router's own series, unlabelled, plus each shard's scrape relabelled.
-    assert "convgpu_router_containers" in text
+    assert "convgpu_router_forwarded_total" in text
     assert 'shard="0"' in text
     assert 'shard="1"' in text
     # One HELP line per family even though two shards export it.
@@ -147,63 +152,42 @@ def test_top_snapshot_merges_shards(fleet):
     assert ours[0]["shard"] == router.shard_of("cont-top")
 
 
-def test_container_exit_tears_down_proxy(fleet):
-    _, router = fleet
-    cid = "cont-exit"
-    _register(router, cid)
-    path = router.container_socket_path(cid)
-    with _control(router) as control:
-        reply = control.call(protocol.MSG_CONTAINER_EXIT, container_id=cid)
-    assert reply["status"] == "ok"
-    assert cid not in router.placements()
-    with pytest.raises(ClusterError):
-        router.container_socket_path(cid)
-    del path
-
-
 def test_container_exit_forwards_first_and_keeps_unreachable_placement(
     fleet, monkeypatch
 ):
+    """The exit goes to the shard first; while the shard is unreachable the
+    container stays where it is, and a retried exit tears it down."""
     _, router = fleet
     cid = "cont-exit-order"
-    _register(router, cid)
-    path = router.container_socket_path(cid)
+    socket_dir = _register(router, cid)["socket_dir"]
     trail = []
-    real_call, real_teardown = router._call_shard, router._teardown_proxy
+    real_call = router._call_shard
 
     def shard_down(shard_id, msg_type, **payload):
-        trail.append("forward")
+        trail.append(msg_type)
         raise IpcDisconnected(f"shard {shard_id} is down")
 
     def shard_up(shard_id, msg_type, **payload):
-        trail.append("forward")
+        trail.append(msg_type)
         return real_call(shard_id, msg_type, **payload)
 
-    def teardown(proxy):
-        trail.append("teardown")
-        real_teardown(proxy)
-
-    monkeypatch.setattr(router, "_teardown_proxy", teardown)
     monkeypatch.setattr(router, "_call_shard", shard_down)
     with _control(router) as control:
         reply = control.call(protocol.MSG_CONTAINER_EXIT, container_id=cid)
         assert reply["status"] == "error" and "unavailable" in reply["error"]
-        # Nothing was cleaned up: the retried exit still finds the shard.
-        assert trail == ["forward"]
-        assert cid in router.placements()
-        assert os.path.exists(path)
+        # Nothing was torn down: the retried exit still finds the container.
+        assert trail == [protocol.MSG_CONTAINER_EXIT]
+        assert os.path.exists(os.path.join(socket_dir, CONTAINER_SOCKET_NAME))
         monkeypatch.setattr(router, "_call_shard", shard_up)
         reply = control.call(protocol.MSG_CONTAINER_EXIT, container_id=cid)
+        assert reply["status"] == "ok"
+        assert trail == [protocol.MSG_CONTAINER_EXIT] * 2
+        # The shard's reply follows its tear-down (DESIGN.md §10).
+        assert not os.path.exists(socket_dir)
+        # A repeated exit is the shard's idempotent no-op, passed through.
+        reply = control.call(protocol.MSG_CONTAINER_EXIT, container_id=cid)
     assert reply["status"] == "ok"
-    assert trail == ["forward", "forward", "teardown"]
-    assert cid not in router.placements()
-    assert not os.path.exists(path)
-
-
-def test_unknown_container_has_no_proxy(fleet):
-    _, router = fleet
-    with pytest.raises(ClusterError):
-        router.container_socket_path("never-registered")
+    assert reply["reclaimed"] == 0
 
 
 def test_router_requires_shards_and_one_transport():

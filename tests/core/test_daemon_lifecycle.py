@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.core.scheduler.core import GpuMemoryScheduler
-from repro.core.scheduler.daemon import SchedulerDaemon
+from repro.core.scheduler.daemon import CONTAINER_SOCKET_NAME, SchedulerDaemon
 from repro.core.scheduler.journal import SchedulerJournal
 from repro.core.scheduler.liveness import HeartbeatMonitor
 from repro.core.scheduler.policies import make_policy
@@ -216,6 +216,75 @@ class TestTeardownIdempotency:
         # The stranger's exit touched nothing that exists.
         assert os.path.isdir(directory)
         assert "c1" in daemon._container_dirs
+
+
+class TestContainerDirectories:
+    """A container's socket directory is named by its whole id: two ids
+    that share their first 12 characters get two sockets, and either exit
+    leaves the other one serving."""
+
+    IDS = ("tenant-alpha-1", "tenant-alpha-2")
+
+    def _register_pair(self, daemon):
+        with UnixSocketClient(daemon.control_path) as control:
+            return {
+                cid: control.call(
+                    protocol.MSG_REGISTER_CONTAINER,
+                    container_id=cid,
+                    limit=TOTAL // 2,
+                )
+                for cid in self.IDS
+            }
+
+    def test_shared_prefix_ids_get_their_own_sockets(self, tmp_path):
+        daemon = make_daemon(tmp_path, "loop").start()
+        try:
+            replies = self._register_pair(daemon)
+            first, second = (replies[cid]["socket_dir"] for cid in self.IDS)
+            assert first != second
+            with UnixSocketClient(daemon.control_path) as control:
+                reply = control.call(
+                    protocol.MSG_CONTAINER_EXIT, container_id=self.IDS[0]
+                )
+                assert reply["status"] == "ok"
+            assert not os.path.exists(first)
+            survivor = os.path.join(second, CONTAINER_SOCKET_NAME)
+            with UnixSocketClient(survivor) as client:
+                info = client.call(
+                    protocol.MSG_MEM_GET_INFO, container_id=self.IDS[1], pid=7
+                )
+            assert info["status"] == "ok"
+        finally:
+            daemon.stop()
+
+    def test_recover_rebinds_each_socket_at_its_reply_path(self, tmp_path):
+        journal_path = str(tmp_path / "daemon.journal")
+        base_dir = str(tmp_path / "sock")
+        scheduler = GpuMemoryScheduler(
+            TOTAL, make_policy("FIFO"), context_overhead=0
+        )
+        journal = SchedulerJournal(journal_path)
+        journal.attach(scheduler)
+        daemon = SchedulerDaemon(
+            scheduler, journal=journal, base_dir=base_dir
+        ).start()
+        replies = self._register_pair(daemon)
+        assert len({reply["socket_dir"] for reply in replies.values()}) == 2
+        daemon.kill()
+        revived = SchedulerDaemon.recover(journal_path, base_dir=base_dir).start()
+        try:
+            for cid in self.IDS:
+                path = os.path.join(replies[cid]["socket_dir"], CONTAINER_SOCKET_NAME)
+                assert revived.container_socket_path(cid) == path
+                with UnixSocketClient(path) as client:
+                    info = client.call(
+                        protocol.MSG_MEM_GET_INFO, container_id=cid, pid=7
+                    )
+                assert info["status"] == "ok"
+                assert info["total"] == TOTAL // 2
+        finally:
+            revived.stop()
+            daemon.stop()
 
 
 class _RecordingConn:

@@ -1,4 +1,4 @@
-"""Shard crash and recovery through the router, across both wire codecs.
+"""Shard crash and recovery under the router, across both wire codecs.
 
 The contract under test (DESIGN.md §15 failure matrix):
 
@@ -6,23 +6,28 @@ The contract under test (DESIGN.md §15 failure matrix):
   typed :class:`~repro.errors.IpcDisconnected` — never a hang, never a
   silent wrong answer;
 - containers on surviving shards are completely unaffected;
-- the supervisor restarts the dead shard from its journal, the router
-  re-registers the shard's containers (idempotent reattach), and a
-  wrapper reconnect through the *unchanged* proxy endpoint resumes
-  allocation with the shard's state restored.
+- the supervisor restarts the dead shard from its journal, which brings
+  every container's socket back at the path its registration reply gave:
+  a wrapper reconnect there resumes allocation with the shard's state
+  restored — with or without the router's ``on_restart`` hook;
+- the router's next control call reaches the new incarnation (the hook
+  drops the cached control client; without it, the call redials once).
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
 import pytest
 
 from repro.cluster import ShardEndpoint, ShardRouter, ShardSupervisor
+from repro.core.scheduler.daemon import CONTAINER_SOCKET_NAME
 from repro.errors import IpcDisconnected, TransportError
 from repro.ipc import protocol
 from repro.ipc.unix_socket import UnixSocketClient
+from repro.obs.metrics import REGISTRY
 
 MIB = 1024 * 1024
 LIMIT = 256 * MIB  # clears the 66 MiB context-overhead charge
@@ -38,11 +43,9 @@ def _wait_until(predicate, timeout=DEADLINE, interval=0.05):
     return False
 
 
-def _data_client(router: ShardRouter, cid: str, codec: str):
+def _data_client(path: str, codec: str):
     codec = "auto" if codec == "binary" else "json"
-    return UnixSocketClient(
-        router.container_socket_path(cid), timeout=DEADLINE, codec=codec
-    )
+    return UnixSocketClient(path, timeout=DEADLINE, codec=codec)
 
 
 def _control_client(router: ShardRouter):
@@ -62,10 +65,27 @@ def _containers_per_shard(router: ShardRouter, per_shard: int) -> dict[int, list
     return chosen
 
 
-# One value: the daemon serves AF_UNIX only; the param keeps the ``[unix]`` ids.
-@pytest.mark.parametrize("transport", ("unix",))
-@pytest.mark.parametrize("codec", ["binary", "json"])
-def test_shard_kill_midchurn_recovers(tmp_path, transport, codec):
+def _register(control: UnixSocketClient, cid: str) -> str:
+    """Register through the router; returns the shard socket it names."""
+    reply = control.call(
+        protocol.MSG_REGISTER_CONTAINER, container_id=cid, limit=LIMIT
+    )
+    assert reply["status"] == "ok", reply
+    return os.path.join(reply["socket_dir"], CONTAINER_SOCKET_NAME)
+
+
+def _alloc(path: str, codec: str, cid: str, pid: int) -> dict:
+    with _data_client(path, codec) as client:
+        return client.call(
+            protocol.MSG_ALLOC_REQUEST,
+            container_id=cid,
+            pid=pid,
+            size=MIB,
+            api="cudaMalloc",
+        )
+
+
+def _kill_midchurn_and_recover(tmp_path, codec: str, *, hook: bool) -> None:
     supervisor = ShardSupervisor(
         2,
         base_dir=str(tmp_path / "shards"),
@@ -82,25 +102,31 @@ def test_shard_kill_midchurn_recovers(tmp_path, transport, codec):
         base_dir=str(tmp_path / "router"),
     )
     router.start()
-    supervisor.on_restart = router.refresh_shard
+    refreshed = threading.Event()
+    if hook:
+
+        def on_restart(shard_id, endpoints):
+            router.refresh_shard(shard_id, endpoints)
+            refreshed.set()
+
+        supervisor.on_restart = on_restart
     try:
-        by_shard = _containers_per_shard(router, per_shard=1)
-        victim_cid = by_shard[0][0]
+        by_shard = _containers_per_shard(router, per_shard=2)
+        victim_cid, late_cid = by_shard[0]
         survivor_cid = by_shard[1][0]
         with _control_client(router) as control:
-            for cid in (victim_cid, survivor_cid):
-                reply = control.call(
-                    protocol.MSG_REGISTER_CONTAINER, container_id=cid, limit=LIMIT
-                )
-                assert reply["status"] == "ok", reply
+            victim = _register(control, victim_cid)
+            survivor = _register(control, survivor_cid)
+        # A grant the restart must bring back.
+        assert _alloc(victim, codec, victim_cid, pid=777)["decision"] == "grant"
 
         # Churn against the doomed shard until the kill lands.
         errors: list[BaseException] = []
-        calls_before_kill = []
+        infos: list[dict] = []
 
         def churn():
             try:
-                with _data_client(router, victim_cid, codec) as client:
+                with _data_client(victim, codec) as client:
                     while True:
                         reply = client.call(
                             protocol.MSG_MEM_GET_INFO,
@@ -108,13 +134,13 @@ def test_shard_kill_midchurn_recovers(tmp_path, transport, codec):
                             pid=777,
                         )
                         assert reply["status"] == "ok"
-                        calls_before_kill.append(1)
+                        infos.append(reply)
             except TransportError as exc:
                 errors.append(exc)
 
         churner = threading.Thread(target=churn)
         churner.start()
-        assert _wait_until(lambda: len(calls_before_kill) >= 5)
+        assert _wait_until(lambda: len(infos) >= 5)
         supervisor.kill_shard(0)
         churner.join(timeout=DEADLINE)
         assert not churner.is_alive(), "churn call hung across the shard kill"
@@ -124,48 +150,61 @@ def test_shard_kill_midchurn_recovers(tmp_path, transport, codec):
         assert isinstance(errors[0], IpcDisconnected), errors
 
         # The survivor never noticed.
-        with _data_client(router, survivor_cid, codec) as client:
-            reply = client.call(
-                protocol.MSG_ALLOC_REQUEST,
-                container_id=survivor_cid,
-                pid=888,
-                size=MIB,
-                api="cudaMalloc",
-            )
-            assert reply["status"] == "ok"
-            assert reply["decision"] == "grant"
+        assert _alloc(survivor, codec, survivor_cid, pid=888)["decision"] == "grant"
 
-        # Supervisor restarts shard 0 from its journal and the router
-        # re-routes; the proxy endpoint the wrapper knows never changed.
+        # The supervisor restarts shard 0 from its journal; the socket the
+        # wrapper knows is back at the same path.
         assert _wait_until(lambda: supervisor.restarts(0) >= 1)
         assert _wait_until(lambda: supervisor.shard(0).alive())
 
-        def reconnected_ok():
+        def reconnected():
             try:
-                with _data_client(router, victim_cid, codec) as client:
-                    reply = client.call(
+                with _data_client(victim, codec) as client:
+                    return client.call(
                         protocol.MSG_MEM_GET_INFO,
                         container_id=victim_cid,
                         pid=777,
                     )
-                    return reply["status"] == "ok"
             except TransportError:
-                return False  # refresh still in flight
+                return None  # socket not re-bound yet
 
-        assert _wait_until(reconnected_ok)
-        # Journal recovery restored the registration: an allocation on the
-        # restarted shard is granted against the recovered limit.
-        with _data_client(router, victim_cid, codec) as client:
-            reply = client.call(
-                protocol.MSG_ALLOC_REQUEST,
-                container_id=victim_cid,
-                pid=777,
-                size=MIB,
-                api="cudaMalloc",
+        assert _wait_until(lambda: reconnected() is not None)
+        # Journal recovery restored the registration and the grant (1 MiB
+        # plus the pid's 66 MiB context charge); a new allocation is
+        # granted against the recovered limit.
+        assert reconnected()["free"] == infos[-1]["free"] == LIMIT - 67 * MIB
+        assert _alloc(victim, codec, victim_cid, pid=777)["decision"] == "grant"
+
+        # The router's control path reaches the new incarnation: with the
+        # hook its cached client was dropped, without it the dead client
+        # costs exactly one redial.
+        assert refreshed.wait(DEADLINE) if hook else not refreshed.is_set()
+        retries = REGISTRY.get("convgpu_router_shard_retries_total")
+        retried_before = retries.value
+        with _control_client(router) as control:
+            late = _register(control, late_cid)
+            assert _alloc(late, codec, late_cid, pid=999)["decision"] == "grant"
+            reply = control.call(
+                protocol.MSG_CONTAINER_EXIT, container_id=late_cid
             )
-            assert reply["status"] == "ok"
-            assert reply["decision"] == "grant"
+            assert reply["status"] == "ok", reply
+        assert retries.value - retried_before == (0 if hook else 1)
+        assert not os.path.exists(os.path.dirname(late))
     finally:
         supervisor.on_restart = None
         router.stop()
         supervisor.stop()
+
+
+# One value: the daemon serves AF_UNIX only; the param keeps the ``[unix]`` ids.
+@pytest.mark.parametrize("transport", ("unix",))
+@pytest.mark.parametrize("codec", ["binary", "json"])
+def test_shard_kill_midchurn_recovers(tmp_path, transport, codec):
+    _kill_midchurn_and_recover(tmp_path, codec, hook=True)
+
+
+@pytest.mark.parametrize("codec", ["binary", "json"])
+def test_shard_kill_recovers_without_restart_hook(tmp_path, codec):
+    """No ``on_restart``: the data path needs no router action, and the
+    router's stale control client redials on its next call."""
+    _kill_midchurn_and_recover(tmp_path, codec, hook=False)
