@@ -465,7 +465,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.experiments.multi import sweep
+    from repro.experiments.multi import SweepGridError, sweep
     from repro.experiments.report import ascii_series_plot, format_policy_table
     from repro.workloads.arrivals import PAPER_CONTAINER_COUNTS
 
@@ -473,7 +473,11 @@ def _cmd_sweep(args) -> int:
         PAPER_CONTAINER_COUNTS if args.counts is None
         else tuple(int(token) for token in args.counts.split(","))
     )
-    result = sweep(counts=counts, repeats=args.repeats, seed=_seed(args))
+    try:
+        result = sweep(counts=counts, repeats=args.repeats, seed=_seed(args))
+    except SweepGridError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     print(
         format_policy_table(
             result.finished, result.counts,
@@ -1085,7 +1089,7 @@ def _cmd_doctor(args) -> int:
 
 def _cmd_export(args) -> int:
     from repro.experiments import export as export_mod
-    from repro.experiments.multi import run_schedule, sweep
+    from repro.experiments.multi import SweepGridError, run_schedule, sweep
     from repro.experiments.single import (
         api_response_experiment,
         creation_time_experiment,
@@ -1093,6 +1097,11 @@ def _cmd_export(args) -> int:
     )
 
     seed = _seed(args)
+    try:
+        sweep_result = sweep(repeats=args.repeats, seed=seed)
+    except SweepGridError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
 
     def write(name: str, text: str) -> None:
@@ -1101,7 +1110,6 @@ def _cmd_export(args) -> int:
             fh.write(text)
         print(f"wrote {path}")
 
-    sweep_result = sweep(repeats=args.repeats, seed=seed)
     write("sweep.json", export_mod.sweep_to_json(sweep_result))
     write("table4_finished.csv", export_mod.sweep_to_csv(sweep_result, "finished"))
     write("table5_suspended.csv", export_mod.sweep_to_csv(sweep_result, "suspended"))

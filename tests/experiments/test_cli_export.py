@@ -92,6 +92,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table IV" in out and "Table V" in out and "Fig. 7" in out
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sweep", "--repeats", "0", "--counts", "2"], "repeats"),
+            (["sweep", "--counts", "0"], "counts"),
+        ],
+    )
+    def test_sweep_rejects_an_empty_grid(self, capsys, argv, named):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and named in captured.err
+
+    def test_export_rejects_zero_repeats_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["export", "--out", str(out), "--repeats", "0"]) == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deadlock_command(self, capsys):
         code = main(["deadlock"])
         assert code == 0
