@@ -55,4 +55,4 @@ san:             ## reprosan: churn + fault-injection suites under the lockset r
 		tests/integration/test_failure_injection.py \
 		tests/integration/test_concurrency_stress.py
 
-check: test crash analyze  ## what CI runs: tier-1 tests + crash recovery + reprolint
+check: test crash analyze  ## the quick local gate: tier-1 tests + crash recovery + reprolint (CI also runs san and the bench smokes)

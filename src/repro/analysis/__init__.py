@@ -9,28 +9,26 @@ rule here encodes an invariant stated in DESIGN.md §§8–12.
 
 Dependency-free by design (stdlib ``ast`` only) so `repro lint` runs in
 any environment the daemon runs in, including CI images without dev
-extras.  Entry points:
+extras.  A finding is either fixed or suppressed inline with
+``# reprolint: ignore[rule] -- reason``; nothing else accepts one.
+Entry points:
 
 - :func:`analyze_paths` — run every registered rule over a file tree;
 - :class:`LintConfig` — the knobs (module scopes, blocking-call sets,
   lock aliases); tests override fields with :func:`dataclasses.replace`;
-- ``python -m repro lint`` — the CLI (text/JSON reports, baseline,
-  ``# reprolint: ignore[rule] -- reason`` suppressions).
+- ``python -m repro lint [paths] [--format text|sarif]`` — the CLI.
 """
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    assign_fingerprints,
-    load_baseline,
-    load_baseline_entries,
-    prune_baseline,
-    stale_entries,
-    write_baseline,
-)
 from repro.analysis.config import LintConfig
-from repro.analysis.core import Context, Finding, Rule, SourceFile
+from repro.analysis.core import (
+    Context,
+    Finding,
+    Rule,
+    SourceFile,
+    apply_suppressions,
+)
 from repro.analysis.engine import DEFAULT_RULES, analyze_paths, find_root
-from repro.analysis.report import render_json, render_text
+from repro.analysis.report import render_text
 from repro.analysis.sarif import render_sarif
 
 __all__ = [
@@ -41,15 +39,8 @@ __all__ = [
     "Rule",
     "SourceFile",
     "analyze_paths",
-    "apply_baseline",
-    "assign_fingerprints",
+    "apply_suppressions",
     "find_root",
-    "load_baseline",
-    "load_baseline_entries",
-    "prune_baseline",
-    "render_json",
     "render_sarif",
     "render_text",
-    "stale_entries",
-    "write_baseline",
 ]

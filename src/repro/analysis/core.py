@@ -9,9 +9,12 @@ invariants themselves live in the sibling rule modules.
 from __future__ import annotations
 
 import ast
+import io
+import os
 import re
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator
+import tokenize
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.config import LintConfig
@@ -21,6 +24,7 @@ __all__ = [
     "Finding",
     "Rule",
     "SourceFile",
+    "apply_suppressions",
     "dotted_name",
     "walk_shallow",
 ]
@@ -40,11 +44,8 @@ class Finding:
     col: int
     rule: str
     message: str
-    #: Stripped source line the finding sits on — the stable part of the
-    #: baseline fingerprint (survives the file moving around it).
+    #: Stripped source line the finding sits on.
     snippet: str = ""
-    #: Baseline fingerprint; assigned by :func:`assign_fingerprints`.
-    fingerprint: str = ""
 
     def located(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
@@ -63,8 +64,8 @@ class SourceFile:
         self.suppressions: dict[int, set[str]] = {}
         #: lines whose suppression carries no ``-- reason`` string.
         self.unreasoned: set[int] = set()
-        for lineno, line in enumerate(self.lines, start=1):
-            match = _SUPPRESS_RE.search(line)
+        for lineno, comment in _comments(text):
+            match = _SUPPRESS_RE.search(comment)
             if match is None:
                 continue
             rules = {part.strip() for part in match.group(1).split(",") if part.strip()}
@@ -131,10 +132,6 @@ class Rule:
     """One invariant.  Subclasses set ``id`` and override either hook."""
 
     id = ""
-    #: Whole-program rules reason across files (lock ordering, schema
-    #: sync, the thread inventory): change-scoped runs (``repro lint
-    #: --changed``) must never filter their findings to the changed set.
-    whole_program = False
 
     def check_file(self, source: SourceFile, ctx: Context) -> Iterable[Finding]:
         """Per-file pass; called once per analyzed module."""
@@ -173,21 +170,43 @@ def walk_shallow(node: ast.AST, *, skip_functions: bool = True) -> Iterator[ast.
         yield from walk_shallow(child, skip_functions=skip_functions)
 
 
-def with_suppression_filter(
-    findings: Iterable[Finding], ctx: Context
+def apply_suppressions(
+    findings: Iterable[Finding],
+    root: str,
+    parsed: Sequence[SourceFile] = (),
 ) -> tuple[list[Finding], int]:
-    """Split findings into (kept, suppressed-count) using each file's map."""
+    """Split findings into (kept, suppressed count) by the inline
+    suppressions at each finding's site.  Files not in ``parsed`` are
+    read from ``root``; one that cannot be read or parsed suppresses
+    nothing."""
+    sources: dict[str, SourceFile | None] = {s.rel: s for s in parsed}
     kept: list[Finding] = []
     suppressed = 0
-    by_rel = {source.rel: source for source in ctx.files}
     for finding in findings:
-        source = by_rel.get(finding.path)
+        if finding.path not in sources:
+            sources[finding.path] = _read_source(root, finding.path)
+        source = sources[finding.path]
         if source is not None and source.is_suppressed(finding):
             suppressed += 1
-            continue
-        kept.append(finding)
+        else:
+            kept.append(finding)
     return kept, suppressed
 
 
-def refinding(finding: Finding, **changes: object) -> Finding:
-    return replace(finding, **changes)
+def _read_source(root: str, rel: str) -> SourceFile | None:
+    path = os.path.join(root, rel)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return SourceFile(path, rel, fh.read())
+    except (OSError, SyntaxError, ValueError):
+        return None
+
+
+def _comments(text: str) -> Iterator[tuple[int, str]]:
+    """``(line, text)`` of every ``#`` comment token: a suppression
+    spelled inside a string literal is data, not a comment."""
+    if "reprolint" not in text:
+        return
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import os
-import subprocess
 from typing import Iterable, Sequence
 
 from repro.analysis.config import LintConfig
-from repro.analysis.core import Context, Finding, SourceFile
+from repro.analysis.core import Context, Finding, SourceFile, apply_suppressions
 from repro.analysis.locks import DoubleLockRule, LockDisciplineRule
 from repro.analysis.lockorder import LockOrderRule
 from repro.analysis.loopsafety import LoopBlockingRule
@@ -24,10 +23,8 @@ from repro.analysis.structure import StateEscapeRule, ThreadSpawnRule
 __all__ = [
     "DEFAULT_RULES",
     "analyze_paths",
-    "changed_files",
     "collect_files",
     "find_root",
-    "scope_to_changed",
 ]
 
 #: Every registered rule, instantiated fresh per run (rules may keep
@@ -81,50 +78,6 @@ def find_root(paths: Sequence[str]) -> str:
         probe = parent
 
 
-def changed_files(root: str, ref: str = "HEAD") -> set[str]:
-    """Repo-relative ``.py`` files touched since ``ref``: the committed
-    diff plus staged, unstaged and untracked work."""
-    changed: set[str] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", ref],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        out = subprocess.run(
-            cmd, cwd=root, capture_output=True, text=True, check=True
-        ).stdout
-        changed.update(
-            line.strip()
-            for line in out.splitlines()
-            if line.strip().endswith(".py")
-        )
-    return changed
-
-
-def scope_to_changed(
-    findings: Sequence[Finding],
-    changed: set[str],
-    *,
-    rules: Iterable[type] | None = None,
-) -> list[Finding]:
-    """Keep findings in changed files — plus **every** finding of a
-    whole-program rule.  A lock-order cycle or a stale thread
-    declaration can sit entirely in unchanged files and still be caused
-    by the edit; change-scoping must never hide those.  ``parse-error``
-    findings always survive: an unparseable file poisons every
-    cross-file rule's view of the tree."""
-    keep_all = {
-        rule.id
-        for rule in (rules or DEFAULT_RULES)
-        if getattr(rule, "whole_program", False)
-    }
-    keep_all.add("parse-error")
-    return [
-        finding
-        for finding in findings
-        if finding.rule in keep_all or finding.path in changed
-    ]
-
-
 def analyze_paths(
     paths: Sequence[str],
     config: LintConfig | None = None,
@@ -160,13 +113,5 @@ def analyze_paths(
         for source in ctx.files:
             findings.extend(rule.check_file(source, ctx))
         findings.extend(rule.finalize(ctx))
-    by_rel = {source.rel: source for source in ctx.files}
-    kept = [
-        finding
-        for finding in findings
-        if not (
-            (source := by_rel.get(finding.path)) is not None
-            and source.is_suppressed(finding)
-        )
-    ]
+    kept, _ = apply_suppressions(findings, root, ctx.files)
     return sorted(kept)

@@ -51,9 +51,6 @@ def _order_withitems(node: ast.With) -> list[tuple[str | None, str]]:
 
 class LockOrderRule(Rule):
     id = "lock-order"
-    #: The acquisition graph spans every lock module; a cycle's edges can
-    #: sit entirely in unchanged files.
-    whole_program = True
 
     def check_file(self, source: SourceFile, ctx: Context) -> Iterable[Finding]:
         if not source.matches(ctx.config.lock_module_suffixes):

@@ -59,8 +59,6 @@ def _is_registry(node: ast.AST, names: frozenset[str]) -> bool:
 
 class MetricDriftRule(Rule):
     id = "metric-drift"
-    #: Declare-exactly-once is a cross-file property.
-    whole_program = True
 
     def check_file(self, source: SourceFile, ctx: Context) -> Iterable[Finding]:
         cfg = ctx.config
@@ -115,8 +113,6 @@ class MetricDriftRule(Rule):
 
 class EventDriftRule(Rule):
     id = "event-drift"
-    #: Declare-exactly-once is a cross-file property.
-    whole_program = True
 
     def check_file(self, source: SourceFile, ctx: Context) -> Iterable[Finding]:
         cfg = ctx.config

@@ -133,9 +133,6 @@ def _const_or_name(node: ast.AST | None, constants: dict[str, str]) -> str | Non
 
 class ProtocolDriftRule(Rule):
     id = "protocol-drift"
-    #: Schema/doc sync reasons across the whole tree; change-scoped runs
-    #: must not filter its findings.
-    whole_program = True
     doc_id = "protocol-doc-drift"
 
     def check_file(self, source: SourceFile, ctx: Context) -> Iterable[Finding]:

@@ -1,19 +1,16 @@
-"""Text and JSON reporters for lint findings."""
+"""Text reporter for lint findings."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Sequence
 
 from repro.analysis.core import Finding
 
-__all__ = ["render_json", "render_text"]
+__all__ = ["render_text"]
 
 
-def render_text(
-    findings: Sequence[Finding], *, grandfathered: int = 0
-) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     lines = [finding.located() for finding in findings]
     if findings:
         by_rule = Counter(finding.rule for finding in findings)
@@ -23,30 +20,4 @@ def render_text(
         lines.append(f"{len(findings)} finding(s): {summary}")
     else:
         lines.append("no findings")
-    if grandfathered:
-        lines.append(f"({grandfathered} grandfathered by the baseline)")
     return "\n".join(lines)
-
-
-def render_json(
-    findings: Sequence[Finding], *, grandfathered: int = 0
-) -> str:
-    return json.dumps(
-        {
-            "version": 1,
-            "count": len(findings),
-            "grandfathered": grandfathered,
-            "findings": [
-                {
-                    "rule": finding.rule,
-                    "path": finding.path,
-                    "line": finding.line,
-                    "col": finding.col,
-                    "message": finding.message,
-                    "fingerprint": finding.fingerprint,
-                }
-                for finding in findings
-            ],
-        },
-        indent=2,
-    )

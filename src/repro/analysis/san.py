@@ -9,9 +9,10 @@ real interleavings.  While a :class:`SanSession` is active:
   under test).  ``Condition``/``Event``/``Queue`` built in monitored
   frames pick up proxies transparently because they allocate their
   internal locks through the patched factories.
-- a line tracer (``sys.monitoring`` on 3.12+, ``sys.settrace`` below)
-  fires on the attribute-write lines an AST pre-scan found in the
-  monitored modules and records *which locks the writing thread held*.
+- a ``sys.settrace`` line tracer fires on the attribute-write lines an
+  AST pre-scan found in the monitored modules and records *which locks
+  the writing thread held*.  Only frames of monitored code objects get a
+  local tracer, so unmonitored code pays one set lookup per call.
 
 Race detection is Eraser's lockset algorithm with a write-ownership
 refinement: a field starts **exclusive** to its first writing thread
@@ -30,8 +31,8 @@ dynamic graph with the static ``lock-order`` graph must stay acyclic
 the static rule documents as its blind spot.
 
 Reports are ordinary :class:`~repro.analysis.core.Finding` objects, so
-``# reprolint: ignore[san-race] -- reason`` inline suppressions and the
-baseline machinery work unchanged.
+``# reprolint: ignore[san-race] -- reason`` inline suppressions work
+unchanged (:func:`~repro.analysis.core.apply_suppressions`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "RaceReport",
     "SanReport",
     "SanSession",
-    "apply_source_suppressions",
 ]
 
 #: Repo-relative modules the sanitizer instruments by default: the
@@ -242,8 +242,8 @@ class SanReport:
         )
 
     def findings(self, root: str) -> list[Finding]:
-        """Races and ordering violations as lint findings (so the
-        suppression + baseline machinery applies unchanged)."""
+        """Races and ordering violations as lint findings (so inline
+        suppressions apply unchanged)."""
         found: list[Finding] = []
         seen: set[tuple[str, int, str]] = set()
         for race in self.races:
@@ -290,30 +290,6 @@ def _line_text(path: str, line: int) -> str:
     if 1 <= line <= len(lines):
         return lines[line - 1].strip()
     return ""
-
-
-def apply_source_suppressions(
-    findings: Sequence[Finding], root: str
-) -> tuple[list[Finding], int]:
-    """Honor inline ``reprolint: ignore`` comments at san finding
-    sites — the same suppression grammar the static rules use."""
-    kept: list[Finding] = []
-    suppressed = 0
-    cache: dict[str, SourceFile | None] = {}
-    for finding in findings:
-        if finding.path not in cache:
-            path = os.path.join(root, finding.path)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    cache[finding.path] = SourceFile(path, finding.path, fh.read())
-            except (OSError, SyntaxError):
-                cache[finding.path] = None
-        source = cache[finding.path]
-        if source is not None and source.is_suppressed(finding):
-            suppressed += 1
-        else:
-            kept.append(finding)
-    return kept, suppressed
 
 
 # ---------------------------------------------------------------------------
@@ -419,88 +395,6 @@ class _FieldState:
 
 
 # ---------------------------------------------------------------------------
-# Trace backends
-# ---------------------------------------------------------------------------
-
-
-class _SettraceBackend:
-    """``sys.settrace`` line tracer: local tracers only for monitored
-    code objects, so unmonitored frames pay one set-lookup per call."""
-
-    def __init__(self, session: "SanSession") -> None:
-        self._san = session
-        self._old = None
-
-    def start(self) -> None:
-        self._old = sys.gettrace()
-        threading.settrace(self._global)
-        sys.settrace(self._global)
-
-    def stop(self) -> None:
-        sys.settrace(self._old)
-        threading.settrace(None)
-
-    def _global(self, frame, event, arg):
-        if frame.f_code.co_filename in self._san._write_sites:
-            return self._local
-        return None
-
-    def _local(self, frame, event, arg):
-        if event == "line":
-            sites = self._san._write_sites[frame.f_code.co_filename].get(
-                frame.f_lineno
-            )
-            if sites:
-                self._san._record_sites(frame, sites)
-        return self._local
-
-
-class _MonitoringBackend:
-    """``sys.monitoring`` LINE events (3.12+): unmonitored locations are
-    DISABLEd on first hit, so steady-state overhead is near zero."""
-
-    TOOL_ID = 4
-
-    def __init__(self, session: "SanSession") -> None:
-        self._san = session
-
-    def start(self) -> None:
-        mon = sys.monitoring
-        mon.use_tool_id(self.TOOL_ID, "reprosan")
-        mon.register_callback(self.TOOL_ID, mon.events.LINE, self._on_line)
-        mon.set_events(self.TOOL_ID, mon.events.LINE)
-
-    def stop(self) -> None:
-        mon = sys.monitoring
-        mon.set_events(self.TOOL_ID, 0)
-        mon.register_callback(self.TOOL_ID, mon.events.LINE, None)
-        mon.free_tool_id(self.TOOL_ID)
-
-    def _on_line(self, code, lineno):
-        per_file = self._san._write_sites.get(code.co_filename)
-        if per_file is None:
-            return sys.monitoring.DISABLE
-        sites = per_file.get(lineno)
-        if not sites:
-            return sys.monitoring.DISABLE
-        frame = sys._getframe(1)
-        self._san._record_sites(frame, sites)
-        return None
-
-
-def _pick_backend(session: "SanSession", backend: str):
-    if backend == "monitoring" or (
-        backend == "auto" and hasattr(sys, "monitoring")
-    ):
-        if not hasattr(sys, "monitoring"):
-            raise RuntimeError(
-                "sys.monitoring needs Python 3.12+; use backend='settrace'"
-            )
-        return _MonitoringBackend(session)
-    return _SettraceBackend(session)
-
-
-# ---------------------------------------------------------------------------
 # The session
 # ---------------------------------------------------------------------------
 
@@ -520,7 +414,6 @@ class SanSession:
         self,
         monitored: Sequence[str] | None = None,
         *,
-        backend: str = "auto",
         config: LintConfig | None = None,
         root: str | None = None,
     ) -> None:
@@ -530,7 +423,7 @@ class SanSession:
         )
         rels = monitored if monitored is not None else DEFAULT_MONITORED
         self._monitored: set[str] = set()
-        self._write_sites: dict[int, dict] = {}
+        self._write_sites: dict[str, dict] = {}
         self._lock_names: dict[str, dict[int, str]] = {}
         self._sources: dict[str, str] = {}
         for rel in rels:
@@ -542,7 +435,6 @@ class SanSession:
             self._sources[path] = text
             self._write_sites[path] = index_write_sites(text)
             self._lock_names[path] = index_lock_names(text)
-        self._backend = _pick_backend(self, backend)
         self._mutex = threading.Lock()  # real: created before patching
         self._held = _Held()
         self._fields: dict[tuple[int, str], _FieldState] = {}
@@ -551,8 +443,8 @@ class SanSession:
         self._locks: list[_LockProxy] = []  # strong refs pin lock ids
         self._real_lock = None
         self._real_rlock = None
+        self._old_trace = None
         self._writes_seen = 0
-        self._active = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -561,15 +453,16 @@ class SanSession:
         self._real_rlock = threading.RLock
         threading.Lock = self._factory(self._real_lock)
         threading.RLock = self._factory(self._real_rlock)
-        self._backend.start()
-        self._active = True
+        self._old_trace = sys.gettrace()
+        threading.settrace(self._global_trace)
+        sys.settrace(self._global_trace)
         return self
 
     def __exit__(self, *exc) -> None:
-        self._backend.stop()
+        sys.settrace(self._old_trace)
+        threading.settrace(None)
         threading.Lock = self._real_lock
         threading.RLock = self._real_rlock
-        self._active = False
 
     # -- lock factory ------------------------------------------------------
 
@@ -658,7 +551,21 @@ class SanSession:
             frame = frame.f_back
         return None
 
-    # -- write recording (called from the trace backends) ------------------
+    # -- write recording (called from the line tracer) ---------------------
+
+    def _global_trace(self, frame, event, arg):
+        if frame.f_code.co_filename in self._write_sites:
+            return self._local_trace
+        return None
+
+    def _local_trace(self, frame, event, arg):
+        if event == "line":
+            sites = self._write_sites[frame.f_code.co_filename].get(
+                frame.f_lineno
+            )
+            if sites:
+                self._record_sites(frame, sites)
+        return self._local_trace
 
     def _record_sites(self, frame, sites) -> None:
         for chain, attr in sites:

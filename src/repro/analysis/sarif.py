@@ -2,9 +2,9 @@
 
 Static Analysis Results Interchange Format — the minimal valid subset
 code-review UIs ingest: one run, one driver, one result per finding,
-locations as repo-relative artifact URIs.  The baseline fingerprint is
-carried in ``partialFingerprints`` so SARIF consumers dedupe across
-runs the same way the local baseline does.
+locations as repo-relative artifact URIs.  It is the one
+machine-readable format of both tools; GitHub code scanning matches
+results across runs on its own.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ def render_sarif(
                     }
                 }
             ],
-            "partialFingerprints": (
-                {"reprolint/v1": finding.fingerprint}
-                if finding.fingerprint
-                else {}
-            ),
         }
         for finding in findings
     ]

@@ -172,10 +172,6 @@ def _spawn_target(node: ast.Call) -> str:
 
 class ThreadSpawnRule(Rule):
     id = "thread-spawn"
-    #: Spawns in one file can only be judged against the whole declared
-    #: table, and stale rows only against every analyzed module — a
-    #: change-scoped run must not hide either direction.
-    whole_program = True
 
     def check_file(self, source: SourceFile, ctx: Context) -> Iterable[Finding]:
         spawns = ctx.state.setdefault(self.id, [])

@@ -295,32 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="files/directories to analyze (default: src)",
     )
     lint_cmd.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        dest="fmt",
-    )
-    lint_cmd.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file (default: <root>/.reprolint.json when present)",
-    )
-    lint_cmd.add_argument(
-        "--no-baseline", action="store_true",
-        help="report grandfathered findings too",
-    )
-    lint_cmd.add_argument(
-        "--write-baseline", action="store_true",
-        help="merge the current findings into the baseline (pruning "
-             "stale in-scope entries) and exit 0",
-    )
-    lint_cmd.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop stale baseline entries without grandfathering "
-             "anything new, then report as usual",
-    )
-    lint_cmd.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="only report findings in files changed since REF (default "
-             "HEAD, including uncommitted work); whole-program rules "
-             "(lock-order, thread-spawn, drift) still report everywhere",
+        "--format", choices=("text", "sarif"), default="text", dest="fmt",
     )
 
     san_cmd = sub.add_parser(
@@ -333,28 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="arguments forwarded to pytest (default: tests/core)",
     )
     san_cmd.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        dest="fmt",
-    )
-    san_cmd.add_argument(
-        "--backend", choices=("auto", "settrace", "monitoring"),
-        default="auto",
-        help="write tracer: sys.monitoring on 3.12+, sys.settrace below "
-             "(default: auto)",
-    )
-    san_cmd.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file shared with repro lint "
-             "(default: <root>/.reprolint.json)",
-    )
-    san_cmd.add_argument(
-        "--no-baseline", action="store_true",
-        help="report grandfathered findings too",
-    )
-    san_cmd.add_argument(
-        "--write-baseline", action="store_true",
-        help="merge current san findings into the baseline (pruning "
-             "stale san entries; lint entries untouched) and exit 0",
+        "--format", choices=("text", "sarif"), default="text", dest="fmt",
     )
     return parser
 
@@ -580,8 +534,21 @@ def _cmd_daemon(args) -> int:
         SchedulerJournal,
         make_policy,
     )
+    from repro.core.scheduler.daemon import require_positive
+    from repro.errors import SchedulerError
     from repro.units import MiB
 
+    try:
+        require_positive({
+            "--shards": args.shards,
+            "--io-workers": args.io_workers,
+            "--heartbeat-timeout": args.heartbeat_timeout,
+            "--reap-interval": args.reap_interval,
+            "--watchdog-interval": args.watchdog_interval,
+        })
+    except SchedulerError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.recover and args.journal_path is None:
         print("--recover requires --journal-path", file=sys.stderr)
         return 2
@@ -1125,106 +1092,29 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _analyzed_rels(paths, root: str) -> list[str]:
-    """Repo-relative names of every file a lint run covered — the scope
-    for baseline pruning must include the *clean* files too, or stale
-    entries for fixed findings would never be dropped."""
-    from repro.analysis.engine import collect_files
-
-    try:
-        files = collect_files(paths)
-    except FileNotFoundError:
-        return []
-    return [os.path.relpath(p, root).replace(os.sep, "/") for p in files]
-
-
-def _render_findings(fmt: str, findings, *, grandfathered: int, tool: str) -> str:
-    from repro.analysis import render_json, render_text
-    from repro.analysis.sarif import render_sarif
+def _render_findings(fmt: str, findings, *, tool: str) -> str:
+    from repro.analysis import render_sarif, render_text
 
     if fmt == "sarif":
         return render_sarif(findings, tool_name=tool)
-    if fmt == "json":
-        return render_json(findings, grandfathered=grandfathered)
-    return render_text(findings, grandfathered=grandfathered)
+    return render_text(findings)
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import (
-        analyze_paths,
-        apply_baseline,
-        assign_fingerprints,
-        find_root,
-        load_baseline_entries,
-        prune_baseline,
-        stale_entries,
-        write_baseline,
-    )
-    from repro.analysis.engine import changed_files, scope_to_changed
+    from repro.analysis import analyze_paths
 
     try:
-        findings = assign_fingerprints(analyze_paths(args.paths))
+        findings = analyze_paths(args.paths)
     except FileNotFoundError as exc:
         print(f"no such file or directory: {exc}", file=sys.stderr)
         return 2
-    root = find_root(args.paths)
-    baseline_path = args.baseline
-    if baseline_path is None:
-        baseline_path = os.path.join(root, ".reprolint.json")
-    analyzed = {finding.path for finding in findings}
-    for source_rel in _analyzed_rels(args.paths, root):
-        analyzed.add(source_rel)
-
-    def in_scope(entry: dict) -> bool:
-        # This run owns the entries it can re-derive: static rules over
-        # the analyzed files.  san-* entries belong to `repro san`.
-        return (
-            not entry.get("rule", "").startswith("san-")
-            and entry.get("path") in analyzed
-        )
-
-    if args.write_baseline:
-        total, pruned = write_baseline(baseline_path, findings, in_scope)
-        print(
-            f"wrote {total} finding(s) to {baseline_path}"
-            + (f" ({pruned} stale pruned)" if pruned else "")
-        )
-        return 0
-    entries = load_baseline_entries(baseline_path)
-    stale = stale_entries(entries, findings, in_scope)
-    if args.prune_baseline and stale:
-        removed = prune_baseline(baseline_path, stale)
-        print(f"pruned {removed} stale entr"
-              f"{'y' if removed == 1 else 'ies'} from {baseline_path}")
-        entries = load_baseline_entries(baseline_path)
-        stale = []
-    grandfathered = 0
-    if not args.no_baseline:
-        baseline = {entry["fingerprint"] for entry in entries}
-        findings, grandfathered = apply_baseline(findings, baseline)
-        if stale:
-            print(
-                f"warning: {len(stale)} stale baseline entr"
-                f"{'y' if len(stale) == 1 else 'ies'} in {baseline_path} "
-                "no longer match any finding; rerun with --write-baseline "
-                "or --prune-baseline",
-                file=sys.stderr,
-            )
-    if args.changed is not None:
-        findings = scope_to_changed(findings, changed_files(root, args.changed))
-    print(_render_findings(args.fmt, findings, grandfathered=grandfathered,
-                           tool="reprolint"))
+    print(_render_findings(args.fmt, findings, tool="reprolint"))
     return 1 if findings else 0
 
 
 def _cmd_san(args) -> int:
-    from repro.analysis import (
-        apply_baseline,
-        assign_fingerprints,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.analysis.san import SanSession, apply_source_suppressions
+    from repro.analysis import apply_suppressions
+    from repro.analysis.san import SanSession
 
     try:
         import pytest
@@ -1232,47 +1122,22 @@ def _cmd_san(args) -> int:
         print("repro san needs pytest on the import path", file=sys.stderr)
         return 2
 
-    try:
-        session = SanSession(backend=args.backend)
-    except RuntimeError as exc:
-        print(f"repro san: {exc}", file=sys.stderr)
-        return 2
-    with session:
+    with SanSession() as session:
         if args.fmt == "text":
             pytest_rc = pytest.main(list(args.pytest_args))
         else:
-            # Machine-readable formats own stdout; pytest's progress
-            # moves to stderr so `repro san --format sarif > out.sarif`
-            # yields a parseable document.
+            # SARIF owns stdout; pytest's progress moves to stderr so
+            # `repro san --format sarif > out.sarif` yields a parseable
+            # document.
             import contextlib
 
             with contextlib.redirect_stdout(sys.stderr):
                 pytest_rc = pytest.main(list(args.pytest_args))
     report = session.report()
-    findings = report.findings(session.root)
-    findings, suppressed = apply_source_suppressions(findings, session.root)
-    findings = assign_fingerprints(findings)
-    baseline_path = args.baseline or os.path.join(
-        session.root, ".reprolint.json"
+    findings, suppressed = apply_suppressions(
+        report.findings(session.root), session.root
     )
-
-    def in_scope(entry: dict) -> bool:
-        return entry.get("rule", "").startswith("san-")
-
-    if args.write_baseline:
-        total, pruned = write_baseline(baseline_path, findings, in_scope)
-        print(
-            f"wrote {total} finding(s) to {baseline_path}"
-            + (f" ({pruned} stale pruned)" if pruned else "")
-        )
-        return 0
-    grandfathered = 0
-    if not args.no_baseline:
-        findings, grandfathered = apply_baseline(
-            findings, load_baseline(baseline_path)
-        )
-    print(_render_findings(args.fmt, findings, grandfathered=grandfathered,
-                           tool="reprosan"))
+    print(_render_findings(args.fmt, findings, tool="reprosan"))
     if args.fmt == "text":
         print(report.summary(), file=sys.stderr)
         if suppressed:

@@ -55,7 +55,12 @@ from repro.obs.trace import Tracer
 if TYPE_CHECKING:
     from repro.obs.http import MetricsServer
 
-__all__ = ["SchedulerDaemon", "WRAPPER_SONAME", "CONTAINER_SOCKET_NAME"]
+__all__ = [
+    "SchedulerDaemon",
+    "WRAPPER_SONAME",
+    "CONTAINER_SOCKET_NAME",
+    "require_positive",
+]
 
 _REC = RECORDER
 _EV_START = RECORDER.declare("daemon.start", a="containers")
@@ -150,6 +155,16 @@ class _ControlHandler:
                 self._daemon._teardown_container_dir(container_id)
 
 
+def require_positive(options: dict[str, float | None]) -> None:
+    """Raise :class:`SchedulerError` naming the first option that is set
+    but not positive.  A zero reap interval spins the reaper, a zero
+    watchdog interval dumps after any tick, and a zero worker pool cannot
+    serve at all."""
+    for name, value in options.items():
+        if value is not None and value <= 0:
+            raise SchedulerError(f"{name} must be positive, got {value:g}")
+
+
 class SchedulerDaemon:
     """Host daemon: control socket + per-container sockets and directories.
 
@@ -163,7 +178,7 @@ class SchedulerDaemon:
             shared selector thread plus a bounded worker pool; both survive
             because the frozen ``benchmarks/perf/_daemon_child.py`` spells
             them out, and go when that call site drops them.
-        io_workers: dispatch pool size of the shared I/O loop.
+        io_workers: dispatch pool size of the shared I/O loop (>= 1).
         codec: wire codec offered by every socket the daemon serves —
             ``"auto"`` (default) negotiates binary with capable peers and
             falls back to JSON; ``"json"`` pins the trace-friendly debug
@@ -171,7 +186,7 @@ class SchedulerDaemon:
             tests).  See ``docs/PROTOCOL.md``.
         journal: attached write-ahead journal (owned: closed on stop).
         monitor: heartbeat monitor enabling the orphan reaper.
-        reap_interval: seconds between reaper sweeps.
+        reap_interval: seconds between reaper sweeps (> 0).
         metrics_port: when not ``None``, serve the observability endpoint
             (``/metrics`` Prometheus text, ``/metrics.json``, ``/top.json``,
             ``/flight.jsonl``, ``/healthz``) on ``127.0.0.1:metrics_port``
@@ -184,7 +199,7 @@ class SchedulerDaemon:
             SIGUSR2 handler and crash hook route here).  Enables the I/O
             watchdog thread.
         watchdog_interval: seconds the shared I/O loop may go without an
-            iteration before the watchdog declares a stall and dumps.
+            iteration before the watchdog declares a stall and dumps (> 0).
         shard_id / shard_count: this daemon's identity in a sharded
             control plane (DESIGN.md §15).  When set, every socket the
             daemon serves announces ``shard``/``shards`` in its hello
@@ -226,6 +241,11 @@ class SchedulerDaemon:
             raise SchedulerError(
                 f"shard_id {shard_id} out of range for {shard_count} shards"
             )
+        require_positive({
+            "io_workers": io_workers,
+            "reap_interval": reap_interval,
+            "watchdog_interval": watchdog_interval,
+        })
         self.scheduler = scheduler
         self.journal = journal
         self.monitor = monitor
@@ -312,6 +332,11 @@ class SchedulerDaemon:
         journal the same way :class:`SchedulerJournal` takes them
         (auto-compaction off unless a byte threshold is given).
         """
+        # Refuse bad options before the journal is compacted in place.
+        require_positive({
+            name: daemon_kwargs.get(name)
+            for name in ("io_workers", "reap_interval", "watchdog_interval")
+        })
         scheduler = restore(journal_path, clock=clock, policy=policy, rng=rng)
         journal = SchedulerJournal(
             journal_path,

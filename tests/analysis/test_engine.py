@@ -1,21 +1,14 @@
-"""Engine behavior: suppressions, baselines, reporters, parse errors and
-the ``repro lint`` CLI surface."""
+"""Engine behavior: suppressions, reporters, parse errors and the
+``repro lint`` CLI surface."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import textwrap
 
-from repro.analysis import (
-    apply_baseline,
-    assign_fingerprints,
-    find_root,
-    load_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-)
+import pytest
+
+from repro.analysis import find_root, render_text
 from repro.cli import main
 from tests.analysis.conftest import rules_of
 
@@ -76,6 +69,33 @@ def test_suppression_does_not_leak_past_code_lines(lint):
     assert rules_of(findings) == ["bare-except"]
 
 
+def test_suppression_inside_a_string_literal_is_not_a_comment(lint):
+    # Only comment tokens suppress: the same text as string data must
+    # leave the finding standing.
+    source = """\
+    def risky():
+        try:
+            return 1
+        except: x = "# reprolint: ignore[bare-except] -- not a comment"
+    """
+    findings = lint({"mod.py": source})
+    assert rules_of(findings) == ["bare-except"]
+
+
+def test_suppression_in_a_docstring_is_not_a_comment():
+    from repro.analysis import SourceFile
+
+    text = '''def f():
+    """
+    # reprolint: ignore[bare-except]
+    """
+    x = 1  # reprolint: ignore[purity]
+'''
+    source = SourceFile("mod.py", "mod.py", text)
+    assert source.suppressions == {5: {"purity"}}
+    assert source.unreasoned == {5}
+
+
 # ---------------------------------------------------------------------------
 # parse errors
 # ---------------------------------------------------------------------------
@@ -88,69 +108,17 @@ def test_unparseable_file_yields_parse_error_finding(lint):
 
 
 # ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-
-def test_fingerprints_stable_across_line_moves(lint):
-    before = lint({"a.py": _BARE.format(comment="")})
-    after = lint({"b/a.py": "\n\n\n" + _BARE.format(comment="")})
-    # Same rule, same (relative) snippet: moving the line must not churn
-    # the fingerprint — only the path takes part, so normalize it here.
-    [first] = assign_fingerprints(before)
-    shifted = assign_fingerprints(
-        [dataclasses.replace(f, path="a.py") for f in after]
-    )
-    assert first.line != shifted[0].line
-    assert first.fingerprint == shifted[0].fingerprint
-
-
-def test_duplicate_findings_get_distinct_fingerprints(lint):
-    source = """\
-    def f():
-        try:
-            return 1
-        except:
-            return None
-        try:
-            return 2
-        except:
-            return None
-    """
-    findings = assign_fingerprints(lint({"mod.py": source}))
-    assert len(findings) == 2
-    assert findings[0].snippet == findings[1].snippet
-    assert findings[0].fingerprint != findings[1].fingerprint
-
-
-def test_baseline_round_trip_grandfathers_old_findings(lint, tmp_path):
-    findings = assign_fingerprints(lint({"mod.py": _BARE.format(comment="")}))
-    path = str(tmp_path / "baseline.json")
-    write_baseline(path, findings)
-    fresh, grandfathered = apply_baseline(findings, load_baseline(path))
-    assert fresh == []
-    assert grandfathered == 1
-    assert load_baseline(str(tmp_path / "missing.json")) == set()
-
-
-# ---------------------------------------------------------------------------
 # reporters
 # ---------------------------------------------------------------------------
 
 
 def test_reporters(lint):
-    findings = assign_fingerprints(lint({"mod.py": _BARE.format(comment="")}))
-    text = render_text(findings, grandfathered=2)
+    findings = lint({"mod.py": _BARE.format(comment="")})
+    text = render_text(findings)
     assert "mod.py:4" in text
     assert "[bare-except]" in text
     assert "1 finding(s): 1 bare-except" in text
-    assert "(2 grandfathered by the baseline)" in text
     assert render_text([]) == "no findings"
-
-    payload = json.loads(render_json(findings))
-    assert payload["count"] == 1
-    assert payload["findings"][0]["rule"] == "bare-except"
-    assert payload["findings"][0]["fingerprint"]
 
 
 def test_find_root_walks_up_to_pyproject(tmp_path):
@@ -183,118 +151,19 @@ def test_cli_exit_codes_and_text_output(tmp_path, capsys):
     assert "no findings" in capsys.readouterr().out
 
 
-def test_cli_json_format(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", _BARE.format(comment=""))
-    assert main(["lint", "--format", "json", bad]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == 1
+def test_cli_has_one_machine_format(tmp_path, capsys):
+    # SARIF is the one machine-readable format; JSON is a usage error
+    # before any file is analyzed.
+    good = _write(tmp_path, "good.py", "X = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "--format", "json", good])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_missing_path_is_usage_error(tmp_path, capsys):
     assert main(["lint", str(tmp_path / "nope")]) == 2
     assert "no such file" in capsys.readouterr().err
-
-
-def test_cli_write_baseline_then_grandfather(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", _BARE.format(comment=""))
-    baseline = str(tmp_path / ".reprolint.json")
-    assert main(["lint", "--baseline", baseline, "--write-baseline", bad]) == 0
-    capsys.readouterr()
-    # Grandfathered by the baseline: exit 0, nothing fresh.
-    assert main(["lint", "--baseline", baseline, bad]) == 0
-    assert "grandfathered" in capsys.readouterr().out
-    # --no-baseline brings the finding back.
-    assert main(["lint", "--baseline", baseline, "--no-baseline", bad]) == 1
-
-
-# ---------------------------------------------------------------------------
-# baseline staleness: merge-on-write, warnings, --prune-baseline
-# ---------------------------------------------------------------------------
-
-
-def test_write_baseline_merges_scopes_and_prunes_stale(lint, tmp_path):
-    from repro.analysis import load_baseline_entries
-
-    path = str(tmp_path / "baseline.json")
-    old = assign_fingerprints(lint({"mod.py": _BARE.format(comment="")}))
-    write_baseline(path, old)
-    # A later run owns mod.py but sees no findings there: the old entry
-    # is stale and must go.  An entry outside the scope (another tool's
-    # rule) survives the rewrite untouched.
-    san_entry = [
-        dataclasses.replace(
-            old[0], rule="san-race", path="src/x.py", fingerprint="f" * 16
-        )
-    ]
-    write_baseline(path, san_entry, lambda e: e["rule"].startswith("san-"))
-    total, pruned = write_baseline(
-        path, [], lambda e: not e["rule"].startswith("san-")
-    )
-    assert (total, pruned) == (1, 1)
-    entries = load_baseline_entries(path)
-    assert [e["rule"] for e in entries] == ["san-race"]
-
-
-def test_stale_entries_and_prune_baseline(lint, tmp_path):
-    from repro.analysis import (
-        load_baseline_entries,
-        prune_baseline,
-        stale_entries,
-    )
-
-    path = str(tmp_path / "baseline.json")
-    findings = assign_fingerprints(lint({"mod.py": _BARE.format(comment="")}))
-    write_baseline(path, findings)
-    entries = load_baseline_entries(path)
-    assert stale_entries(entries, findings) == []
-    # The finding got fixed: every entry is now stale.
-    stale = stale_entries(entries, [])
-    assert len(stale) == 1
-    assert prune_baseline(path, stale) == 1
-    assert load_baseline_entries(path) == []
-
-
-def test_cli_warns_on_stale_baseline_entries(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", _BARE.format(comment=""))
-    baseline = str(tmp_path / ".reprolint.json")
-    assert main(["lint", "--baseline", baseline, "--write-baseline", bad]) == 0
-    # Fix the finding; the baseline entry is now dead weight.
-    _write(tmp_path, "bad.py", "X = 1\n")
-    capsys.readouterr()
-    assert main(["lint", "--baseline", baseline, bad]) == 0
-    err = capsys.readouterr().err
-    assert "stale baseline" in err
-    assert "--prune-baseline" in err
-
-
-def test_cli_prune_baseline_drops_only_stale_entries(tmp_path, capsys):
-    from repro.analysis import load_baseline_entries
-
-    bad = _write(tmp_path, "bad.py", _BARE.format(comment=""))
-    worse = _write(tmp_path, "worse.py", _BARE.format(comment=""))
-    baseline = str(tmp_path / ".reprolint.json")
-    assert main(
-        ["lint", "--baseline", baseline, "--write-baseline", bad, worse]
-    ) == 0
-    _write(tmp_path, "bad.py", "X = 1\n")  # fixed; worse.py still bad
-    capsys.readouterr()
-    assert main(["lint", "--baseline", baseline, "--prune-baseline",
-                 bad, worse]) == 0
-    out = capsys.readouterr()
-    assert "pruned 1 stale" in out.out
-    assert "stale baseline" not in out.err
-    entries = load_baseline_entries(baseline)
-    assert [e["path"] for e in entries] == ["worse.py"]
-
-
-def test_cli_write_baseline_reports_pruning(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", _BARE.format(comment=""))
-    baseline = str(tmp_path / ".reprolint.json")
-    assert main(["lint", "--baseline", baseline, "--write-baseline", bad]) == 0
-    _write(tmp_path, "bad.py", "X = 1\n")
-    capsys.readouterr()
-    assert main(["lint", "--baseline", baseline, "--write-baseline", bad]) == 0
-    assert "1 stale pruned" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +174,7 @@ def test_cli_write_baseline_reports_pruning(tmp_path, capsys):
 def test_sarif_renderer_shape(lint):
     from repro.analysis import render_sarif
 
-    findings = assign_fingerprints(lint({"mod.py": _BARE.format(comment="")}))
+    findings = lint({"mod.py": _BARE.format(comment="")})
     payload = json.loads(render_sarif(findings, tool_name="reprolint"))
     assert payload["version"] == "2.1.0"
     run = payload["runs"][0]
@@ -316,7 +185,6 @@ def test_sarif_renderer_shape(lint):
     location = result["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "mod.py"
     assert location["region"]["startLine"] == 4
-    assert result["partialFingerprints"]["reprolint/v1"]
 
 
 def test_cli_sarif_format(tmp_path, capsys):
@@ -324,68 +192,3 @@ def test_cli_sarif_format(tmp_path, capsys):
     assert main(["lint", "--format", "sarif", bad]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["runs"][0]["results"][0]["ruleId"] == "bare-except"
-
-
-# ---------------------------------------------------------------------------
-# --changed scoping
-# ---------------------------------------------------------------------------
-
-
-def test_scope_to_changed_keeps_whole_program_rules(lint):
-    from repro.analysis.engine import scope_to_changed
-
-    # Duplicate metric declarations across two files: the second (the
-    # finding site) is NOT in the changed set — but deleting it in the
-    # changed file is exactly what caused the clash, so change-scoping
-    # must keep whole-program findings everywhere.
-    findings = lint(
-        {
-            "changed.py": 'A = REGISTRY.counter("convgpu_dup_total", "h")\n'
-                          "def f():\n"
-                          "    try:\n"
-                          "        return 1\n"
-                          "    except:\n"
-                          "        return None\n",
-            "other.py": 'B = REGISTRY.counter("convgpu_dup_total", "h")\n'
-                        "def g():\n"
-                        "    try:\n"
-                        "        return 2\n"
-                        "    except:\n"
-                        "        return None\n",
-        }
-    )
-    assert sorted(rules_of(findings)) == [
-        "bare-except", "bare-except", "metric-drift",
-    ]
-    scoped = scope_to_changed(findings, {"changed.py"})
-    by_rule = {(f.rule, f.path) for f in scoped}
-    assert ("metric-drift", "other.py") in by_rule  # cross-file survives
-    assert ("bare-except", "changed.py") in by_rule
-    assert ("bare-except", "other.py") not in by_rule  # scoped out
-
-
-def test_scope_to_changed_always_keeps_parse_errors(lint):
-    from repro.analysis.engine import scope_to_changed
-
-    findings = lint({"broken.py": "def broken(:\n"})
-    assert rules_of(findings) == ["parse-error"]
-    assert scope_to_changed(findings, set()) == findings
-
-
-def test_cli_changed_scopes_to_git_diff(tmp_path, capsys):
-    import subprocess
-
-    (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
-    committed = _write(tmp_path, "old.py", _BARE.format(comment=""))
-    run = lambda *cmd: subprocess.run(
-        cmd, cwd=tmp_path, check=True, capture_output=True
-    )
-    run("git", "init", "-q")
-    run("git", "-c", "user.email=t@t", "-c", "user.name=t", "add", ".")
-    run("git", "-c", "user.email=t@t", "-c", "user.name=t",
-        "commit", "-qm", "seed")
-    fresh = _write(tmp_path, "new.py", _BARE.format(comment=""))
-    assert main(["lint", "--changed", committed, fresh]) == 1
-    out = capsys.readouterr().out
-    assert "new.py" in out
-    assert "old.py" not in out  # unchanged file's finding is scoped out

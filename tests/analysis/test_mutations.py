@@ -192,9 +192,7 @@ def _san_over_core(tmp_path, core_text):
     from repro.analysis.san import SanSession
 
     target = _plant_core(tmp_path, core_text)
-    with SanSession(
-        [str(target), str(STATE_PY)], backend="settrace", root=str(tmp_path)
-    ) as san:
+    with SanSession([str(target), str(STATE_PY)], root=str(tmp_path)) as san:
         module = _load_module(target, f"mutated_core_{tmp_path.name}")
         _drive_scheduler(module)
     return san.report()

@@ -6,19 +6,18 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig
-from repro.analysis.san import (
-    SanSession,
-    apply_source_suppressions,
-    index_lock_names,
-    index_write_sites,
-)
+from repro.analysis import LintConfig, apply_suppressions
+from repro.analysis.san import SanSession, index_lock_names, index_write_sites
 
 _COUNTER = """\
 import threading
@@ -83,10 +82,7 @@ def run_san(tmp_path):
 
     def run(text, drive, *, name="victim.py", config=None):
         path = _plant(tmp_path, text, name)
-        with SanSession(
-            [str(path)], backend="settrace", root=str(tmp_path),
-            config=config,
-        ) as san:
+        with SanSession([str(path)], root=str(tmp_path), config=config) as san:
             module = _load(path, f"san_victim_{name.removesuffix('.py')}_{id(drive)}")
             drive(module)
         report = san.report()
@@ -304,15 +300,13 @@ def test_inline_suppression_silences_a_known_race(tmp_path):
         " increments acceptable\n        self.racy += 1",
     )
     path = _plant(tmp_path, text)
-    with SanSession(
-        [str(path)], backend="settrace", root=str(tmp_path)
-    ) as san:
+    with SanSession([str(path)], root=str(tmp_path)) as san:
         module = _load(path, "san_victim_suppressed")
         counter = module.Counter()
         _ping_pong(counter.bump_racy, counter.bump_racy)
     findings = san.report().findings(str(tmp_path))
     assert [f.rule for f in findings] == ["san-race"]
-    kept, suppressed = apply_source_suppressions(findings, str(tmp_path))
+    kept, suppressed = apply_suppressions(findings, str(tmp_path))
     assert kept == []
     assert suppressed == 1
 
@@ -328,13 +322,6 @@ def test_locks_created_outside_monitored_modules_stay_native(run_san):
 
     _, findings = run_san(_COUNTER, drive)
     assert findings == []
-
-
-def test_monitoring_backend_requires_312():
-    if hasattr(sys, "monitoring"):
-        pytest.skip("3.12+: the monitoring backend is constructible")
-    with pytest.raises(RuntimeError, match="3.12"):
-        SanSession(backend="monitoring")
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +370,72 @@ def test_index_lock_names_maps_creation_lines():
         )
     )
     assert names == {6: "Journal._cond", 7: "Journal._io_lock"}
+
+
+# ---------------------------------------------------------------------------
+# the `repro san` CLI
+# ---------------------------------------------------------------------------
+
+_REPO_ROOT = Path(__file__).resolve().parents[2]
+
+_SMALL_SUITE = """\
+import threading
+
+from repro.core.scheduler.core import GpuMemoryScheduler
+from repro.core.scheduler.policies import make_policy
+
+
+def test_two_threads_share_a_scheduler():
+    sched = GpuMemoryScheduler(1 << 30, make_policy("FIFO"))
+
+    def churn(worker):
+        for i in range(5):
+            cid = f"c{worker}-{i}"
+            sched.register_container(cid, 1 << 20)
+            sched.container_exit(cid)
+
+    threads = [threading.Thread(target=churn, args=(n,)) for n in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10.0)
+"""
+
+
+@pytest.fixture
+def run_repro_san(tmp_path):
+    """``repro san`` in a child process over one small planted suite."""
+    suite = tmp_path / "test_small_suite.py"
+    suite.write_text(_SMALL_SUITE)
+    env = dict(os.environ, PYTHONPATH=str(_REPO_ROOT / "src"))
+
+    def run(*options):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "san", *options, "--",
+             "-q", "-p", "no:cacheprovider", str(suite)],
+            cwd=str(_REPO_ROOT), env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+
+    return run
+
+
+def test_cli_text_mode_prints_the_summary_on_stderr(run_repro_san):
+    proc = run_repro_san()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "no findings" in proc.stdout
+    [summary] = [
+        line for line in proc.stderr.splitlines()
+        if line.startswith("reprosan: ")
+    ]
+    assert "0 race(s), 0 lock-order violation(s)" in summary
+
+
+def test_cli_sarif_mode_owns_stdout(run_repro_san):
+    proc = run_repro_san("--format", "sarif")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["version"] == "2.1.0"
+    [run] = payload["runs"]
+    assert run["tool"]["driver"]["name"] == "reprosan"
+    assert run["results"] == []

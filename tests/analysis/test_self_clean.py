@@ -43,7 +43,7 @@ def test_live_scheduler_churn_is_race_clean(tmp_path):
     from repro.core.scheduler.journal import SchedulerJournal
     from repro.core.scheduler.policies import make_policy
 
-    with SanSession(backend="settrace", root=str(REPO_ROOT)) as san:
+    with SanSession(root=str(REPO_ROOT)) as san:
         sched = GpuMemoryScheduler(1 << 30, make_policy("FIFO"))
         with SchedulerJournal(str(tmp_path / "journal.wal")) as journal:
             journal.attach(sched)

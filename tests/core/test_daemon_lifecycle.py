@@ -18,7 +18,7 @@ from repro.core.scheduler.daemon import CONTAINER_SOCKET_NAME, SchedulerDaemon
 from repro.core.scheduler.journal import SchedulerJournal
 from repro.core.scheduler.liveness import HeartbeatMonitor
 from repro.core.scheduler.policies import make_policy
-from repro.errors import IpcDisconnected, UnknownContainerError
+from repro.errors import IpcDisconnected, SchedulerError, UnknownContainerError
 from repro.ipc import protocol
 from repro.ipc.unix_socket import ReplyHandle, UnixSocketClient
 from repro.units import MiB
@@ -413,3 +413,59 @@ class TestExitEffectOrder:
         # No reply on this path; the sweep returning is its analogue.
         assert events == ["wait_durable", "resume_send", "stop"]
         assert not os.path.exists(directory)
+
+
+class TestNumericOptions:
+    """Non-positive intervals and pool sizes are refused up front: a zero
+    reap interval would spin the reaper, a zero watchdog interval would
+    dump after any tick, and a zero pool cannot serve."""
+
+    @pytest.mark.parametrize(
+        "option", ("io_workers", "reap_interval", "watchdog_interval")
+    )
+    @pytest.mark.parametrize("value", (0, -1))
+    def test_constructor_refuses_non_positive(self, tmp_path, option, value):
+        scheduler = GpuMemoryScheduler(TOTAL, make_policy("FIFO"))
+        base_dir = tmp_path / "base"
+        with pytest.raises(SchedulerError, match=option):
+            SchedulerDaemon(scheduler, base_dir=str(base_dir), **{option: value})
+        assert not base_dir.exists()
+
+    def test_recover_refuses_before_compacting_the_journal(self, tmp_path):
+        path = tmp_path / "j.wal"
+        scheduler = GpuMemoryScheduler(TOTAL, make_policy("FIFO"))
+        with SchedulerJournal(str(path)) as journal:
+            journal.attach(scheduler)
+            scheduler.register_container("c", 10 * MiB)
+        before = path.read_bytes()
+        with pytest.raises(SchedulerError, match="reap_interval"):
+            SchedulerDaemon.recover(
+                str(path), reap_interval=0, base_dir=str(tmp_path / "base")
+            )
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "flag",
+        ("--shards", "--io-workers", "--heartbeat-timeout",
+         "--reap-interval", "--watchdog-interval"),
+    )
+    def test_cli_refuses_before_touching_disk(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        from repro.cli import main
+
+        def never_start(self):
+            raise AssertionError("the daemon must not start")
+
+        monkeypatch.setattr(SchedulerDaemon, "start", never_start)
+        journal = tmp_path / "j.wal"
+        base_dir = tmp_path / "base"
+        rc = main([
+            "daemon", "--journal-path", str(journal),
+            "--base-dir", str(base_dir), "--no-metrics", flag, "0",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{flag} must be positive, got 0"]
+        assert not journal.exists()
+        assert not base_dir.exists()
