@@ -2,7 +2,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test stress bench bench-concurrency bench-journal bench-recovery bench-shards perf perf-trace perf-compare churn crash check lint analyze san
+.PHONY: test stress bench bench-concurrency bench-journal bench-recovery perf perf-trace perf-compare churn crash check lint analyze san
 
 test:            ## tier-1: fast unit/integration/property tests
 	$(PYTHON) -m pytest -x -q
@@ -21,9 +21,6 @@ bench-journal:   ## journal ablation: fsync-under-lock vs group commit
 
 bench-recovery:  ## recovery at scale: compaction vs journal size / restore time
 	$(PYTHON) -m pytest benchmarks/test_bench_recovery.py -q -s
-
-bench-shards:    ## sharded control plane: aggregate throughput per shard count, on the sockets shard and router replies name
-	$(PYTHON) -m pytest benchmarks/test_bench_shard_scaling.py -q -s
 
 perf:            ## the repo's benchmark (BENCHMARK.json): five workloads, 20 s each; OUT=f.json appends the runs
 	$(PYTHON) benchmarks/perf/run.py $(if $(OUT),--out $(OUT))

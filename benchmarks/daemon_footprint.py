@@ -8,9 +8,7 @@ them from the outside:
 - ``daemon-nometrics``: the same with ``--no-metrics``;
 - ``recover``/``recover-nometrics``: the same two with ``--recover`` of a
   copy of a 100k-event journal (8 live containers, interval snapshots as a
-  daemon writes them) — restart-to-serve;
-- ``shard-restart``: a 2-shard ``ShardSupervisor``; ``kill_shard(0)`` then
-  ``restart_shard(0)``, timed to the restarted shard's ready file.
+  daemon writes them) — restart-to-serve.
 
 Peak RSS is the process's ``VmHWM`` read from ``/proc`` at ready.  With two
 trees the runs alternate (A first on even runs, B first on odd), and the
@@ -24,7 +22,6 @@ many of the pairs the second tree won.  Linux only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import signal
@@ -35,9 +32,7 @@ import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SCENARIOS = (
-    "daemon", "daemon-nometrics", "recover", "recover-nometrics", "shard-restart",
-)
+SCENARIOS = ("daemon", "daemon-nometrics", "recover", "recover-nometrics")
 JOURNAL_EVENTS = 100_000
 
 
@@ -125,41 +120,9 @@ def run_daemon(tree: str, work: str, *, metrics: bool, journal: str | None) -> t
     return ready_ms, hwm
 
 
-_SHARD_CHILD = """
-import json, sys, time
-from repro.cluster.supervisor import ShardSupervisor
-
-supervisor = ShardSupervisor(2, base_dir=sys.argv[1], auto_restart=False).start()
-try:
-    supervisor.kill_shard(0)
-    began = time.perf_counter()
-    supervisor.restart_shard(0)
-    ready_ms = (time.perf_counter() - began) * 1e3
-    with open(f"/proc/{supervisor.shard(0).pid}/status", encoding="ascii") as fh:
-        hwm = next(int(row.split()[1]) for row in fh if row.startswith("VmHWM:")) / 1024.0
-finally:
-    supervisor.stop()
-print(json.dumps([ready_ms, hwm]))
-"""
-
-
-def run_shard_restart(tree: str, work: str) -> tuple[float, float]:
-    """(kill -> restart -> ready ms, VmHWM MiB) of shard 0 of two."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _SHARD_CHILD, os.path.join(work, "shards")],
-        env=_env(tree), cwd=tree, capture_output=True, text=True, timeout=120,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"shard child failed: {proc.stderr.strip()}")
-    ready_ms, hwm = json.loads(proc.stdout.strip().splitlines()[-1])
-    return ready_ms, hwm
-
-
 def run_one(tree: str, scenario: str, source_journal: str) -> tuple[float, float]:
     work = tempfile.mkdtemp(prefix="footprint-")
     try:
-        if scenario == "shard-restart":
-            return run_shard_restart(tree, work)
         journal = None
         if scenario.startswith("recover"):
             journal = os.path.join(work, "copy.wal")

@@ -78,9 +78,6 @@ class LintConfig:
             "repro/core/scheduler/journal.py",
             "repro/core/scheduler/daemon.py",
             "repro/cluster/multigpu.py",
-            "repro/cluster/ring.py",
-            "repro/cluster/router.py",
-            "repro/cluster/supervisor.py",
         )
     )
     #: Call names (last dotted segment) that block or touch the outside
@@ -130,11 +127,10 @@ class LintConfig:
         default_factory=lambda: {"scheduler": "GpuMemoryScheduler"}
     )
     #: Lock attributes declared *leaf*: nothing — no other lock, no
-    #: blocking call — may be acquired while one is held.  The hash ring's
-    #: ``_ring_lock`` is the canonical case: the router's control handler
-    #: consults the ring on its hot path, so any edge out of the ring lock
-    #: risks an inversion against the router's client table.
-    lock_leaf_attrs: frozenset[str] = frozenset({"_ring_lock"})
+    #: blocking call — may be acquired while one is held.  None is
+    #: declared today; a lock consulted on a hot path under another
+    #: component's lock is the case for one.
+    lock_leaf_attrs: frozenset[str] = frozenset()
 
     # -- loop-thread safety (DESIGN.md §10: the selector thread never blocks)
     #: suffix -> {class name -> selector-thread entry-point methods}.
@@ -212,7 +208,5 @@ class LintConfig:
             "repro/core/wrapper/",
             "repro/core/scheduler/service.py",
             "repro/core/scheduler/daemon.py",
-            "repro/cluster/router.py",
-            "repro/cluster/supervisor.py",
         )
     )

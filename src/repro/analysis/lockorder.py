@@ -17,11 +17,10 @@ writer thread.
 
 Locks named in ``LintConfig.lock_leaf_attrs`` are declared **leaf**: any
 edge *out* of one — acquiring anything else while it is held — is a
-finding on its own, cycle or not.  The hash ring's ``_ring_lock`` is the
-canonical leaf: the router consults the ring from its control handlers,
-so an edge out of the ring lock would order it against the router's
-client table and invite an inversion the cycle check could only see
-once both halves are written.
+finding on its own, cycle or not: a lock consulted from another
+component's critical section must not order itself against that
+component's locks, an inversion the cycle check could only see once both
+halves are written.
 """
 
 from __future__ import annotations

@@ -65,8 +65,6 @@ DEFAULT_MONITORED = (
     "src/repro/core/scheduler/state.py",
     "src/repro/core/scheduler/journal.py",
     "src/repro/ipc/loop.py",
-    "src/repro/cluster/ring.py",
-    "src/repro/cluster/router.py",
 )
 
 #: Factories whose result is worth a ``Class.attr`` lock name when

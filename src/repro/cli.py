@@ -158,18 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the observability HTTP endpoint entirely",
     )
     daemon_cmd.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="sharded mode: supervise N shard daemon processes (one "
-             "scheduler each) behind a consistent-hash router, and serve "
-             "the router's control socket as this deployment's address",
-    )
-    daemon_cmd.add_argument(
-        "--shard-of", default=None, metavar="I/N",
-        help="run as shard I of an N-shard control plane (normally passed "
-             "by the shard supervisor, not by hand); stamps the shard "
-             "identity into handshake and registration replies",
-    )
-    daemon_cmd.add_argument(
         "--log-level", choices=tuple(LEVELS), default="info",
         help="structured-log threshold (default: info)",
     )
@@ -185,11 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover_cmd = sub.add_parser(
         "recover", help="inspect a scheduler journal offline"
     )
-    recover_cmd.add_argument(
-        "journal",
-        help="journal file, a directory of per-shard journals, or a glob "
-             "(quote it) — multiple journals print a per-shard summary",
-    )
+    recover_cmd.add_argument("journal", help="path to the journal file")
     recover_cmd.add_argument(
         "--no-verify", action="store_true",
         help="skip the accounting-invariant check on the restored state",
@@ -515,17 +499,6 @@ def _load_policy_plugins(modules) -> None:
             print(f"policy plugin {name}: registered {', '.join(added)}")
 
 
-def _parse_shard_of(text: str) -> tuple[int, int]:
-    """Parse ``--shard-of I/N``; raises ValueError on anything malformed."""
-    i_text, sep, n_text = text.partition("/")
-    if not sep:
-        raise ValueError(f"--shard-of wants I/N, got {text!r}")
-    shard_id, shard_count = int(i_text), int(n_text)
-    if not 0 <= shard_id < shard_count:
-        raise ValueError(f"shard {shard_id} out of range for {shard_count} shards")
-    return shard_id, shard_count
-
-
 def _cmd_daemon(args) -> int:
     from repro.core.scheduler import (
         GpuMemoryScheduler,
@@ -540,7 +513,6 @@ def _cmd_daemon(args) -> int:
 
     try:
         require_positive({
-            "--shards": args.shards,
             "--io-workers": args.io_workers,
             "--heartbeat-timeout": args.heartbeat_timeout,
             "--reap-interval": args.reap_interval,
@@ -552,20 +524,8 @@ def _cmd_daemon(args) -> int:
     if args.recover and args.journal_path is None:
         print("--recover requires --journal-path", file=sys.stderr)
         return 2
-    if args.shards is not None and args.shard_of is not None:
-        print("--shards and --shard-of are mutually exclusive", file=sys.stderr)
-        return 2
     configure_logging(level=args.log_level, json_mode=args.log_json)
     _load_policy_plugins(args.policy_plugins)
-    if args.shards is not None:
-        return _cmd_daemon_sharded(args)
-    shard_id = shard_count = None
-    if args.shard_of is not None:
-        try:
-            shard_id, shard_count = _parse_shard_of(args.shard_of)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
     monitor = (
         HeartbeatMonitor(timeout=args.heartbeat_timeout)
         if args.heartbeat_timeout is not None
@@ -580,8 +540,6 @@ def _cmd_daemon(args) -> int:
         "metrics_port": None if args.no_metrics else args.metrics_port,
         "flight_dump": args.flight_dump,
         "watchdog_interval": args.watchdog_interval,
-        "shard_id": shard_id,
-        "shard_count": shard_count,
     }
     # Wall clock, not monotonic: journaled timestamps must stay comparable
     # across a restart (suspension accounting spans the crash).
@@ -628,9 +586,6 @@ def _cmd_daemon(args) -> int:
         "control": daemon.control_path,
         "flight_dump": flight_path,
     }
-    if shard_id is not None:
-        endpoints["shard"] = shard_id
-        endpoints["shards"] = shard_count
     if daemon.metrics_server is not None:
         endpoints["metrics"] = daemon.metrics_server.url + "/metrics"
     if args.ready_file is not None:
@@ -649,150 +604,17 @@ def _cmd_daemon(args) -> int:
     return 0
 
 
-def _cmd_daemon_sharded(args) -> int:
-    """``repro daemon --shards N``: supervisor + router in the foreground."""
-    import tempfile
-
-    from repro.cluster.router import ShardEndpoint, ShardRouter
-    from repro.cluster.supervisor import ShardSupervisor
-
-    if args.journal_path is not None or args.recover:
-        # Sharded mode always journals, one file per shard under the base
-        # directory; a single shared journal path is a category error.
-        print(
-            "--shards manages one journal per shard under --base-dir; "
-            "--journal-path/--recover do not apply",
-            file=sys.stderr,
-        )
-        return 2
-    base_dir = args.base_dir or tempfile.mkdtemp(prefix="convgpu-shards-")
-    supervisor = ShardSupervisor(
-        args.shards,
-        base_dir=os.path.join(base_dir, "shards"),
-        codec=args.codec,
-        io_workers=args.io_workers,
-        total_memory_mib=args.total_memory,
-        policy=args.policy,
-        extra_args=tuple(
-            arg
-            for module in args.policy_plugins
-            for arg in ("--policy-plugin", module)
-        ),
-    )
-    supervisor.start()
-    try:
-        router = ShardRouter(
-            [
-                ShardEndpoint.from_ready(shard_id, supervisor.endpoints(shard_id))
-                for shard_id in range(args.shards)
-            ],
-            base_dir=os.path.join(base_dir, "router"),
-            codec=args.codec,
-            metrics_port=None if args.no_metrics else args.metrics_port,
-        )
-        router.start()
-    except Exception:
-        supervisor.stop()
-        raise
-    # A restarted shard's endpoints reach the router (its metrics URL may
-    # change); the supervisor reads this attribute per restart.
-    supervisor.on_restart = router.refresh_shard
-
-    endpoints = {
-        "pid": os.getpid(),
-        "codec": args.codec,
-        "base_dir": base_dir,
-        "control": router.control_path,
-        "shards": args.shards,
-        "shard_endpoints": {
-            str(shard_id): supervisor.endpoints(shard_id)
-            for shard_id in range(args.shards)
-        },
-    }
-    if router.metrics_server is not None:
-        endpoints["metrics"] = router.metrics_server.url + "/metrics"
-    if args.ready_file is not None:
-        staging = args.ready_file + ".tmp"
-        with open(staging, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(endpoints) + "\n")
-        os.replace(staging, args.ready_file)
-    print(f"router serving: {json.dumps(endpoints)}", flush=True)
-
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    stop.wait()
-    router.stop()
-    supervisor.stop()
-    return 0
-
-
-def _resolve_journals(target: str) -> list[str]:
-    """One journal path, or every per-shard journal of a directory/glob."""
-    import glob as globmod
-
-    if os.path.isdir(target):
-        return sorted(globmod.glob(os.path.join(target, "*.journal")))
-    if any(ch in target for ch in "*?["):
-        return sorted(globmod.glob(target))
-    return [target]
-
-
-def _cmd_recover_many(args, journals: list[str]) -> int:
-    """Per-shard summary table for a sharded deployment's journal set."""
-    from repro.core.scheduler import inspect_journal
-
-    rows = []
-    failed = False
-    for path in journals:
-        summary, scheduler = inspect_journal(path)
-        meta = summary["meta"] or {}
-        if scheduler is None:
-            rows.append((os.path.basename(path), str(meta.get("policy")),
-                         str(summary["events"]), "-", "-", "-",
-                         f"CORRUPT: {summary['corrupt']}"))
-            failed = True
-            continue
-        containers = len(scheduler.containers())
-        status = "OK"
-        if not args.no_verify:
-            try:
-                scheduler.check_invariants()
-            except Exception as exc:
-                status = f"INVARIANT FAIL: {exc}"
-                failed = True
-        rows.append((
-            os.path.basename(path),
-            str(meta.get("policy")),
-            str(summary["events"]),
-            str(summary["snapshots"]),
-            str(summary["events_replayed"]),
-            str(containers),
-            status,
-        ))
-    print(
-        format_table(
-            ("journal", "policy", "events", "snapshots", "events replayed",
-             "containers", "status"),
-            rows,
-            title=f"shard journals ({len(journals)})",
-        )
-    )
-    return 1 if failed else 0
-
-
 def _cmd_recover(args) -> int:
     from repro.core.scheduler import format_snapshot, inspect_journal, snapshot
+    from repro.errors import JournalError
 
     _load_policy_plugins(args.policy_plugins)
-    journals = _resolve_journals(args.journal)
-    if not journals:
-        print(f"no journals match {args.journal!r}", file=sys.stderr)
+    try:
+        summary, scheduler = inspect_journal(args.journal)
+    except JournalError as exc:
+        # Missing, unreadable, or a directory: one line, not a traceback.
+        print(exc, file=sys.stderr)
         return 1
-    if len(journals) > 1:
-        return _cmd_recover_many(args, journals)
-    args.journal = journals[0]
-    summary, scheduler = inspect_journal(args.journal)
     meta = summary["meta"] or {}
     print(
         format_table(

@@ -5,9 +5,7 @@ spans them is *where a container goes*; everything after it is the
 per-device memory-safe scheduler, unchanged.  Both in-process drivers
 resolve that decision here — :class:`~repro.cluster.multigpu.
 MultiGpuScheduler` over the GPUs of one host, :class:`~repro.cluster.
-swarm.SwarmCluster` over whole simulated nodes — and the live sharded
-control plane (DESIGN.md §15) makes the ``hash`` choice with the same
-:class:`~repro.cluster.ring.HashRing`.
+swarm.SwarmCluster` over whole simulated nodes.
 
 A placement is a callable ``(pools, container_id, limit) -> index | None``
 over any sequence whose items expose ``.unreserved`` and
@@ -17,14 +15,10 @@ over any sequence whose items expose ``.unreserved`` and
 - ``best-fit``    — the pool whose unreserved memory is the smallest that
   still fits the limit (binpack: keeps big pools free for big tenants);
 - ``round-robin`` — cycle across the pools that can fit the limit;
-- ``hash``        — consistent-hash the container id onto the pool set,
-  walking the ring to the first pool that fits, so a single-process
-  multi-GPU deployment and a sharded multi-daemon one agree on where a
-  container lives;
 - ``random``      — uniform choice among the pools that can fit the limit.
 
-Only ``hash`` reads the container id, but the id is part of the contract
-so a stateful placement can be deterministic per tenant.
+No built-in placement reads the container id, but the id is part of the
+contract so a stateful placement can be deterministic per tenant.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.cluster.ring import HashRing
 from repro.errors import ClusterError
 
 __all__ = ["PLACEMENT_POLICIES", "make_placement"]
@@ -90,29 +83,6 @@ class _RoundRobin:
         return None
 
 
-class _PlaceHash:
-    """Consistent-hash placement: ring-walk to the first pool that fits.
-
-    The ring is built lazily on first use (the pool count is only known
-    then) and is the same construction the shard router uses, so
-    ``hash``-placed ordinals equal the router's shard assignments for the
-    same container ids and pool count.
-    """
-
-    def __init__(self) -> None:
-        self._ring = HashRing()
-
-    def __call__(
-        self, pools: Sequence[Any], container_id: str, limit: int
-    ) -> int | None:
-        if len(self._ring) != len(pools):
-            self._ring = HashRing(range(len(pools)))
-        for ordinal in self._ring.preference(container_id):
-            if limit <= pools[ordinal].total_memory:
-                return ordinal
-        return None
-
-
 class _PlaceRandom:
     def __init__(self, rng: np.random.Generator | None) -> None:
         self._rng = rng if rng is not None else np.random.default_rng(0)
@@ -126,13 +96,12 @@ class _PlaceRandom:
         return fitting[int(self._rng.integers(0, len(fitting)))]
 
 
-#: name -> ``factory(rng) -> placement``.  A factory, because ``round-robin``,
-#: ``hash`` and ``random`` carry per-driver state; only ``random`` reads ``rng``.
+#: name -> ``factory(rng) -> placement``.  A factory, because ``round-robin``
+#: and ``random`` carry per-driver state; only ``random`` reads ``rng``.
 PLACEMENT_POLICIES: dict[str, Callable[[np.random.Generator | None], Placement]] = {
     "most-free": lambda rng: place_most_free,
     "best-fit": lambda rng: place_best_fit,
     "round-robin": lambda rng: _RoundRobin(),
-    "hash": lambda rng: _PlaceHash(),
     "random": _PlaceRandom,
 }
 

@@ -18,9 +18,9 @@ Dispatch happens at submission, before the container's nvidia-docker
 registration on the chosen node; everything after that is the unmodified
 single-host stack.
 
-This is a simulation: the *live* multi-device deployment is the sharded
-control plane of DESIGN.md §15 (``repro daemon --shards``: one journalled
-daemon per device under a supervisor, behind the consistent-hash router).
+This is a simulation: the live deployment is one daemon per host
+(§III-D), and a host's several GPUs are served in process by
+:class:`~repro.cluster.multigpu.MultiGpuScheduler` (DESIGN.md §15).
 """
 
 from __future__ import annotations

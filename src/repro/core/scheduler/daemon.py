@@ -62,6 +62,7 @@ __all__ = [
     "require_positive",
 ]
 
+_LOG = get_logger("daemon")
 _REC = RECORDER
 _EV_START = RECORDER.declare("daemon.start", a="containers")
 _EV_STOP = RECORDER.declare("daemon.stop")
@@ -97,6 +98,10 @@ _UNRESERVED = REGISTRY.gauge(
 WRAPPER_SONAME = "libgpushare.so"
 #: Socket file name inside each container directory.
 CONTAINER_SOCKET_NAME = "convgpu.sock"
+#: Verbs only the host's control socket accepts.
+_CONTROL_VERBS = frozenset(
+    {protocol.MSG_REGISTER_CONTAINER, protocol.MSG_CONTAINER_EXIT}
+)
 
 
 def _container_dir_name(container_id: str) -> str:
@@ -112,15 +117,69 @@ def _container_dir_name(container_id: str) -> str:
     return hashlib.sha256(container_id.encode("utf-8")).hexdigest()[:12]
 
 
+class _ContainerHandler:
+    """Handler object for one container's socket: it speaks for that
+    container only (DESIGN.md §8).
+
+    The socket directory is mounted into exactly one container (§III-B),
+    so the socket *is* the tenant's identity.  A frame that names another
+    container, or a control verb (``register_container``,
+    ``container_exit``), is refused before the service sees it: a request
+    gets an error reply, a notification the ``notification_refused``
+    warning and no reply.  So one tenant can never touch another tenant's
+    record, and the heartbeat the service takes from every frame only ever
+    names the bound id.  The batch hooks forward to the service.
+    """
+
+    __slots__ = ("_service", "container_id")
+
+    def __init__(self, service: SchedulerService, container_id: str) -> None:
+        self._service = service
+        self.container_id = container_id
+
+    def __call__(self, message: dict[str, Any], reply_handle) -> Any:
+        if (
+            message.get("container_id") == self.container_id
+            and message["type"] not in _CONTROL_VERBS
+        ):
+            return self._service.handle(message, reply_handle)
+        return self._refuse(message)
+
+    def _refuse(self, message: dict[str, Any]) -> Any:
+        msg_type = message["type"]
+        if msg_type in _CONTROL_VERBS:
+            error = f"{msg_type!r} not accepted on a container socket"
+        else:
+            error = (
+                f"container socket of {self.container_id!r} does not speak "
+                f"for {message.get('container_id')!r}"
+            )
+        if msg_type in protocol.NOTIFICATION_TYPES:
+            _LOG.warning(
+                "notification_refused",
+                type=msg_type,
+                container_id=message.get("container_id", ""),
+                error=error,
+            )
+            return None
+        return protocol.make_error_reply(message, error)
+
+    def batch_begin(self) -> None:
+        self._service.batch_begin()
+
+    def batch_commit(self) -> None:
+        self._service.batch_commit()
+
+
 class _ControlHandler:
     """Handler object for the control socket.
 
     The servers' batch dispatcher discovers ``batch_begin``/``batch_commit``
     by attribute lookup on the handler; a bound method exposes neither, so
-    the daemon hands the servers handler *objects* — the service itself for
-    per-container sockets, and this thin wrapper (which forwards dispatch to
-    ``SchedulerDaemon._handle_control`` and the batch hooks to the service)
-    for the control socket.
+    the daemon hands the servers handler *objects* — a
+    :class:`_ContainerHandler` per container socket, and this thin wrapper
+    (which forwards dispatch to ``SchedulerDaemon._handle_control`` and the
+    batch hooks to the service) for the control socket.
 
     ``container_exit`` effect order (DESIGN.md §10): the batch's exits are
     torn down in :meth:`batch_commit`, *after* the service's commit made
@@ -200,14 +259,6 @@ class SchedulerDaemon:
             watchdog thread.
         watchdog_interval: seconds the shared I/O loop may go without an
             iteration before the watchdog declares a stall and dumps (> 0).
-        shard_id / shard_count: this daemon's identity in a sharded
-            control plane (DESIGN.md §15).  When set, every socket the
-            daemon serves announces ``shard``/``shards`` in its hello
-            reply, registration replies carry ``shard``, and ``/top.json``
-            rows are tagged — so the router (and any client) can verify
-            which shard actually answered.  ``None`` (the default) is the
-            unsharded daemon; its wire traffic is byte-identical to
-            pre-shard builds (golden traces pin this).
     """
 
     def __init__(
@@ -226,8 +277,6 @@ class SchedulerDaemon:
         tracer: Tracer | None = None,
         flight_dump: str | None = None,
         watchdog_interval: float = 5.0,
-        shard_id: int | None = None,
-        shard_count: int | None = None,
     ) -> None:
         if transport != "unix":
             raise SchedulerError(f"unknown transport {transport!r}")
@@ -235,12 +284,6 @@ class SchedulerDaemon:
             raise SchedulerError(f"unknown io backend {io!r}")
         if codec not in ("auto", protocol.CODEC_JSON):
             raise SchedulerError(f"unknown codec {codec!r}")
-        if (shard_id is None) != (shard_count is None):
-            raise SchedulerError("shard_id and shard_count go together")
-        if shard_id is not None and not 0 <= shard_id < (shard_count or 0):
-            raise SchedulerError(
-                f"shard_id {shard_id} out of range for {shard_count} shards"
-            )
         require_positive({
             "io_workers": io_workers,
             "reap_interval": reap_interval,
@@ -251,22 +294,11 @@ class SchedulerDaemon:
         self.monitor = monitor
         self.reap_interval = reap_interval
         self.tracer = tracer
-        self.shard_id = shard_id
-        self.shard_count = shard_count
-        #: Handshake identity merged into every hello reply this daemon's
-        #: sockets send (empty for the unsharded daemon — hello replies are
-        #: then byte-identical to pre-shard builds).
-        self.identity: dict[str, Any] = (
-            {"shard": shard_id, "shards": shard_count}
-            if shard_id is not None
-            else {}
-        )
         self.log = get_logger("daemon")
         self.service = SchedulerService(
             scheduler,
             heartbeat_sink=monitor.beat if monitor is not None else None,
             tracer=tracer,
-            shard_id=shard_id,
         )
         self.io_workers = io_workers
         self.codec = codec
@@ -361,7 +393,6 @@ class SchedulerDaemon:
             self._control_handler,
             loop=self._io_loop,
             codec=self.codec,
-            identity=self.identity,
         )
         self._control_server.start()
         # Recovery: every container restored open from the journal gets its
@@ -447,11 +478,11 @@ class SchedulerDaemon:
             self.metrics_server.stop()
             self.metrics_server = None
         # A dead process's collector dies with it; the in-process analogue
-        # must do the same.  Without this, every shard restart in one
-        # process (recover() builds a new daemon, each __init__ registers a
-        # collector, and the supervisor keeps the old daemon referenced)
-        # stacks collectors whose stale schedulers re-publish gauge rows —
-        # the metrics double-counting bug.  Idempotent, so stop() calling
+        # must do the same.  Without this, every kill-then-recover cycle in
+        # one process (recover() builds a new daemon, each __init__
+        # registers a collector, and a caller may keep the old daemon
+        # referenced) stacks collectors whose stale schedulers re-publish
+        # gauge rows — the metrics double-counting bug.  Idempotent, so stop() calling
         # kill() twice is fine; start() re-registers for an in-process
         # kill-then-start of the *same* daemon object.
         REGISTRY.remove_collector(self._collector)
@@ -535,14 +566,11 @@ class SchedulerDaemon:
         with open(os.path.join(directory, WRAPPER_SONAME), "w", encoding="utf-8") as fh:
             fh.write(f"ConVGPU wrapper module for container {container_id}\n")
         # (UnixSocketServer.start unlinks a stale socket left by a crash.)
-        # The service *object* (not its bound .handle) goes in so the
-        # batch dispatcher finds the batch_begin/batch_commit hooks.
         server = UnixSocketServer(
             os.path.join(directory, CONTAINER_SOCKET_NAME),
-            self.service,
+            _ContainerHandler(self.service, container_id),
             loop=self._io_loop,
             codec=self.codec,
-            identity=self.identity,
         )
         server.start()
         self._container_servers[container_id] = server
@@ -663,7 +691,6 @@ class SchedulerDaemon:
         for record in self.scheduler.containers():
             rows.append(
                 {
-                    **({"shard": self.shard_id} if self.shard_id is not None else {}),
                     "container": record.container_id,
                     "limit": record.limit,
                     "reserved": record.assigned,

@@ -61,16 +61,12 @@ class SchedulerService:
     every handled message — any traffic from a container is proof of life,
     so the liveness monitor piggybacks on the normal message flow and the
     explicit ``heartbeat`` notification only matters for idle containers.
+    The service trusts the id a message names; the daemon's per-container
+    sockets only pass it messages naming their own container.
 
     ``tracer`` (optional, off by default) records one server-side span per
     handled message, parented on the trace context the wrapper put on the
     wire — the daemon half of a wrapper→daemon trace.
-
-    ``shard_id`` (optional) is this service's identity in a sharded
-    control plane: every ``register_container`` reply then carries a
-    ``shard`` field, so the router (and a reconnecting wrapper) can check
-    that the consistent-hash ring and the daemon that actually answered
-    agree.  ``None`` keeps replies byte-identical to the unsharded wire.
     """
 
     def __init__(
@@ -79,12 +75,10 @@ class SchedulerService:
         *,
         heartbeat_sink: Callable[[str], None] | None = None,
         tracer: Tracer | None = None,
-        shard_id: int | None = None,
     ) -> None:
         self.scheduler = scheduler
         self.heartbeat_sink = heartbeat_sink
         self.tracer = tracer
-        self.shard_id = shard_id
         # Label resolution takes the family lock; cache the children so the
         # per-message cost is one dict get plus the bare inc()/observe().
         self._message_counts: dict[str, Any] = {}
@@ -166,9 +160,6 @@ class SchedulerService:
     # -- per-message handlers --------------------------------------------
 
     def _on_register_container(self, message: dict[str, Any], reply_handle) -> Any:
-        # Registration replies carry the shard identity (when sharded) —
-        # the handshake field the router checks against its hash ring.
-        identity = {} if self.shard_id is None else {"shard": self.shard_id}
         try:
             result = self.scheduler.register_container(
                 message["container_id"], message["limit"]
@@ -189,7 +180,6 @@ class SchedulerService:
                 assigned=record.assigned,
                 limit=record.limit,
                 reattached=True,
-                **identity,
             )
         if isinstance(result, tuple):
             # Multi-GPU scheduler: placement decided at registration; the
@@ -200,11 +190,10 @@ class SchedulerService:
                 assigned=record.assigned,
                 limit=record.limit,
                 device=ordinal,
-                **identity,
             )
         record = result
         return protocol.make_reply(
-            message, assigned=record.assigned, limit=record.limit, **identity
+            message, assigned=record.assigned, limit=record.limit
         )
 
     def _on_container_exit(self, message: dict[str, Any], reply_handle) -> Any:

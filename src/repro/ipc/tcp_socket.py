@@ -50,9 +50,8 @@ class TcpSocketServer(_BaseSocketServer):
         *,
         loop: IoLoop | None = None,
         codec: str = "auto",
-        identity: dict | None = None,
     ) -> None:
-        super().__init__(handler, loop=loop, codec=codec, identity=identity)
+        super().__init__(handler, loop=loop, codec=codec)
         self.host = host
         self.port = port  # 0 = ephemeral; actual port published after start()
 

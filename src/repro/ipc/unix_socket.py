@@ -236,17 +236,11 @@ class _BaseSocketServer:
         *,
         loop: IoLoop | None = None,
         codec: str = "auto",
-        identity: Mapping[str, Any] | None = None,
     ) -> None:
         if codec not in ("auto", protocol.CODEC_JSON):
             raise TransportError(f"unknown codec {codec!r}")
         self.handler = handler
         self.codec = codec
-        #: Extra fields merged into every hello reply (shard identity in the
-        #: sharded control plane; empty keeps the handshake byte-identical
-        #: to pre-shard builds).  The hello reply is always JSON, so any
-        #: JSON-able mapping works without a schema change.
-        self._identity: dict[str, Any] = dict(identity or {})
         #: Codecs this server will agree to in the hello handshake.  JSON is
         #: always offered (the protocol floor); ``codec="json"`` yields a
         #: JSON-only server, the "old peer" of the downgrade rule.
@@ -546,11 +540,7 @@ class _BaseSocketServer:
             # batch's remaining frames — a pipelining client may follow its
             # hello with binary frames optimistically.
             chosen = protocol.negotiate_codec(message["codecs"], self._supported)
-            out.append(
-                protocol.encode(
-                    protocol.make_reply(message, codec=chosen, **self._identity)
-                )
-            )
+            out.append(protocol.encode(protocol.make_reply(message, codec=chosen)))
             ctx.codec = chosen
             _REC.record(_EV_HELLO, s=chosen)
             return
@@ -615,9 +605,8 @@ class UnixSocketServer(_BaseSocketServer):
         *,
         loop: IoLoop | None = None,
         codec: str = "auto",
-        identity: Mapping[str, Any] | None = None,
     ) -> None:
-        super().__init__(handler, loop=loop, codec=codec, identity=identity)
+        super().__init__(handler, loop=loop, codec=codec)
         self.path = path
 
     def _make_listener(self) -> socket.socket:
@@ -655,10 +644,6 @@ class _BaseSocketClient:
         self._seq = 0
         self._lock = threading.Lock()
         self.codec = protocol.CODEC_JSON
-        #: Extra fields the server attached to its hello reply (shard
-        #: identity in the sharded control plane); empty on JSON-pinned
-        #: connections (no handshake) and against pre-shard servers.
-        self.server_identity: dict[str, Any] = {}
 
     def _init_stream(self, codec: str) -> None:
         if codec not in ("auto", protocol.CODEC_JSON):
@@ -700,11 +685,6 @@ class _BaseSocketClient:
                 and chosen in protocol.SUPPORTED_CODECS
             ):
                 self.codec = chosen
-                self.server_identity = {
-                    key: value
-                    for key, value in reply.items()
-                    if key not in ("type", "seq", "status", "codec")
-                }
             # Anything else — an error reply from a JSON-only peer (possibly
             # with seq 0), an unknown codec name — downgrades to JSON; the
             # legacy peer answered exactly one frame, so the stream is back

@@ -28,8 +28,6 @@ __all__ = [
     "snapshot_json",
     "JsonlSink",
     "parse_prometheus",
-    "relabel_prometheus",
-    "merge_prometheus",
 ]
 
 
@@ -86,62 +84,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 lines.append(
                     f"{family.name}{labels} {_format_value(sample['value'])}"
                 )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def relabel_prometheus(text: str, labels: dict[str, str]) -> str:
-    """Inject constant labels into every sample line of a text-format scrape.
-
-    ``name{a="b"} 1`` becomes ``name{shard="0",a="b"} 1`` and ``name 1``
-    becomes ``name{shard="0"} 1``; comment (``# HELP``/``# TYPE``) and
-    blank lines pass through untouched.  This is how the shard router
-    distinguishes the N shards' identically-named series in one merged
-    ``/metrics`` body.
-    """
-    if not labels:
-        return text
-    injected = ",".join(
-        f'{name}="{_escape_label(value)}"' for name, value in labels.items()
-    )
-    lines: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            lines.append(line)
-            continue
-        if "{" in line:
-            name, rest = line.split("{", 1)
-            lines.append(f"{name}{{{injected},{rest}")
-        else:
-            name, _, value_part = line.partition(" ")
-            lines.append(f"{name}{{{injected}}} {value_part}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def merge_prometheus(parts: list[tuple[dict[str, str], str]]) -> str:
-    """Merge several text-format scrapes into one exposition.
-
-    Each part is ``(extra_labels, text)``; samples get the extra labels
-    injected (:func:`relabel_prometheus`) and the first ``# HELP`` /
-    ``# TYPE`` line per family wins — Prometheus rejects duplicate
-    metadata, and the shard fleet's families are by construction the same
-    metric on every shard.
-    """
-    seen_meta: set[tuple[str, str]] = set()
-    lines: list[str] = []
-    for labels, text in parts:
-        for line in relabel_prometheus(text, labels).splitlines():
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                fields = stripped.split(None, 3)
-                if len(fields) >= 3 and fields[1] in ("HELP", "TYPE"):
-                    key = (fields[1], fields[2])
-                    if key in seen_meta:
-                        continue
-                    seen_meta.add(key)
-                lines.append(line)
-            elif stripped:
-                lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

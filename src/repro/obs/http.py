@@ -44,10 +44,6 @@ class MetricsServer:
             rows served at ``/top.json`` (absent -> endpoint returns 404).
         flight_source: zero-arg callable returning the flight-recorder dump
             as JSONL text, served at ``/flight.jsonl`` (absent -> 404).
-        text_source: zero-arg callable producing the ``/metrics`` body
-            instead of rendering ``registry`` — the shard router passes its
-            fleet-wide aggregation here (``/metrics.json`` still serves the
-            local registry).
     """
 
     def __init__(
@@ -58,14 +54,12 @@ class MetricsServer:
         port: int = 0,
         top_source: Callable[[], Any] | None = None,
         flight_source: Callable[[], str] | None = None,
-        text_source: Callable[[], str] | None = None,
     ) -> None:
         self.registry = registry if registry is not None else REGISTRY
         self.host = host
         self.port = port
         self.top_source = top_source
         self.flight_source = flight_source
-        self.text_source = text_source
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
         #: Requests served per path (self-observability).
@@ -125,10 +119,7 @@ class MetricsServer:
             self.requests_served[path] = self.requests_served.get(path, 0) + 1
         try:
             if path == "/metrics":
-                if self.text_source is not None:
-                    body = self.text_source().encode("utf-8")
-                else:
-                    body = render_prometheus(self.registry).encode("utf-8")
+                body = render_prometheus(self.registry).encode("utf-8")
                 content_type = PROMETHEUS_CONTENT_TYPE
             elif path == "/metrics.json":
                 body = snapshot_json(self.registry).encode("utf-8")

@@ -501,8 +501,8 @@ def test_lock_order_sees_call_into_acquiring_method(lint):
 
 
 def test_lock_order_flags_acquisition_under_leaf_lock(lint):
-    # _ring_lock is declared a leaf: taking anything while holding it is
-    # a finding on its own, no cycle needed.
+    # _ring_lock is declared a leaf here: taking anything while holding it
+    # is a finding on its own, no cycle needed.
     findings = lint(
         {
             "ring.py": """\
@@ -520,6 +520,7 @@ def test_lock_order_flags_acquisition_under_leaf_lock(lint):
             """
         },
         lock_module_suffixes=("ring.py",),
+        lock_leaf_attrs=frozenset({"_ring_lock"}),
     )
     assert rules_of(findings) == ["lock-order"]
     assert "leaf lock Ring._ring_lock" in findings[0].message
@@ -549,6 +550,7 @@ def test_lock_order_accepts_leaf_lock_as_innermost(lint):
             """
         },
         lock_module_suffixes=("ring.py",),
+        lock_leaf_attrs=frozenset({"_ring_lock"}),
     )
     assert findings == []
 

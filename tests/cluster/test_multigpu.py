@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.multigpu import PLACEMENT_POLICIES, MultiGpuScheduler
-from repro.cluster.ring import HashRing
 from repro.core.middleware import ConVGPU
 from repro.errors import ClusterError, LimitExceededError, UnknownContainerError
 from repro.gpu.device import DeviceRegistry, GpuDevice
@@ -78,22 +77,6 @@ class TestPlacement:
         with pytest.raises(LimitExceededError):
             cluster.register_container("xxl", 2 * GiB)
 
-    def test_hash_agrees_with_the_shard_router_ring(self):
-        cluster = MultiGpuScheduler(registry(GiB, GiB, GiB), placement="hash")
-        ring = HashRing(range(3))
-        ids = [f"tenant-{i}" for i in range(12)]
-        ordinals = [cluster.register_container(cid, 64 * MiB)[0] for cid in ids]
-        assert ordinals == [ring.shard_of(cid) for cid in ids]
-        assert len(set(ordinals)) > 1  # the ids do not all hash to one device
-
-    def test_hash_walks_on_past_a_too_small_device(self):
-        sizes = [4 * GiB, 4 * GiB, 4 * GiB]
-        ring = HashRing(range(3))
-        owner, fallback = list(ring.preference("tenant-0"))[:2]
-        sizes[owner] = GiB  # the hash-preferred device cannot hold the limit
-        cluster = MultiGpuScheduler(registry(*sizes), placement="hash")
-        assert cluster.register_container("tenant-0", 2 * GiB)[0] == fallback
-
     def test_random_is_seeded_and_skips_too_small_devices(self):
         def ordinals():
             cluster = MultiGpuScheduler(
@@ -107,7 +90,7 @@ class TestPlacement:
 
     def test_all_policies_registered(self):
         assert set(PLACEMENT_POLICIES) == {
-            "most-free", "best-fit", "round-robin", "hash", "random",
+            "most-free", "best-fit", "round-robin", "random",
         }
 
 

@@ -446,7 +446,7 @@ class TestNumericOptions:
 
     @pytest.mark.parametrize(
         "flag",
-        ("--shards", "--io-workers", "--heartbeat-timeout",
+        ("--io-workers", "--heartbeat-timeout",
          "--reap-interval", "--watchdog-interval"),
     )
     def test_cli_refuses_before_touching_disk(

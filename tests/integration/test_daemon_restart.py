@@ -292,11 +292,8 @@ def test_recover_cli_inspects_journal_after_kill(tmp_path):
 
 
 @pytest.mark.integration
-@pytest.mark.parametrize(
-    "extra", [[], ["--shards", "1"]], ids=["unsharded", "sharded"]
-)
-def test_ready_file_names_unix_endpoints_only(tmp_path, extra):
-    """Both ready files (daemon and router) advertise AF_UNIX paths only."""
+def test_ready_file_names_unix_endpoints_only(tmp_path):
+    """The daemon's ready file advertises AF_UNIX paths only."""
     ready = tmp_path / "ready.json"
     proc = subprocess.Popen(
         [
@@ -304,7 +301,6 @@ def test_ready_file_names_unix_endpoints_only(tmp_path, extra):
             "--base-dir", str(tmp_path / "sockets"),
             "--no-metrics",
             "--ready-file", str(ready),
-            *extra,
         ],
         env=_env(), cwd=str(REPO_ROOT),
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
@@ -317,9 +313,7 @@ def test_ready_file_names_unix_endpoints_only(tmp_path, extra):
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=30)
     assert proc.returncode == 0, err
-    served = [endpoints, *endpoints.get("shard_endpoints", {}).values()]
-    for record in served:
-        assert not {"transport", "host", "port"} & set(record), record
+    assert not {"transport", "host", "port"} & set(endpoints), endpoints
 
 
 def _mem_info(client, container_id, pid):

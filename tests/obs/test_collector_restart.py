@@ -1,7 +1,8 @@
 """Regression: in-process daemon restart cycles must not stack collectors.
 
-The sharded supervisor path builds a *new* ``SchedulerDaemon`` object per
-recovery while keeping the old one referenced.  Before the fix, every
+An in-process ``kill()`` then ``SchedulerDaemon.recover`` cycle (what the
+fault-injection harness does) builds a *new* daemon object per recovery
+while the caller may keep the old one referenced.  Before the fix, every
 ``__init__`` registered a gauge collector and ``kill()`` never removed it,
 so each restart left one more collector behind whose stale scheduler
 re-published gauge rows at every scrape — the metrics double-counting bug.
@@ -59,8 +60,8 @@ def test_kill_recover_cycles_do_not_stack_collectors(tmp_path):
         assert reply["status"] == "ok"
     assert _registered([daemon]) == [True]
 
-    # Keep every dead incarnation referenced, exactly like the supervisor
-    # keeps its slots: garbage collection must not be what saves us.
+    # Keep every dead incarnation referenced, as a restart harness may:
+    # garbage collection must not be what saves us.
     incarnations = [daemon]
     for _ in range(3):
         incarnations[-1].kill()

@@ -1,11 +1,10 @@
 """The serving closure (DESIGN.md §11): what a scheduler process imports.
 
-A daemon, a shard, the ``--shards`` router and supervisor, and ``repro
-recover`` import only the serving path: the scheduler core, the journal,
-the IPC stack and the observability they serve.  None of them loads the
-simulator, the simulated GPU/CUDA/container stack, the figure harness or
-numpy; numpy comes in only with the Rand policy's RNG and ``http.server``
-only with a metrics port.  Each check runs in a fresh interpreter, since
+A daemon and ``repro recover`` import only the serving path: the
+scheduler core, the journal, the IPC stack and the observability they
+serve.  Neither loads the simulator, the simulated GPU/CUDA/container
+stack, the figure harness or numpy; numpy comes in only with the Rand
+policy's RNG and ``http.server`` only with a metrics port.  Each check runs in a fresh interpreter, since
 this test process has loaded everything.
 
 The public names of ``repro`` and ``repro.cluster`` resolve lazily (PEP
@@ -160,12 +159,6 @@ class TestServingClosure:
         assert proc.returncode == 0, stderr
         modules = _importtime_modules(stderr)
         assert "repro.core.scheduler.daemon" in modules
-        assert _forbidden(modules) == []
-
-    def test_router_and_supervisor_imports(self):
-        modules = _script_modules(
-            "import repro.cluster.router, repro.cluster.supervisor"
-        )
         assert _forbidden(modules) == []
 
     def test_repro_recover(self, tmp_path):
