@@ -1,11 +1,12 @@
 """reprolint: AST-based invariant checks for the ConVGPU reproduction.
 
 The scheduler's architecture rests on contracts that ordinary tests only
-catch when a test happens to drive the bad interleaving: the transition
-core stays pure, nothing blocking runs under the scheduler lock, the
-selector thread never blocks, the wire protocol and metric names have one
-source of truth.  This package checks those contracts statically — every
-rule here encodes an invariant stated in DESIGN.md §§8–12.
+catch when a test happens to drive the bad interleaving: nothing blocking
+runs under the scheduler lock, the selector thread never blocks, the
+wire protocol has one source of truth.  This package checks those
+contracts statically — every rule here encodes an invariant stated in
+DESIGN.md §§8–12, and keeps its place by killing a row of the §12 kill
+matrix that nothing else kills.
 
 Dependency-free by design (stdlib ``ast`` only) so `repro lint` runs in
 any environment the daemon runs in, including CI images without dev
@@ -14,8 +15,8 @@ extras.  A finding is either fixed or suppressed inline with
 Entry points:
 
 - :func:`analyze_paths` — run every registered rule over a file tree;
-- :class:`LintConfig` — the knobs (module scopes, blocking-call sets,
-  lock aliases); tests override fields with :func:`dataclasses.replace`;
+- :class:`LintConfig` — the knobs (module scopes, blocking-call sets);
+  tests override fields with :func:`dataclasses.replace`;
 - ``python -m repro lint [paths] [--format text|sarif]`` — the CLI.
 """
 

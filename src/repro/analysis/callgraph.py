@@ -28,7 +28,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.analysis.core import Context, SourceFile, dotted_name, walk_shallow
+from repro.analysis.core import Context, SourceFile, dotted_name
 
 __all__ = [
     "CallGraph",
@@ -89,10 +89,10 @@ class _ModuleIndex:
         self.imported_symbols: dict[str, tuple[str, str]] = {}
         #: class name -> base class names (local identifiers only).
         self.class_bases: dict[str, list[str]] = {}
-        self._scan_imports(source.tree)
+        self._scan_imports(source)
 
-    def _scan_imports(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
+    def _scan_imports(self, source: SourceFile) -> None:
+        for node in source.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -160,12 +160,9 @@ class CallGraph:
         """Resolve every call edge; call once after all sources are added."""
         for info in self.functions.values():
             index = self._modules[info.key.module]
-            live = {
-                id(n) for n in walk_shallow(info.node) if isinstance(n, ast.Call)
-            }
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
+            calls, live_calls = info.source.calls_in(info.node)
+            live = set(map(id, live_calls))
+            for node in calls:
                 callee = self._resolve_call(node, info.key, index)
                 if callee is not None:
                     info.calls.append((node, callee))
@@ -253,12 +250,11 @@ class CallGraph:
             return cached, self._direct_cache[blocking]
         direct: dict[FuncKey, str] = {}
         for key, info in self.functions.items():
-            for node in walk_shallow(info.node):
-                if isinstance(node, ast.Call):
-                    name = dotted_name(node.func)
-                    if name is not None and name.split(".")[-1] in blocking:
-                        direct[key] = name.split(".")[-1]
-                        break
+            for node in info.source.calls_in(info.node)[1]:
+                name = dotted_name(node.func)
+                if name is not None and name.split(".")[-1] in blocking:
+                    direct[key] = name.split(".")[-1]
+                    break
         reverse: dict[FuncKey, list[FuncKey]] = {}
         for key, info in self.functions.items():
             for callee in info.live_calls:

@@ -31,43 +31,10 @@ class LintConfig:
     #: walks follow (1 = only the called function's own body).
     callgraph_max_depth: int = 6
 
-    # -- purity (DESIGN.md §11: the transition core is pure) ---------------
-    #: Modules that may not import/call I/O, time, threads or RNGs, and may
-    #: not mutate module globals.
+    # -- state-escape (DESIGN.md §11: the transition core is pure) ---------
+    #: Modules whose classes may not hand out live mutable state.
     pure_module_suffixes: tuple[str, ...] = field(
         default_factory=lambda: _tuple("repro/core/scheduler/state.py")
-    )
-    #: Modules whose import alone makes code effectful/nondeterministic.
-    pure_forbidden_modules: frozenset[str] = frozenset(
-        {
-            "io",
-            "os",
-            "pathlib",
-            "random",
-            "secrets",
-            "selectors",
-            "shutil",
-            "socket",
-            "subprocess",
-            "sys",
-            "tempfile",
-            "threading",
-            "time",
-        }
-    )
-    #: Builtins that perform I/O.
-    pure_forbidden_calls: frozenset[str] = frozenset(
-        {"open", "print", "input", "exec", "eval", "__import__"}
-    )
-    #: Dotted-call prefixes that smuggle in a non-injected RNG.
-    pure_forbidden_prefixes: tuple[str, ...] = field(
-        default_factory=lambda: _tuple("np.random.", "numpy.random.")
-    )
-    #: Base class marking scheduling policies; their ``make_index``/
-    #: ``select`` must stay effect-free except the injected ``self._rng``.
-    policy_base_classes: frozenset[str] = frozenset({"SchedulingPolicy"})
-    policy_pure_methods: tuple[str, ...] = field(
-        default_factory=lambda: _tuple("make_index", "select")
     )
 
     # -- lock discipline (DESIGN.md §11: no I/O or callbacks under the lock)
@@ -120,18 +87,6 @@ class LintConfig:
     #: never exempt, which is the invariant those rules protect.
     lock_io_exempt_attrs: frozenset[str] = frozenset({"_io_lock"})
 
-    # -- lock ordering (journal docstring: scheduler lock, then _cond) -----
-    #: Cross-object receivers resolved to their class for graph nodes,
-    #: e.g. ``scheduler._lock`` inside the journal.
-    lock_class_aliases: dict[str, str] = field(
-        default_factory=lambda: {"scheduler": "GpuMemoryScheduler"}
-    )
-    #: Lock attributes declared *leaf*: nothing — no other lock, no
-    #: blocking call — may be acquired while one is held.  None is
-    #: declared today; a lock consulted on a hot path under another
-    #: component's lock is the case for one.
-    lock_leaf_attrs: frozenset[str] = frozenset()
-
     # -- loop-thread safety (DESIGN.md §10: the selector thread never blocks)
     #: suffix -> {class name -> selector-thread entry-point methods}.
     loop_entry_points: dict[str, dict[str, tuple[str, ...]]] = field(
@@ -171,12 +126,6 @@ class LintConfig:
         }
     )
 
-    # -- thread inventory (DESIGN.md §16: the set of threads is closed) ----
-    #: The doc holding the declared-threads table (between the
-    #: ``declared-threads:begin/end`` markers); ``None`` disables the
-    #: thread-spawn rule.  Resolved against the repo root unless absolute.
-    threads_doc_path: str | None = "DESIGN.md"
-
     # -- protocol drift (docs/PROTOCOL.md: one schema module) --------------
     #: The schema module: ``MSG_*`` constants + ``REQUEST_FIELDS`` +
     #: ``TRACE_FIELDS``.  Resolved against the repo root unless absolute.
@@ -190,16 +139,7 @@ class LintConfig:
     #: (``None`` disables the doc check).
     protocol_doc_path: str | None = "docs/PROTOCOL.md"
 
-    # -- observability hygiene ---------------------------------------------
-    #: Names treated as the process-global metrics registry.
-    metric_registry_names: frozenset[str] = frozenset({"REGISTRY"})
-    #: Naming convention for declared metrics.
-    metric_name_pattern: str = r"convgpu_[a-z0-9_]+"
-    #: Names treated as the process-global flight recorder (``RECORDER``
-    #: plus the per-module ``_REC`` alias the overhead benchmark stubs).
-    event_registry_names: frozenset[str] = frozenset({"RECORDER", "_REC"})
-    #: Naming convention for declared flight events (``subsystem.verb``).
-    event_name_pattern: str = r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+"
+    # -- swallowed exceptions ----------------------------------------------
     #: Modules where IpcDisconnected can fly: a broad handler that
     #: silently swallows it hides daemon/wrapper connectivity bugs.
     except_module_suffixes: tuple[str, ...] = field(

@@ -9,6 +9,7 @@ invariants themselves live in the sibling rule modules.
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import os
 import re
@@ -60,6 +61,7 @@ class SourceFile:
         self.text = text
         self.lines = text.splitlines()
         self.tree = ast.parse(text, filename=path)
+        self._calls: dict[int, tuple[list[ast.Call], list[ast.Call]]] = {}
         #: line number -> rule ids suppressed there ("*" = all).
         self.suppressions: dict[int, set[str]] = {}
         #: lines whose suppression carries no ``-- reason`` string.
@@ -72,6 +74,26 @@ class SourceFile:
             self.suppressions[lineno] = rules or {"*"}
             if match.group(2) is None:
                 self.unreasoned.add(lineno)
+
+    @functools.cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the module in ``ast.walk`` order, listed once: a
+        parsed file serves every rule of a run (and every run of the kill
+        matrix)."""
+        return list(ast.walk(self.tree))
+
+    def calls_in(self, node: ast.AST) -> tuple[list[ast.Call], list[ast.Call]]:
+        """The calls in ``node``'s subtree (``ast.walk`` order), and the
+        live ones among them, outside nested defs and lambdas
+        (:func:`walk_shallow` order).  Listed once per node."""
+        found = self._calls.get(id(node))
+        if found is None:
+            found = (
+                [n for n in ast.walk(node) if isinstance(n, ast.Call)],
+                [n for n in walk_shallow(node) if isinstance(n, ast.Call)],
+            )
+            self._calls[id(node)] = found
+        return found
 
     def matches(self, suffixes: Iterable[str]) -> bool:
         return any(self.rel.endswith(suffix) or f"/{suffix}" in f"/{self.rel}"

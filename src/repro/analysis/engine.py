@@ -8,39 +8,28 @@ from typing import Iterable, Sequence
 from repro.analysis.config import LintConfig
 from repro.analysis.core import Context, Finding, SourceFile, apply_suppressions
 from repro.analysis.locks import DoubleLockRule, LockDisciplineRule
-from repro.analysis.lockorder import LockOrderRule
 from repro.analysis.loopsafety import LoopBlockingRule
-from repro.analysis.obsrules import (
-    BareExceptRule,
-    EventDriftRule,
-    MetricDriftRule,
-    SwallowedExceptionRule,
-)
+from repro.analysis.obsrules import SwallowedExceptionRule
 from repro.analysis.protocolrules import ProtocolDriftRule
-from repro.analysis.purity import PurityRule
-from repro.analysis.structure import StateEscapeRule, ThreadSpawnRule
+from repro.analysis.structure import StateEscapeRule
 
 __all__ = [
     "DEFAULT_RULES",
     "analyze_paths",
     "collect_files",
     "find_root",
+    "load_sources",
+    "run_rules",
 ]
 
 #: Every registered rule, instantiated fresh per run (rules may keep
 #: cross-file state in ``Context.state``).
 DEFAULT_RULES = (
-    PurityRule,
     StateEscapeRule,
     LockDisciplineRule,
     DoubleLockRule,
-    LockOrderRule,
     LoopBlockingRule,
-    ThreadSpawnRule,
     ProtocolDriftRule,
-    MetricDriftRule,
-    EventDriftRule,
-    BareExceptRule,
     SwallowedExceptionRule,
 )
 
@@ -88,18 +77,26 @@ def analyze_paths(
     sorted by location.  Unparseable files yield a ``parse-error``
     finding instead of aborting the run."""
     config = config or LintConfig()
-    files = collect_files(paths)
     root = config.root or find_root(paths)
-    ctx = Context(config=config, root=root)
-    findings: list[Finding] = []
-    for path in files:
+    files, parse_errors = load_sources(paths, root)
+    return sorted(parse_errors + run_rules(files, config, root, rules=rules))
+
+
+def load_sources(
+    paths: Sequence[str], root: str
+) -> tuple[list[SourceFile], list[Finding]]:
+    """Parse every ``.py`` file under ``paths``: the parsed sources, and a
+    ``parse-error`` finding per file that does not parse."""
+    sources: list[SourceFile] = []
+    errors: list[Finding] = []
+    for path in collect_files(paths):
         rel = os.path.relpath(path, root).replace(os.sep, "/")
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
-            ctx.files.append(SourceFile(path, rel, text))
+            sources.append(SourceFile(path, rel, text))
         except SyntaxError as exc:
-            findings.append(
+            errors.append(
                 Finding(
                     path=rel,
                     line=exc.lineno or 1,
@@ -108,6 +105,20 @@ def analyze_paths(
                     message=f"file does not parse: {exc.msg}",
                 )
             )
+    return sources, errors
+
+
+def run_rules(
+    files: Sequence[SourceFile],
+    config: LintConfig,
+    root: str,
+    *,
+    rules: Iterable[type] | None = None,
+) -> list[Finding]:
+    """Run ``rules`` (default: every registered rule) over parsed sources;
+    returns the unsuppressed findings, sorted by location."""
+    ctx = Context(config=config, root=root, files=list(files))
+    findings: list[Finding] = []
     for rule_cls in rules or DEFAULT_RULES:
         rule = rule_cls()
         for source in ctx.files:

@@ -31,12 +31,7 @@ from repro.analysis.core import (
     walk_shallow,
 )
 
-__all__ = [
-    "DoubleLockRule",
-    "LockDisciplineRule",
-    "lock_attr_of",
-    "lock_withitems",
-]
+__all__ = ["DoubleLockRule", "LockDisciplineRule"]
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 

@@ -25,14 +25,7 @@ import ast
 from typing import Iterable, Iterator
 
 from repro.analysis.callgraph import CallGraph, FuncKey, callgraph_for
-from repro.analysis.core import (
-    Context,
-    Finding,
-    Rule,
-    SourceFile,
-    dotted_name,
-    walk_shallow,
-)
+from repro.analysis.core import Context, Finding, Rule, SourceFile, dotted_name
 
 __all__ = ["LoopBlockingRule", "terminal_blocking_site"]
 
@@ -44,11 +37,10 @@ def terminal_blocking_site(
     info = graph.functions.get(key)
     if info is None:
         return None
-    for node in walk_shallow(info.node):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name is not None and name.split(".")[-1] in blocking:
-                return info.source, node
+    for node in info.source.calls_in(info.node)[1]:
+        name = dotted_name(node.func)
+        if name is not None and name.split(".")[-1] in blocking:
+            return info.source, node
     return None
 
 
@@ -106,13 +98,10 @@ class LoopBlockingRule(Rule):
                     entries.append((f"{method.name}.<{node.name}>", method.name, node))
         for entry_name, owner, region in entries:
             owner_key = graph.key_for(source, cls.name, owner)
-            live = {
-                id(n) for n in walk_shallow(region) if isinstance(n, ast.Call)
-            }
+            live_calls = source.calls_in(region)[1]
+            live = set(map(id, live_calls))
             # Direct blocking calls in the entry region itself.
-            for node in walk_shallow(region):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in live_calls:
                 called = dotted_name(node.func)
                 if called is None:
                     continue

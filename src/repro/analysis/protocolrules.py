@@ -142,7 +142,7 @@ class ProtocolDriftRule(Rule):
         if source.rel == schema.rel:
             yield from self._check_schema_derivations(source)
             return
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if isinstance(node, ast.Attribute) and node.attr.startswith("MSG_"):
                 if node.attr not in schema.constants:
                     yield source.finding(
@@ -272,7 +272,7 @@ class ProtocolDriftRule(Rule):
     def _check_handlers(
         self, source: SourceFile, schema: SchemaInfo
     ) -> Iterable[Finding]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:

@@ -25,10 +25,10 @@ writes — that is reported as **san-race** at the racing write site.
 
 Lock acquisitions feed a second check: the proxies record every
 ``held -> acquired`` edge with the acquiring site, the edges are named
-``Class.attr`` via the creation-site index, and the union of this
-dynamic graph with the static ``lock-order`` graph must stay acyclic
-(**san-lock-order**).  Runtime edges see through the dynamic dispatch
-the static rule documents as its blind spot.
+``Class.attr`` via the creation-site index, and the graph of every edge
+observed must stay acyclic (**san-lock-order**).  Runtime edges see
+through dynamic dispatch: two threads taking the same pair of locks in
+opposite orders is a cycle whichever call chain took them.
 
 Reports are ordinary :class:`~repro.analysis.core.Finding` objects, so
 ``# reprolint: ignore[san-race] -- reason`` inline suppressions work
@@ -45,10 +45,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.analysis.config import LintConfig
-from repro.analysis.core import Context, Finding, SourceFile
+from repro.analysis.core import Finding
 from repro.analysis.engine import find_root
-from repro.analysis.lockorder import LockOrderRule, _find_cycle
 
 __all__ = [
     "DEFAULT_MONITORED",
@@ -208,9 +206,8 @@ class RaceReport:
 
 @dataclass(frozen=True)
 class LockOrderViolation:
-    """A runtime acquisition edge that breaks the static ordering DAG."""
+    """A runtime acquisition edge that closes a cycle of observed edges."""
 
-    kind: str  # "cycle" | "leaf"
     edge: tuple[str, str]
     path: str  # absolute file of the acquiring site ("" when unknown)
     line: int
@@ -412,10 +409,8 @@ class SanSession:
         self,
         monitored: Sequence[str] | None = None,
         *,
-        config: LintConfig | None = None,
         root: str | None = None,
     ) -> None:
-        self.config = config or LintConfig()
         self.root = os.path.abspath(
             root or find_root([os.path.dirname(os.path.abspath(__file__))])
         )
@@ -423,14 +418,12 @@ class SanSession:
         self._monitored: set[str] = set()
         self._write_sites: dict[str, dict] = {}
         self._lock_names: dict[str, dict[int, str]] = {}
-        self._sources: dict[str, str] = {}
         for rel in rels:
             path = rel if os.path.isabs(rel) else os.path.join(self.root, rel)
             path = os.path.abspath(path)
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
             self._monitored.add(path)
-            self._sources[path] = text
             self._write_sites[path] = index_write_sites(text)
             self._lock_names[path] = index_lock_names(text)
         self._mutex = threading.Lock()  # real: created before patching
@@ -643,59 +636,54 @@ class SanSession:
         )
         return report
 
-    def _static_edges(self) -> set[tuple[str, str]]:
-        """Acquisition edges the static lock-order rule extracts from the
-        monitored sources — the DAG runtime edges must agree with."""
-        rule = LockOrderRule()
-        ctx = Context(config=self.config, root=self.root)
-        for path, text in sorted(self._sources.items()):
-            try:
-                ctx.files.append(SourceFile(path, _rel(path, self.root), text))
-            except SyntaxError:
-                continue
-        for source in ctx.files:
-            list(rule.check_file(source, ctx))
-        state = ctx.state.get(LockOrderRule.id) or {}
-        return {(src, dst) for src, dst, _, _ in state.get("edges", ())}
-
     def _lock_order_violations(self) -> list[LockOrderViolation]:
-        violations: list[LockOrderViolation] = []
-        leaf_attrs = getattr(self.config, "lock_leaf_attrs", frozenset())
-        for (src, dst), site in sorted(self._edges.items()):
-            if src.rsplit(".", 1)[-1] in leaf_attrs:
-                violations.append(
-                    LockOrderViolation(
-                        kind="leaf", edge=(src, dst),
-                        path=site[0], line=site[1],
-                        detail=(
-                            f"{src} is a declared leaf lock "
-                            "(config.lock_leaf_attrs); nothing may be "
-                            "acquired while it is held"
-                        ),
-                    )
-                )
-        static = self._static_edges()
         graph: dict[str, dict[str, None]] = {}
-        for src, dst in static | set(self._edges):
+        for src, dst in self._edges:
             graph.setdefault(src, {})[dst] = None
         cycle = _find_cycle(graph)
-        if cycle is not None:
-            pairs = list(zip(cycle, cycle[1:]))
-            dynamic = [pair for pair in pairs if pair in self._edges]
-            if dynamic:
-                edge = dynamic[0]
-                site = self._edges[edge]
-                violations.append(
-                    LockOrderViolation(
-                        kind="cycle", edge=edge,
-                        path=site[0], line=site[1],
-                        detail=(
-                            "observed at runtime, it closes a cycle in the "
-                            "static acquisition graph: "
-                            + " -> ".join(cycle)
-                            + " — two threads taking these in opposite "
-                            "order deadlock"
-                        ),
-                    )
-                )
-        return violations
+        if cycle is None:
+            return []
+        edge = (cycle[0], cycle[1])
+        site = self._edges[edge]
+        return [
+            LockOrderViolation(
+                edge=edge,
+                path=site[0], line=site[1],
+                detail=(
+                    "it closes a cycle in the runtime acquisition graph: "
+                    + " -> ".join(cycle)
+                    + " — two threads taking these in opposite order "
+                    "deadlock"
+                ),
+            )
+        ]
+
+
+def _find_cycle(
+    graph: dict[str, dict[str, tuple]]
+) -> list[str] | None:
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {node: WHITE for node in graph}
+    stack: list[str] = []
+
+    def dfs(node: str) -> list[str] | None:
+        color[node] = GRAY
+        stack.append(node)
+        for nxt in graph.get(node, ()):
+            if color.get(nxt, WHITE) == GRAY:
+                return stack[stack.index(nxt):] + [nxt]
+            if color.get(nxt, WHITE) == WHITE:
+                color.setdefault(nxt, WHITE)
+                found = dfs(nxt)
+                if found is not None:
+                    return found
+        color[node] = BLACK
+        stack.pop()
+        return None
+
+    for node in list(graph):
+        if color.get(node, WHITE) == WHITE:
+            found = dfs(node)
+            if found is not None:
+                return found
+    return None

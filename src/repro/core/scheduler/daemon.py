@@ -117,6 +117,25 @@ def _container_dir_name(container_id: str) -> str:
     return hashlib.sha256(container_id.encode("utf-8")).hexdigest()[:12]
 
 
+def _refuse(message: dict[str, Any], error: str) -> Any:
+    """Turn ``message`` away without acting on it.
+
+    A request gets an error reply of its own type.  A notification gets no
+    reply (the transport sends none), so its only trace is one
+    ``notification_refused`` warning.
+    """
+    msg_type = message["type"]
+    if msg_type in protocol.NOTIFICATION_TYPES:
+        _LOG.warning(
+            "notification_refused",
+            type=msg_type,
+            container_id=message.get("container_id", ""),
+            error=error,
+        )
+        return None
+    return protocol.make_error_reply(message, error)
+
+
 class _ContainerHandler:
     """Handler object for one container's socket: it speaks for that
     container only (DESIGN.md §8).
@@ -148,21 +167,12 @@ class _ContainerHandler:
     def _refuse(self, message: dict[str, Any]) -> Any:
         msg_type = message["type"]
         if msg_type in _CONTROL_VERBS:
-            error = f"{msg_type!r} not accepted on a container socket"
-        else:
-            error = (
-                f"container socket of {self.container_id!r} does not speak "
-                f"for {message.get('container_id')!r}"
-            )
-        if msg_type in protocol.NOTIFICATION_TYPES:
-            _LOG.warning(
-                "notification_refused",
-                type=msg_type,
-                container_id=message.get("container_id", ""),
-                error=error,
-            )
-            return None
-        return protocol.make_error_reply(message, error)
+            return _refuse(message, f"{msg_type!r} not accepted on a container socket")
+        return _refuse(
+            message,
+            f"container socket of {self.container_id!r} does not speak "
+            f"for {message.get('container_id')!r}",
+        )
 
     def batch_begin(self) -> None:
         self._service.batch_begin()
@@ -553,9 +563,7 @@ class SchedulerDaemon:
             )
             return reply
         # Anything else on the control socket is a protocol misuse.
-        return protocol.make_error_reply(
-            message, f"{msg_type!r} not accepted on the control socket"
-        )
+        return _refuse(message, f"{msg_type!r} not accepted on the control socket")
 
     def _prepare_container_dir(self, container_id: str) -> str:
         """Create the container's directory, socket and wrapper copy (§III-D)."""

@@ -416,9 +416,7 @@ def register_policy(
     CLI reaches it via ``--policy NAME`` (load the defining module with
     ``--policy-plugin``).  Registered policies are held to the same
     contract as the built-ins — ``select`` is the pure ordering,
-    ``make_index`` may ship a custom :class:`CandidateIndex` — and
-    reprolint's ``purity`` rule applies to any ``SchedulingPolicy``
-    subclass it can see.
+    ``make_index`` may ship a custom :class:`CandidateIndex`.
 
     Returns the factory, so a module can register at import time::
 

@@ -47,6 +47,7 @@ from repro.errors import (
 from repro.ipc import protocol
 from repro.ipc.loop import IoLoop
 from repro.obs import stages as _stages
+from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 
@@ -91,6 +92,22 @@ COALESCED_BYTES = REGISTRY.histogram(
     labelnames=("transport",),
     buckets=(64, 128, 256, 512, 1024, 2048, 4096, 16384, 65536),
 )
+_LOG = get_logger("ipc")
+
+
+def _internal_error(message: Mapping[str, Any], exc: Exception) -> Any:
+    """A handler that raised: a request gets the error in-band.  A
+    notification gets no reply, so the error is logged instead."""
+    error = f"internal error: {exc}"
+    if message["type"] in protocol.NOTIFICATION_TYPES:
+        _LOG.warning(
+            "notification_failed",
+            type=message["type"],
+            container_id=message.get("container_id", ""),
+            error=error,
+        )
+        return None
+    return protocol.make_error_reply(message, error)
 
 
 def map_os_error(exc: OSError, context: str) -> TransportError:
@@ -550,7 +567,7 @@ class _BaseSocketServer:
             try:
                 result = self.handler(message, handle)
             except Exception as exc:
-                result = protocol.make_error_reply(message, f"internal error: {exc}")
+                result = _internal_error(message, exc)
             finally:
                 _stages.set_current(None)
             clock.mark_dispatch()
@@ -558,7 +575,7 @@ class _BaseSocketServer:
             try:
                 result = self.handler(message, handle)
             except Exception as exc:  # handler bug: report, don't kill the conn
-                result = protocol.make_error_reply(message, f"internal error: {exc}")
+                result = _internal_error(message, exc)
         rendered = False
         if (
             message["type"] not in protocol.NOTIFICATION_TYPES

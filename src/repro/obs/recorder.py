@@ -14,9 +14,8 @@ cost.  Design rules (DESIGN.md §13):
 * **Typed events, declared once.**  Every event type is declared at
   import time with :meth:`FlightRecorder.declare`, which returns the
   integer tag used by ``record()``.  The declaration names the payload
-  fields so dumps are self-describing, and ``reprolint event-drift``
-  enforces the declare-once / naming conventions statically, mirroring
-  ``metric-drift``.
+  fields so dumps are self-describing; an unknown slot or a conflicting
+  re-declaration raises at import.
 * **Bounded strings.**  Each ring interns its string payloads in a
   capped table; unbounded-cardinality strings (trace ids) must never be
   recorded — they go to the slow-trace buffer in ``repro.obs.stages``
@@ -266,9 +265,8 @@ class FlightRecorder:
         for fn in sections:
             try:
                 extra = list(fn())
-            # reprolint: ignore[swallowed-exception] -- a broken dump
-            # section must not abort a crash dump; the core timeline is
-            # still written and the section is simply absent.
+            # A broken dump section must not abort a crash dump: the core
+            # timeline is still written and the section is simply absent.
             except Exception:
                 continue
             lines.extend(json.dumps(e, sort_keys=True) for e in extra)

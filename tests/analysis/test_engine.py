@@ -12,13 +12,16 @@ from repro.analysis import find_root, render_text
 from repro.cli import main
 from tests.analysis.conftest import rules_of
 
-_BARE = """\
+#: A silent broad handler on an IPC path: one swallowed-exception finding
+#: (line 4) wherever the file sits under ``repro/ipc/``.
+_SILENT = """\
 def risky():
     try:
         return 1
-    except:{comment}
+    except Exception:{comment}
         return None
 """
+_MOD = "repro/ipc/mod.py"
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +30,8 @@ def risky():
 
 
 def test_suppression_on_the_finding_line(lint):
-    source = _BARE.format(comment="  # reprolint: ignore[bare-except] -- why")
-    assert lint({"mod.py": source}) == []
+    source = _SILENT.format(comment="  # reprolint: ignore[swallowed-exception] -- why")
+    assert lint({_MOD: source}) == []
 
 
 def test_suppression_in_comment_block_above(lint):
@@ -36,37 +39,37 @@ def test_suppression_in_comment_block_above(lint):
     def risky():
         try:
             return 1
-        # reprolint: ignore[bare-except] -- a reason that wraps
+        # reprolint: ignore[swallowed-exception] -- a reason that wraps
         # onto a second comment line before the handler.
-        except:
+        except Exception:
             return None
     """
-    assert lint({"mod.py": source}) == []
+    assert lint({_MOD: source}) == []
 
 
 def test_suppression_for_other_rule_does_not_apply(lint):
-    source = _BARE.format(comment="  # reprolint: ignore[purity] -- wrong id")
-    findings = lint({"mod.py": source})
-    assert rules_of(findings) == ["bare-except"]
+    source = _SILENT.format(comment="  # reprolint: ignore[lock-order] -- wrong id")
+    findings = lint({_MOD: source})
+    assert rules_of(findings) == ["swallowed-exception"]
 
 
 def test_suppression_without_rule_list_silences_everything(lint):
-    source = _BARE.format(comment="  # reprolint: ignore[] -- blanket")
-    assert lint({"mod.py": source}) == []
+    source = _SILENT.format(comment="  # reprolint: ignore[] -- blanket")
+    assert lint({_MOD: source}) == []
 
 
 def test_suppression_does_not_leak_past_code_lines(lint):
     # The comment block scan stops at the first non-comment line.
     source = """\
-    # reprolint: ignore[bare-except] -- too far away
+    # reprolint: ignore[swallowed-exception] -- too far away
     def risky():
         try:
             return 1
-        except:
+        except Exception:
             return None
     """
-    findings = lint({"mod.py": source})
-    assert rules_of(findings) == ["bare-except"]
+    findings = lint({_MOD: source})
+    assert rules_of(findings) == ["swallowed-exception"]
 
 
 def test_suppression_inside_a_string_literal_is_not_a_comment(lint):
@@ -76,10 +79,10 @@ def test_suppression_inside_a_string_literal_is_not_a_comment(lint):
     def risky():
         try:
             return 1
-        except: x = "# reprolint: ignore[bare-except] -- not a comment"
+        except Exception: "# reprolint: ignore[swallowed-exception] -- not a comment"
     """
-    findings = lint({"mod.py": source})
-    assert rules_of(findings) == ["bare-except"]
+    findings = lint({_MOD: source})
+    assert rules_of(findings) == ["swallowed-exception"]
 
 
 def test_suppression_in_a_docstring_is_not_a_comment():
@@ -87,12 +90,12 @@ def test_suppression_in_a_docstring_is_not_a_comment():
 
     text = '''def f():
     """
-    # reprolint: ignore[bare-except]
+    # reprolint: ignore[swallowed-exception]
     """
-    x = 1  # reprolint: ignore[purity]
+    x = 1  # reprolint: ignore[lock-order]
 '''
     source = SourceFile("mod.py", "mod.py", text)
-    assert source.suppressions == {5: {"purity"}}
+    assert source.suppressions == {5: {"lock-order"}}
     assert source.unreasoned == {5}
 
 
@@ -113,11 +116,11 @@ def test_unparseable_file_yields_parse_error_finding(lint):
 
 
 def test_reporters(lint):
-    findings = lint({"mod.py": _BARE.format(comment="")})
+    findings = lint({_MOD: _SILENT.format(comment="")})
     text = render_text(findings)
-    assert "mod.py:4" in text
-    assert "[bare-except]" in text
-    assert "1 finding(s): 1 bare-except" in text
+    assert f"{_MOD}:4" in text
+    assert "[swallowed-exception]" in text
+    assert "1 finding(s): 1 swallowed-exception" in text
     assert render_text([]) == "no findings"
 
 
@@ -135,16 +138,20 @@ def test_find_root_walks_up_to_pyproject(tmp_path):
 
 
 def _write(tmp_path, name, source):
+    """Write ``name`` under ``tmp_path``, made the repo root (the rules
+    scope by repo-relative path)."""
+    (tmp_path / "pyproject.toml").write_text("[project]\n")
     path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
     return str(path)
 
 
 def test_cli_exit_codes_and_text_output(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", _BARE.format(comment=""))
+    bad = _write(tmp_path, _MOD, _SILENT.format(comment=""))
     assert main(["lint", bad]) == 1
     out = capsys.readouterr().out
-    assert "[bare-except]" in out
+    assert "[swallowed-exception]" in out
 
     good = _write(tmp_path, "good.py", "X = 1\n")
     assert main(["lint", good]) == 0
@@ -174,21 +181,21 @@ def test_cli_missing_path_is_usage_error(tmp_path, capsys):
 def test_sarif_renderer_shape(lint):
     from repro.analysis import render_sarif
 
-    findings = lint({"mod.py": _BARE.format(comment="")})
+    findings = lint({_MOD: _SILENT.format(comment="")})
     payload = json.loads(render_sarif(findings, tool_name="reprolint"))
     assert payload["version"] == "2.1.0"
     run = payload["runs"][0]
     assert run["tool"]["driver"]["name"] == "reprolint"
-    assert run["tool"]["driver"]["rules"] == [{"id": "bare-except"}]
+    assert run["tool"]["driver"]["rules"] == [{"id": "swallowed-exception"}]
     result = run["results"][0]
-    assert result["ruleId"] == "bare-except"
+    assert result["ruleId"] == "swallowed-exception"
     location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "mod.py"
+    assert location["artifactLocation"]["uri"] == _MOD
     assert location["region"]["startLine"] == 4
 
 
 def test_cli_sarif_format(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", _BARE.format(comment=""))
+    bad = _write(tmp_path, _MOD, _SILENT.format(comment=""))
     assert main(["lint", "--format", "sarif", bad]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["runs"][0]["results"][0]["ruleId"] == "bare-except"
+    assert payload["runs"][0]["results"][0]["ruleId"] == "swallowed-exception"

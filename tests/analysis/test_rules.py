@@ -6,108 +6,6 @@ from __future__ import annotations
 from tests.analysis.conftest import rules_of
 
 # ---------------------------------------------------------------------------
-# purity
-# ---------------------------------------------------------------------------
-
-
-def test_purity_flags_effectful_pure_module(lint):
-    findings = lint(
-        {
-            "state.py": """\
-            import time
-
-            def now():
-                return time.time()
-            """
-        },
-        pure_module_suffixes=("state.py",),
-    )
-    assert rules_of(findings) == ["purity", "purity"]
-    assert "imports 'time'" in findings[0].message
-    assert "time.time()" in findings[1].message
-
-
-def test_purity_flags_global_mutation(lint):
-    findings = lint(
-        {
-            "state.py": """\
-            COUNT = 0
-
-            def bump():
-                global COUNT
-                COUNT += 1
-            """
-        },
-        pure_module_suffixes=("state.py",),
-    )
-    assert rules_of(findings) == ["purity"]
-    assert "module globals" in findings[0].message
-
-
-def test_purity_accepts_effect_free_module(lint):
-    findings = lint(
-        {
-            "state.py": """\
-            import math
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Record:
-                size: int
-
-            def scale(record, factor):
-                return Record(size=math.ceil(record.size * factor))
-            """
-        },
-        pure_module_suffixes=("state.py",),
-    )
-    assert findings == []
-
-
-def test_purity_flags_effectful_policy_select(lint):
-    findings = lint(
-        {
-            "policies.py": """\
-            import time
-
-            class SchedulingPolicy:
-                pass
-
-            class WallClockPolicy(SchedulingPolicy):
-                def select(self, candidates):
-                    tick = time.time()
-                    return candidates
-            """
-        }
-    )
-    assert rules_of(findings) == ["purity"]
-    assert "policy WallClockPolicy.select" in findings[0].message
-
-
-def test_purity_allows_injected_rng_and_helper_methods(lint):
-    # self.* reaches the injected RNG; methods outside make_index/select
-    # are not held to the purity contract.
-    findings = lint(
-        {
-            "policies.py": """\
-            import time
-
-            class SchedulingPolicy:
-                pass
-
-            class RandomPolicy(SchedulingPolicy):
-                def select(self, candidates):
-                    return self._rng.choice(candidates)
-
-                def debug_stamp(self):
-                    return time.time()
-            """
-        }
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # lock-discipline
 # ---------------------------------------------------------------------------
 
@@ -373,184 +271,6 @@ def test_double_lock_exempts_io_serialization_lock(lint):
             """
         },
         lock_module_suffixes=("mod.py",),
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# lock-order
-# ---------------------------------------------------------------------------
-
-
-def test_lock_order_flags_reversed_nesting(lint):
-    findings = lint(
-        {
-            "mod.py": """\
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self.a_lock = threading.Lock()
-                    self.b_lock = threading.Lock()
-
-                def forward(self):
-                    with self.a_lock:
-                        with self.b_lock:
-                            pass
-
-                def backward(self):
-                    with self.b_lock:
-                        with self.a_lock:
-                            pass
-            """
-        },
-        lock_module_suffixes=("mod.py",),
-    )
-    assert rules_of(findings) == ["lock-order"]
-    assert "cycle" in findings[0].message
-    assert "Pair.a_lock" in findings[0].message
-    assert "Pair.b_lock" in findings[0].message
-
-
-def test_lock_order_accepts_consistent_nesting(lint):
-    findings = lint(
-        {
-            "mod.py": """\
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self.a_lock = threading.Lock()
-                    self.b_lock = threading.Lock()
-
-                def forward(self):
-                    with self.a_lock:
-                        with self.b_lock:
-                            pass
-
-                def also_forward(self):
-                    with self.a_lock:
-                        with self.b_lock:
-                            pass
-            """
-        },
-        lock_module_suffixes=("mod.py",),
-    )
-    assert findings == []
-
-
-def test_lock_order_resolves_cross_class_aliases(lint):
-    # The journal contract: scheduler lock, then _cond.  A writer thread
-    # taking them in the opposite order closes the cycle through the
-    # ``scheduler`` alias (-> GpuMemoryScheduler).
-    findings = lint(
-        {
-            "journal.py": """\
-            import threading
-
-            class Journal:
-                def __init__(self):
-                    self._cond = threading.Condition()
-
-                def append(self, scheduler):
-                    with scheduler._lock:
-                        with self._cond:
-                            pass
-
-                def writer(self, scheduler):
-                    with self._cond:
-                        with scheduler._lock:
-                            pass
-            """
-        },
-        lock_module_suffixes=("journal.py",),
-    )
-    assert rules_of(findings) == ["lock-order"]
-    assert "GpuMemoryScheduler._lock" in findings[0].message
-    assert "Journal._cond" in findings[0].message
-
-
-def test_lock_order_sees_call_into_acquiring_method(lint):
-    findings = lint(
-        {
-            "mod.py": """\
-            import threading
-
-            class Pair:
-                def __init__(self):
-                    self.a_lock = threading.Lock()
-                    self.b_lock = threading.Lock()
-
-                def take_a(self):
-                    with self.a_lock:
-                        pass
-
-                def forward(self):
-                    with self.a_lock:
-                        with self.b_lock:
-                            pass
-
-                def backward(self):
-                    with self.b_lock:
-                        self.take_a()
-            """
-        },
-        lock_module_suffixes=("mod.py",),
-    )
-    assert rules_of(findings) == ["lock-order"]
-
-
-def test_lock_order_flags_acquisition_under_leaf_lock(lint):
-    # _ring_lock is declared a leaf here: taking anything while holding it
-    # is a finding on its own, no cycle needed.
-    findings = lint(
-        {
-            "ring.py": """\
-            import threading
-
-            class Ring:
-                def __init__(self):
-                    self._ring_lock = threading.Lock()
-                    self._table_lock = threading.Lock()
-
-                def rebalance(self):
-                    with self._ring_lock:
-                        with self._table_lock:
-                            pass
-            """
-        },
-        lock_module_suffixes=("ring.py",),
-        lock_leaf_attrs=frozenset({"_ring_lock"}),
-    )
-    assert rules_of(findings) == ["lock-order"]
-    assert "leaf lock Ring._ring_lock" in findings[0].message
-    assert "Ring._table_lock" in findings[0].message
-
-
-def test_lock_order_accepts_leaf_lock_as_innermost(lint):
-    # The legal direction: the leaf is taken last, nothing under it.
-    findings = lint(
-        {
-            "ring.py": """\
-            import threading
-
-            class Ring:
-                def __init__(self):
-                    self._ring_lock = threading.Lock()
-                    self._table_lock = threading.Lock()
-
-                def place(self):
-                    with self._table_lock:
-                        with self._ring_lock:
-                            pass
-
-                def lookup(self):
-                    with self._ring_lock:
-                        pass
-            """
-        },
-        lock_module_suffixes=("ring.py",),
-        lock_leaf_attrs=frozenset({"_ring_lock"}),
     )
     assert findings == []
 
@@ -844,57 +564,8 @@ def test_protocol_doc_drift_is_bidirectional(lint, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# metric-drift / bare-except / swallowed-exception
+# swallowed-exception
 # ---------------------------------------------------------------------------
-
-
-def test_metric_drift_flags_duplicate_declaration(lint):
-    findings = lint(
-        {
-            "a.py": 'X = REGISTRY.counter("convgpu_things_total", "help")\n',
-            "b.py": 'Y = REGISTRY.counter("convgpu_things_total", "help")\n',
-        }
-    )
-    assert rules_of(findings) == ["metric-drift"]
-    assert "more than once" in findings[0].message
-    assert findings[0].path == "b.py"
-
-
-def test_metric_drift_flags_undeclared_lookup(lint):
-    findings = lint({"a.py": 'V = REGISTRY.get("convgpu_ghost_total")\n'})
-    assert rules_of(findings) == ["metric-drift"]
-    assert "never" in findings[0].message
-
-
-def test_metric_drift_enforces_naming_convention(lint):
-    findings = lint({"a.py": 'X = REGISTRY.counter("requestCount", "help")\n'})
-    assert rules_of(findings) == ["metric-drift"]
-    assert "convention" in findings[0].message
-
-
-def test_metric_drift_quiet_on_declared_names(lint):
-    findings = lint(
-        {
-            "a.py": 'X = REGISTRY.counter("convgpu_things_total", "help")\n',
-            "b.py": 'V = REGISTRY.get("convgpu_things_total")\n',
-        }
-    )
-    assert findings == []
-
-
-def test_bare_except_flagged_everywhere(lint):
-    findings = lint(
-        {
-            "anywhere.py": """\
-            def risky():
-                try:
-                    return 1
-                except:
-                    return None
-            """
-        }
-    )
-    assert rules_of(findings) == ["bare-except"]
 
 
 def test_swallowed_exception_flags_silent_broad_handler(lint):
@@ -929,58 +600,6 @@ def test_swallowed_exception_accepts_logged_or_narrow_handlers(lint):
             """
         },
         except_module_suffixes=("mod.py",),
-    )
-    assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# event-drift
-# ---------------------------------------------------------------------------
-
-
-def test_event_drift_flags_duplicate_declaration(lint):
-    findings = lint(
-        {
-            "a.py": '_EV = RECORDER.declare("io.read", a="bytes")\n',
-            "b.py": '_EV = RECORDER.declare("io.read", a="bytes")\n',
-        }
-    )
-    assert rules_of(findings) == ["event-drift"]
-    assert "more than once" in findings[0].message
-    assert findings[0].path == "b.py"
-
-
-def test_event_drift_enforces_dotted_naming(lint):
-    findings = lint({"a.py": '_EV = RECORDER.declare("ReadEvent")\n'})
-    assert rules_of(findings) == ["event-drift"]
-    assert "convention" in findings[0].message
-
-
-def test_event_drift_flags_unknown_payload_slot(lint):
-    findings = lint(
-        {"a.py": '_EV = RECORDER.declare("io.read", bytes_read="bytes")\n'}
-    )
-    assert rules_of(findings) == ["event-drift"]
-    assert "'bytes_read'" in findings[0].message
-
-
-def test_event_drift_flags_string_literal_record(lint):
-    findings = lint({"a.py": '_REC.record("io.read", a=1)\n'})
-    assert rules_of(findings) == ["event-drift"]
-    assert "integer tag" in findings[0].message
-
-
-def test_event_drift_quiet_on_declared_tag_use(lint):
-    findings = lint(
-        {
-            "a.py": """\
-            _EV_READ = RECORDER.declare("io.read", a="fd", b="bytes")
-            _REC = RECORDER
-
-            def on_read(fd, n):
-                _REC.record(_EV_READ, a=fd, b=n)
-            """
-        }
     )
     assert findings == []
 
@@ -1065,125 +684,3 @@ def test_state_escape_scoped_to_pure_modules(lint):
         pure_module_suffixes=("state.py",),
     )
     assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# thread-spawn
-# ---------------------------------------------------------------------------
-
-_THREADS_DOC = """\
-## Declared threads
-
-<!-- declared-threads:begin -->
-
-| thread | spawned in | target | purpose |
-|---|---|---|---|
-| worker | `mod.py` | `_run` | test fixture |
-
-<!-- declared-threads:end -->
-"""
-
-
-def _write_doc(tmp_path, text=_THREADS_DOC):
-    doc = tmp_path / "THREADS.md"
-    doc.write_text(text)
-    return str(doc)
-
-
-def test_thread_spawn_accepts_declared_target(lint, tmp_path):
-    findings = lint(
-        {
-            "mod.py": """\
-            import threading
-
-            class W:
-                def start(self):
-                    self._t = threading.Thread(target=self._run, daemon=True)
-
-                def _run(self):
-                    pass
-            """
-        },
-        threads_doc_path=_write_doc(tmp_path),
-    )
-    assert findings == []
-
-
-def test_thread_spawn_flags_undeclared_target(lint, tmp_path):
-    findings = lint(
-        {
-            "mod.py": """\
-            import threading
-
-            class W:
-                def start(self):
-                    self._t = threading.Thread(target=self._run, daemon=True)
-                    self._u = threading.Thread(target=self._sneaky)
-
-                def _run(self):
-                    pass
-
-                def _sneaky(self):
-                    pass
-            """
-        },
-        threads_doc_path=_write_doc(tmp_path),
-    )
-    assert rules_of(findings) == ["thread-spawn"]
-    assert "'_sneaky'" in findings[0].message
-    assert "declared-threads table" in findings[0].message
-
-
-def test_thread_spawn_sees_from_import_spelling(lint, tmp_path):
-    findings = lint(
-        {
-            "mod.py": """\
-            from threading import Thread
-
-            def go(fn):
-                return Thread(target=fn)
-            """
-        },
-        threads_doc_path=_write_doc(tmp_path),
-    )
-    # `fn` is a dynamic target — cannot be matched against the table.
-    assert rules_of(findings) == ["thread-spawn", "thread-spawn"]
-    assert any("'fn'" in f.message for f in findings)
-
-
-def test_thread_spawn_flags_stale_declaration(lint, tmp_path):
-    # mod.py is analyzed but no longer spawns `_run`: the row is stale.
-    findings = lint(
-        {"mod.py": "import threading\n"},
-        threads_doc_path=_write_doc(tmp_path),
-    )
-    assert rules_of(findings) == ["thread-spawn"]
-    assert "stale declaration" in findings[0].message
-
-
-def test_thread_spawn_ignores_undeclared_modules_rows(lint, tmp_path):
-    # The declared row points at other.py, which is not analyzed: the
-    # row is not judged stale (partial runs must not spam).
-    doc = _THREADS_DOC.replace("`mod.py`", "`other.py`")
-    findings = lint(
-        {"mod.py": "import threading\n"},
-        threads_doc_path=_write_doc(tmp_path, doc),
-    )
-    assert findings == []
-
-
-def test_thread_spawn_reports_missing_markers(lint, tmp_path):
-    doc = tmp_path / "THREADS.md"
-    doc.write_text("no table here\n")
-    findings = lint(
-        {
-            "mod.py": """\
-            import threading
-
-            t = threading.Thread(target=print)
-            """
-        },
-        threads_doc_path=str(doc),
-    )
-    assert rules_of(findings) == ["thread-spawn"]
-    assert "markers" in findings[0].message

@@ -1,10 +1,9 @@
 """reprosan unit tests: the lockset algorithm, the lock proxies, the
-lock-order merge and the suppression plumbing, all driven through real
-threads over small victim modules."""
+lock-order cycle check and the suppression plumbing, all driven through
+real threads over small victim modules."""
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import json
 import os
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, apply_suppressions
+from repro.analysis import apply_suppressions
 from repro.analysis.san import SanSession, index_lock_names, index_write_sites
 
 _COUNTER = """\
@@ -80,9 +79,9 @@ def run_san(tmp_path):
     """Plant a victim module, run ``drive(module)`` under a session,
     return the report + findings."""
 
-    def run(text, drive, *, name="victim.py", config=None):
+    def run(text, drive, *, name="victim.py"):
         path = _plant(tmp_path, text, name)
-        with SanSession([str(path)], root=str(tmp_path), config=config) as san:
+        with SanSession([str(path)], root=str(tmp_path)) as san:
             module = _load(path, f"san_victim_{name.removesuffix('.py')}_{id(drive)}")
             drive(module)
         report = san.report()
@@ -222,8 +221,8 @@ class Pair:
                 pass
 
     def sneaky_reverse(self):
-        # Aliasing through a local hides the acquisition order from the
-        # static lock-order rule; only the runtime recorder sees it.
+        # Aliasing through a local hides the acquisition order from any
+        # syntactic reading; the runtime recorder sees it.
         first = self._b_lock
         with first:
             second = self._a_lock
@@ -232,17 +231,13 @@ class Pair:
 """
 
 
-def test_runtime_reversal_closes_a_static_cycle(run_san):
-    config = dataclasses.replace(
-        LintConfig(), lock_module_suffixes=("victim.py",)
-    )
-
+def test_runtime_reversal_closes_a_cycle(run_san):
     def drive(module):
         pair = module.Pair()
         pair.forward()
         pair.sneaky_reverse()
 
-    report, findings = run_san(_TWO_LOCKS, drive, config=config)
+    report, findings = run_san(_TWO_LOCKS, drive)
     assert [f.rule for f in findings] == ["san-lock-order"]
     assert "Pair._a_lock" in findings[0].message
     assert "cycle" in findings[0].message
@@ -250,47 +245,14 @@ def test_runtime_reversal_closes_a_static_cycle(run_san):
 
 
 def test_agreeing_runtime_edges_are_quiet(run_san):
-    config = dataclasses.replace(
-        LintConfig(), lock_module_suffixes=("victim.py",)
-    )
-
     def drive(module):
         pair = module.Pair()
         pair.forward()
         pair.forward()
 
-    report, findings = run_san(_TWO_LOCKS, drive, config=config)
+    report, findings = run_san(_TWO_LOCKS, drive)
     assert findings == []
     assert report.edges_observed == 1
-
-
-def test_acquiring_under_a_leaf_lock_is_flagged(run_san):
-    text = """\
-    import threading
-
-
-    class Ring:
-        def __init__(self):
-            self._ring_lock = threading.Lock()
-            self._table_lock = threading.Lock()
-
-        def bad(self):
-            with self._ring_lock:
-                with self._table_lock:
-                    pass
-    """
-    config = dataclasses.replace(
-        LintConfig(),
-        lock_module_suffixes=(),  # keep the static leaf rule out of it
-        lock_leaf_attrs=frozenset({"_ring_lock"}),
-    )
-
-    def drive(module):
-        module.Ring().bad()
-
-    _, findings = run_san(text, drive, config=config)
-    assert [f.rule for f in findings] == ["san-lock-order"]
-    assert "declared leaf lock" in findings[0].message
 
 
 def test_inline_suppression_silences_a_known_race(tmp_path):

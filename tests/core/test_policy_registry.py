@@ -1,5 +1,4 @@
-"""The policy plug-in registry: register_policy, the daemon CLI loader,
-and the purity rule's reach over out-of-tree policies."""
+"""The policy plug-in registry: register_policy and the daemon CLI loader."""
 
 from __future__ import annotations
 
@@ -97,27 +96,3 @@ def test_cli_plugin_import_errors_surface():
 
     with pytest.raises(ModuleNotFoundError):
         _load_policy_plugins(["definitely_not_a_module"])
-
-
-def test_purity_rule_reaches_plugin_policies(tmp_path):
-    # The reprolint purity contract follows the base class, not the file
-    # path: an out-of-tree policy with an effectful select is flagged.
-    from repro.analysis import LintConfig, analyze_paths
-
-    plugin = tmp_path / "site_policy.py"
-    plugin.write_text(
-        textwrap.dedent(
-            """\
-            import time
-
-            from repro.core.scheduler.policies import SchedulingPolicy
-
-            class WallClockPolicy(SchedulingPolicy):
-                def select(self, index, state):
-                    return time.time()
-            """
-        )
-    )
-    findings = analyze_paths([str(plugin)], LintConfig(root=str(tmp_path)))
-    assert [f.rule for f in findings] == ["purity"]
-    assert "WallClockPolicy.select" in findings[0].message
