@@ -24,6 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 CORE_PY = REPO_ROOT / "src" / "repro" / "core" / "scheduler" / "core.py"
 PROTOCOL_PY = REPO_ROOT / "src" / "repro" / "ipc" / "protocol.py"
 
+
 def _plant_core(tmp_path, text):
     target = tmp_path / "repro" / "core" / "scheduler" / "core.py"
     target.parent.mkdir(parents=True)
@@ -85,6 +86,87 @@ def test_undeclared_protocol_field_is_flagged(tmp_path):
     assert [f.rule for f in findings] == ["protocol-drift"]
     assert "'priority'" in findings[0].message
     assert "'alloc_request'" in findings[0].message
+
+
+# ---------------------------------------------------------------------------
+# reprosan seeds: the dynamic layer catches what static analysis cannot
+# ---------------------------------------------------------------------------
+
+STATE_PY = REPO_ROOT / "src" / "repro" / "core" / "scheduler" / "state.py"
+
+#: _transact's critical section with the mutex deleted: every state
+#: transition becomes an unsynchronized write to the shared tree.
+_TRANSACT_LOCKED = """\
+        with self._lock:
+            acquired = _perf_counter() if timed else 0.0"""
+_TRANSACT_UNLOCKED = """\
+        if True:
+            acquired = _perf_counter() if timed else 0.0"""
+
+
+def _load_module(path, name):
+    import importlib.util
+    import sys
+
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _drive_scheduler(module, rounds=6):
+    """Two threads register containers strictly alternately — every
+    transition is an ownership transfer of the scheduler's state tree."""
+    import threading
+
+    from repro.core.scheduler.policies import make_policy
+
+    sched = module.GpuMemoryScheduler(64 * 2**30, make_policy("FIFO"))
+    turn = [threading.Event(), threading.Event()]
+
+    def side(i):
+        for r in range(rounds):
+            turn[i].wait(5.0)
+            turn[i].clear()
+            sched.register_container(f"c{i}-{r}", 2**20)
+            turn[1 - i].set()
+
+    threads = [
+        threading.Thread(target=side, args=(i,), name=f"mut-{i}")
+        for i in (0, 1)
+    ]
+    for thread in threads:
+        thread.start()
+    turn[0].set()
+    for thread in threads:
+        thread.join(10.0)
+        assert not thread.is_alive()
+
+
+def _san_over_core(tmp_path, core_text):
+    from repro.analysis.san import SanSession
+
+    target = _plant_core(tmp_path, core_text)
+    with SanSession([str(target), str(STATE_PY)], root=str(tmp_path)) as san:
+        module = _load_module(target, f"mutated_core_{tmp_path.name}")
+        _drive_scheduler(module)
+    return san.report()
+
+
+def test_unmutated_core_copy_is_race_free_at_runtime(tmp_path, core_source):
+    report = _san_over_core(tmp_path, core_source)
+    assert report.findings(str(tmp_path)) == []
+    assert report.writes_seen > 0
+
+
+def test_deleted_scheduler_mutex_is_caught_by_reprosan(tmp_path, core_source):
+    mutated = core_source.replace(_TRANSACT_LOCKED, _TRANSACT_UNLOCKED)
+    assert mutated != core_source
+    report = _san_over_core(tmp_path, mutated)
+    races = [f for f in report.findings(str(tmp_path)) if f.rule == "san-race"]
+    assert races, "the planted unsynchronized transition must be detected"
+    assert any("SchedulerState." in f.message for f in races)
 
 
 #: A locked verb that reaches fsync through two innocuously-named
