@@ -62,6 +62,8 @@ DEFAULT_MONITORED = (
     "src/repro/core/scheduler/core.py",
     "src/repro/core/scheduler/state.py",
     "src/repro/core/scheduler/journal.py",
+    "src/repro/core/scheduler/daemon.py",
+    "src/repro/cluster/multigpu.py",
     "src/repro/ipc/loop.py",
 )
 

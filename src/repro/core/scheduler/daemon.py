@@ -46,7 +46,7 @@ from repro.core.scheduler.service import SchedulerService
 from repro.errors import SchedulerError
 from repro.ipc import protocol
 from repro.ipc.loop import DEFAULT_IO_WORKERS, IoLoop
-from repro.ipc.unix_socket import UnixSocketServer
+from repro.ipc.unix_socket import UnixSocketServer, refuse
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
@@ -117,25 +117,6 @@ def _container_dir_name(container_id: str) -> str:
     return hashlib.sha256(container_id.encode("utf-8")).hexdigest()[:12]
 
 
-def _refuse(message: dict[str, Any], error: str) -> Any:
-    """Turn ``message`` away without acting on it.
-
-    A request gets an error reply of its own type.  A notification gets no
-    reply (the transport sends none), so its only trace is one
-    ``notification_refused`` warning.
-    """
-    msg_type = message["type"]
-    if msg_type in protocol.NOTIFICATION_TYPES:
-        _LOG.warning(
-            "notification_refused",
-            type=msg_type,
-            container_id=message.get("container_id", ""),
-            error=error,
-        )
-        return None
-    return protocol.make_error_reply(message, error)
-
-
 class _ContainerHandler:
     """Handler object for one container's socket: it speaks for that
     container only (DESIGN.md §8).
@@ -167,12 +148,13 @@ class _ContainerHandler:
     def _refuse(self, message: dict[str, Any]) -> Any:
         msg_type = message["type"]
         if msg_type in _CONTROL_VERBS:
-            return _refuse(message, f"{msg_type!r} not accepted on a container socket")
-        return _refuse(
-            message,
-            f"container socket of {self.container_id!r} does not speak "
-            f"for {message.get('container_id')!r}",
-        )
+            error = f"{msg_type!r} not accepted on a container socket"
+        else:
+            error = (
+                f"container socket of {self.container_id!r} does not speak "
+                f"for {message.get('container_id')!r}"
+            )
+        return refuse(_LOG, message, error, "notification_refused")
 
     def batch_begin(self) -> None:
         self._service.batch_begin()
@@ -321,6 +303,8 @@ class SchedulerDaemon:
         self._control_server: UnixSocketServer | None = None
         self._container_servers: dict[str, UnixSocketServer] = {}
         self._container_dirs: dict[str, str] = {}
+        #: Guards the two maps above while the daemon serves: registration
+        #: adds a container's pair and teardown claims it, each as one step.
         self._teardown_lock = threading.Lock()
         self._reaper: threading.Thread | None = None
         self._reaper_stop = threading.Event()
@@ -563,7 +547,10 @@ class SchedulerDaemon:
             )
             return reply
         # Anything else on the control socket is a protocol misuse.
-        return _refuse(message, f"{msg_type!r} not accepted on the control socket")
+        return refuse(
+            _LOG, message, f"{msg_type!r} not accepted on the control socket",
+            "notification_refused",
+        )
 
     def _prepare_container_dir(self, container_id: str) -> str:
         """Create the container's directory, socket and wrapper copy (§III-D)."""
@@ -581,9 +568,17 @@ class SchedulerDaemon:
             codec=self.codec,
         )
         server.start()
-        self._container_servers[container_id] = server
-        self._container_dirs[container_id] = directory
+        self._track_container(container_id, server, directory)
         return directory
+
+    def _track_container(
+        self, container_id: str, server: UnixSocketServer, directory: str
+    ) -> None:
+        """Add the container's server and directory in one step, under the
+        lock :meth:`_teardown_container_dir` claims them with."""
+        with self._teardown_lock:
+            self._container_servers[container_id] = server
+            self._container_dirs[container_id] = directory
 
     def _teardown_container_dir(self, container_id: str) -> None:
         """Remove one container's socket, directory and gauge rows.

@@ -47,12 +47,12 @@ from repro.errors import (
 from repro.ipc import protocol
 from repro.ipc.loop import IoLoop
 from repro.obs import stages as _stages
-from repro.obs.log import get_logger
+from repro.obs.log import ObsLogger, get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 
 __all__ = ["DEFER", "ReplyHandle", "UnixSocketServer", "UnixSocketClient",
-           "listen_unix", "map_os_error"]
+           "listen_unix", "map_os_error", "refuse"]
 
 _perf_counter = time.perf_counter
 
@@ -95,13 +95,16 @@ COALESCED_BYTES = REGISTRY.histogram(
 _LOG = get_logger("ipc")
 
 
-def _internal_error(message: Mapping[str, Any], exc: Exception) -> Any:
-    """A handler that raised: a request gets the error in-band.  A
-    notification gets no reply, so the error is logged instead."""
-    error = f"internal error: {exc}"
+def refuse(log: ObsLogger, message: Mapping[str, Any], error: str, event: str) -> Any:
+    """Turn ``message`` away with ``error``.
+
+    A request gets an error reply of its own type.  A notification gets no
+    reply (the transport sends none), so its only trace is one ``event``
+    warning on ``log``.
+    """
     if message["type"] in protocol.NOTIFICATION_TYPES:
-        _LOG.warning(
-            "notification_failed",
+        log.warning(
+            event,
             type=message["type"],
             container_id=message.get("container_id", ""),
             error=error,
@@ -567,7 +570,8 @@ class _BaseSocketServer:
             try:
                 result = self.handler(message, handle)
             except Exception as exc:
-                result = _internal_error(message, exc)
+                result = refuse(_LOG, message, f"internal error: {exc}",
+                                "notification_failed")
             finally:
                 _stages.set_current(None)
             clock.mark_dispatch()
@@ -575,7 +579,8 @@ class _BaseSocketServer:
             try:
                 result = self.handler(message, handle)
             except Exception as exc:  # handler bug: report, don't kill the conn
-                result = _internal_error(message, exc)
+                result = refuse(_LOG, message, f"internal error: {exc}",
+                                "notification_failed")
         rendered = False
         if (
             message["type"] not in protocol.NOTIFICATION_TYPES

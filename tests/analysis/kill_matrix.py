@@ -6,8 +6,8 @@ goes wrong while the bug is present.  The columns are every check that
 could catch it:
 
 - one per static rule id (computed live: ``static``);
-- ``san-race`` / ``san-lock-order``, the sanitizer over ``make san``'s
-  suites (``san_lane``, recorded);
+- ``san-race`` / ``san-lock-order``, what ``make san`` reports
+  (``san_lane``, recorded);
 - ``tier1``: the first test that fails in plain tier-1 — every test
   outside ``tests/analysis``, so a check cannot count twice through the
   self-clean test (recorded);
@@ -22,6 +22,8 @@ kills.  The recorded columns come from this script, one scratch copy of
 the repository per row::
 
     PYTHONPATH=src python tests/analysis/kill_matrix.py --out rows.jsonl [ROW ...]
+
+A run with no result within ``HANG_S`` seconds is a hang.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -103,6 +106,7 @@ _POLICIES = "src/repro/core/scheduler/policies.py"
 _JOURNAL = "src/repro/core/scheduler/journal.py"
 _DAEMON = "src/repro/core/scheduler/daemon.py"
 _SERVICE = "src/repro/core/scheduler/service.py"
+_MULTIGPU = "src/repro/cluster/multigpu.py"
 _LOOP = "src/repro/ipc/loop.py"
 _RETRY = "src/repro/ipc/retry.py"
 _PROTOCOL = "src/repro/ipc/protocol.py"
@@ -298,6 +302,43 @@ MUTANTS: tuple[Mutant, ...] = (
                 self._queue = []
                 state = _snapshot_and_trim(scheduler)
 """),),
+    ),
+    Mutant(
+        id="lock-order-placements-reversal",
+        check="lock-order",
+        source="DESIGN.md §12 (lock-order's MultiGpuScheduler scope)",
+        harm=HANG,
+        san_lane=frozenset({"san-lock-order"}),
+        what="`container_exit` calls into the device while it holds "
+        "`_placements_lock`, and the invariant check reads the placements "
+        "while it holds a device's lock: an exit and a check on two "
+        "threads deadlock",
+        edits=(
+            (_MULTIGPU, """\
+        with self._placements_lock:
+            ordinal = self._placements.pop(container_id, None)
+        if ordinal is None:
+            return 0
+        return self.schedulers[ordinal].container_exit(container_id)
+""", """\
+        with self._placements_lock:
+            ordinal = self._placements.pop(container_id, None)
+            if ordinal is None:
+                return 0
+            return self.schedulers[ordinal].container_exit(container_id)
+"""),
+            (_MULTIGPU, """\
+        for scheduler in self.schedulers:
+            scheduler.check_invariants()
+""", """\
+        for ordinal, scheduler in enumerate(self.schedulers):
+            scheduler.check_invariants()
+            with scheduler._lock:
+                with self._placements_lock:
+                    for record in scheduler.state.records():
+                        assert self._placements[record.container_id] == ordinal
+"""),
+        ),
     ),
     Mutant(
         id="loop-blocking-backoff-sleep",
@@ -569,6 +610,22 @@ MESSAGE_TAGS: dict[str, int] = {
 """),),
     ),
     Mutant(
+        id="san-race-untracked-container",
+        check="san-race",
+        source="DESIGN.md §10 (idempotent container teardown)",
+        harm=WRONG_RESULT,
+        san_lane=frozenset({"san-race"}),
+        what="registration adds a container's server and directory without "
+        "the teardown lock: a teardown between the two writes stops the "
+        "server and leaves the directory entry, so a later registration of "
+        "the id gets no socket",
+        edits=((_DAEMON, """\
+        with self._teardown_lock:
+            self._container_servers[container_id] = server""", """\
+        if True:
+            self._container_servers[container_id] = server"""),),
+    ),
+    Mutant(
         id="san-lock-order-dynamic-reversal",
         check="san-lock-order",
         source="PR 10, DESIGN.md §16",
@@ -608,14 +665,8 @@ BY_ID = {mutant.id: mutant for mutant in MUTANTS}
 #: them out so that no check is credited twice.
 PLAIN_TIER1_EXCLUDES = ("--ignore=tests/analysis",)
 
-#: ``make san``'s suites.
-SAN_SUITES = (
-    "tests/ipc/test_connection_churn.py",
-    "tests/core/test_daemon_lifecycle.py",
-    "tests/core/test_journal_properties.py",
-    "tests/integration/test_failure_injection.py",
-    "tests/integration/test_concurrency_stress.py",
-)
+#: Seconds after which a run counts as a hang.
+HANG_S = 300.0
 
 _FAILED_RE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 _SAN_RE = re.compile(r"(\d+) race\(s\), (\d+) lock-order violation\(s\)")
@@ -629,22 +680,29 @@ def _copy_tree(src: Path, dst: Path) -> None:
     )
 
 
-def _run(cmd: list[str], cwd: Path, timeout: float) -> tuple[str, int | None, float]:
-    """Output, exit status (``None`` on timeout) and seconds of one run."""
+def _run(cmd: list[str], cwd: Path) -> tuple[str, int | None, float]:
+    """Output, exit status (``None`` on a hang) and seconds of one run.
+
+    A hung run is killed with its whole process group (``make`` starts
+    the interpreter as a grandchild).
+    """
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     began = time.monotonic()
+    proc = subprocess.Popen(
+        cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, start_new_session=True,
+    )
     try:
-        proc = subprocess.run(
-            cmd, cwd=cwd, env=env, capture_output=True, text=True,
-            timeout=timeout,
-        )
-        out, status = proc.stdout + proc.stderr, proc.returncode
-    except subprocess.TimeoutExpired as exc:
-        out, status = str(exc.stdout or ""), None
+        out, _ = proc.communicate(timeout=HANG_S)
+        status = proc.returncode
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        status = None
     return out, status, time.monotonic() - began
 
 
-def measure(mutant: Mutant, tree: Path, timeout: float) -> dict:
+def measure(mutant: Mutant, tree: Path) -> dict:
     """Plain tier-1 and ``make san`` on a scratch copy with ``mutant``."""
     with tempfile.TemporaryDirectory(prefix="kill-matrix-") as tmp:
         root = Path(tmp) / "repo"
@@ -653,11 +711,11 @@ def measure(mutant: Mutant, tree: Path, timeout: float) -> dict:
         out, status, tier1_s = _run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              *PLAIN_TIER1_EXCLUDES],
-            root, timeout,
+            root,
         )
         failed = _FAILED_RE.search(out)
         if status is None:
-            tier1 = f"hang (no result in {timeout:.0f} s)"
+            tier1 = f"hang (no result in {HANG_S:.0f} s)"
         elif status == 0:
             tier1 = None
         elif failed is not None:
@@ -667,9 +725,7 @@ def measure(mutant: Mutant, tree: Path, timeout: float) -> dict:
         else:
             tier1 = f"pytest exit status {status}"
         san_out, san_status, san_s = _run(
-            [sys.executable, "-m", "repro", "san", "--", "-q",
-             "-p", "no:cacheprovider", *SAN_SUITES],
-            root, timeout,
+            ["make", "-C", str(root), "san", f"PYTHON={sys.executable}"], root
         )
         counts = _SAN_RE.search(san_out)
         kinds = sorted(set(re.findall(r"\[(san-race|san-lock-order)\]", san_out)))
@@ -693,12 +749,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="the checkout to copy (default: this one)")
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON lines file the results are appended to")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds before a run counts as a hang")
     args = parser.parse_args(argv)
     rows = [BY_ID[name] for name in args.rows] if args.rows else list(MUTANTS)
     for mutant in rows:
-        result = measure(mutant, args.tree, args.timeout)
+        result = measure(mutant, args.tree)
         with args.out.open("a") as fh:
             fh.write(json.dumps(result) + "\n")
         print(json.dumps(result), flush=True)
