@@ -8,9 +8,6 @@ configurations are interleaved round by round (so clock drift, GC and
 frequency scaling hit both equally) and compared on best-of-N timings
 (min is the standard noise-robust estimator).
 
-Tracing is opt-in, so it gets its own (informational) measurement rather
-than a budget assertion.
-
 The second half measures the *flight recorder + stage clocks* on the
 server dispatch path: pre-encoded frames of the wrapper's hot cycle
 (alloc_request → alloc_commit → alloc_release) are pushed through
@@ -80,9 +77,9 @@ _HOT_METRICS = (
 )
 
 
-def _run_all_seeds(**kwargs) -> None:
+def _run_all_seeds() -> None:
     for seed in SEEDS:
-        run_schedule("FIFO", 20, seed, **kwargs)
+        run_schedule("FIFO", 20, seed)
 
 
 def _timed(fn) -> float:
@@ -119,12 +116,7 @@ def test_bench_obs_overhead(record_output):
     finally:
         restore()
 
-    traced = float("inf")
-    for _ in range(ROUNDS):
-        traced = min(traced, _timed(lambda: _run_all_seeds(capture_trace=True)))
-
     metrics_overhead = instrumented / stubbed - 1.0
-    tracing_overhead = traced / instrumented - 1.0
     record_output(
         "obs_overhead",
         format_table(
@@ -133,8 +125,6 @@ def test_bench_obs_overhead(record_output):
                 ("metrics stubbed out", f"{stubbed * 1000:.1f}", "(baseline)"),
                 ("metrics on (default)", f"{instrumented * 1000:.1f}",
                  f"{metrics_overhead:+.1%}"),
-                ("metrics + tracing", f"{traced * 1000:.1f}",
-                 f"{tracing_overhead:+.1%} vs default"),
             ],
             title="Observability overhead — 3 seeds x 20 containers (FIFO)",
         )
@@ -203,7 +193,7 @@ class _NullStages:
     def set_current(self, clock) -> None:
         pass
 
-    def observe_stage(self, index, seconds, exemplar=None) -> None:
+    def observe_stage(self, index, seconds) -> None:
         pass
 
     def finish(self, clock, **kwargs) -> float:

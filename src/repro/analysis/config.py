@@ -127,8 +127,8 @@ class LintConfig:
     )
 
     # -- protocol drift (docs/PROTOCOL.md: one schema module) --------------
-    #: The schema module: ``MSG_*`` constants + ``REQUEST_FIELDS`` +
-    #: ``TRACE_FIELDS``.  Resolved against the repo root unless absolute.
+    #: The schema module: ``MSG_*`` constants + ``REQUEST_FIELDS``.
+    #: Resolved against the repo root unless absolute.
     schema_path: str = "src/repro/ipc/protocol.py"
     #: Files allowed to *dispatch* on message types via ``_on_<type>``
     #: handler methods (checked against the schema).

@@ -1,8 +1,7 @@
 """protocol-drift: one schema module is the source of truth for the wire.
 
-``repro.ipc.protocol`` declares every message type (``MSG_*``), the
-required fields per type (``REQUEST_FIELDS``) and the optional trace
-fields.  Wrapper, daemon and service code must construct and match
+``repro.ipc.protocol`` declares every message type (``MSG_*``) and the
+required fields per type (``REQUEST_FIELDS``).  Wrapper, daemon and service code must construct and match
 messages only in that vocabulary:
 
 - referencing an undeclared ``protocol.MSG_*`` constant;
@@ -53,7 +52,6 @@ class SchemaInfo:
     rel: str
     constants: dict[str, str] = field(default_factory=dict)  # MSG_X -> value
     fields: dict[str, set[str]] = field(default_factory=dict)  # type -> fields
-    trace_fields: set[str] = field(default_factory=set)
 
     @property
     def types(self) -> set[str]:
@@ -114,12 +112,6 @@ def _parse_schema(source: SourceFile) -> SchemaInfo:
                     if isinstance(k, ast.Constant) and isinstance(k.value, str)
                 }
                 schema.fields[type_name] = names
-        elif target.id == "TRACE_FIELDS" and isinstance(node.value, ast.Tuple):
-            schema.trace_fields = {
-                elt.value
-                for elt in node.value.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            }
     return schema
 
 
@@ -225,11 +217,7 @@ class ProtocolDriftRule(Rule):
                 return
         if msg_type is None:
             return
-        allowed = (
-            schema.fields.get(msg_type, set())
-            | schema.trace_fields
-            | _NON_PAYLOAD_KWARGS
-        )
+        allowed = schema.fields.get(msg_type, set()) | _NON_PAYLOAD_KWARGS
         for keyword in call.keywords:
             if keyword.arg is None:  # **payload: can't check statically
                 continue
@@ -316,10 +304,9 @@ class ProtocolDriftRule(Rule):
                 ),
                 snippet=msg_type,
             )
-        known = schema.types | schema.trace_fields
         for lineno, line in enumerate(doc.splitlines(), start=1):
             match = _DOC_ROW_RE.match(line)
-            if match and match.group(1) not in known:
+            if match and match.group(1) not in schema.types:
                 yield Finding(
                     path=doc_rel, line=lineno, col=1, rule=self.doc_id,
                     message=(

@@ -359,16 +359,12 @@ def _cmd_run(args) -> int:
     from repro.experiments.multi import run_schedule
 
     capture = args.chrome_trace is not None
-    result = run_schedule(
-        args.policy, args.count, _seed(args),
-        capture_trace=capture, capture_events=capture,
-    )
+    result = run_schedule(args.policy, args.count, _seed(args), capture_events=capture)
     if capture:
         from repro.obs.chrome import write_chrome_trace
 
         written = write_chrome_trace(
             args.chrome_trace,
-            spans=result.spans,
             scheduler_events=result.events,
             metadata={
                 "policy": args.policy,
@@ -755,18 +751,11 @@ def _render_stage_tables(metrics: dict) -> str:
         if not count:
             continue
         mean = entry.get("sum", 0.0) / count
-        worst = ""
-        exemplars = entry.get("exemplars") or []
-        if exemplars:
-            top = max(exemplars, key=lambda e: e["value"])
-            worst = f"{top['exemplar']} ({top['value'] * 1e3:.2f}ms)"
-        rows.append(
-            (entry.get("stage", "?"), str(count), f"{mean * 1e6:.1f}", worst)
-        )
+        rows.append((entry.get("stage", "?"), str(count), f"{mean * 1e6:.1f}"))
     if rows:
         sections.append(
             format_table(
-                ("stage", "samples", "mean (µs)", "worst exemplar"),
+                ("stage", "samples", "mean (µs)"),
                 rows,
                 title="stage latency (sampled)",
             )

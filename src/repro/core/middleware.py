@@ -39,7 +39,6 @@ from repro.ipc import protocol
 from repro.ipc.channel import InProcessChannel
 from repro.nvdocker.cli import NvidiaDocker
 from repro.nvdocker.plugin import NvidiaDockerPlugin
-from repro.obs.trace import Tracer
 
 __all__ = ["ConVGPU"]
 
@@ -56,9 +55,6 @@ class ConVGPU:
         rng: random generator for the "Rand" policy.
         context_overhead / resume_mode: forwarded to the scheduler core
             (ablation knobs).
-        tracer: span recorder shared by every wrapper module and the
-            scheduler service, so one CUDA call appears as a single
-            wrapper→scheduler trace (``None`` = tracing off).
     """
 
     def __init__(
@@ -74,7 +70,6 @@ class ConVGPU:
         resume_mode: str = "fit",
         device_count: int = 1,
         placement: str = "most-free",
-        tracer: "Tracer | None" = None,
     ) -> None:
         if live and clock is None:
             import time
@@ -90,7 +85,6 @@ class ConVGPU:
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.managed = managed
         self.live = live
-        self.tracer = tracer
 
         # --- GPU + CUDA substrate ---------------------------------------
         from repro.gpu.device import DeviceRegistry
@@ -121,7 +115,7 @@ class ConVGPU:
             self.scheduler = GpuMemoryScheduler(
                 self.device.properties.total_global_mem, policy, **scheduler_kwargs
             )
-        self.service = SchedulerService(self.scheduler, tracer=tracer)
+        self.service = SchedulerService(self.scheduler)
         self.channel = InProcessChannel(self.service.handle)
 
         # --- live mode: real daemon + real control socket -----------------
@@ -247,7 +241,6 @@ class ConVGPU:
                 self.runtime_for(scheduler_key, host_pid),
                 container_id=scheduler_key,
                 native_driver=self.driver_for(scheduler_key, host_pid),
-                tracer=self.tracer,
             )
             self._wrappers[key] = wrapper
         return wrapper

@@ -50,7 +50,6 @@ from repro.ipc.unix_socket import UnixSocketServer, refuse
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
-from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:
     from repro.obs.http import MetricsServer
@@ -243,8 +242,6 @@ class SchedulerDaemon:
             ``/flight.jsonl``, ``/healthz``) on ``127.0.0.1:metrics_port``
             for the daemon's lifetime (0 = ephemeral; read
             :attr:`metrics_server` ``.port``).
-        tracer: span recorder threaded into the service; spans parented on
-            wire trace context (off when ``None``, the default).
         flight_dump: path the flight recorder dumps to on a watchdog stall
             (and where :meth:`dump_flight` writes by default — the CLI's
             SIGUSR2 handler and crash hook route here).  Enables the I/O
@@ -266,7 +263,6 @@ class SchedulerDaemon:
         monitor: HeartbeatMonitor | None = None,
         reap_interval: float = 1.0,
         metrics_port: int | None = None,
-        tracer: Tracer | None = None,
         flight_dump: str | None = None,
         watchdog_interval: float = 5.0,
     ) -> None:
@@ -285,12 +281,10 @@ class SchedulerDaemon:
         self.journal = journal
         self.monitor = monitor
         self.reap_interval = reap_interval
-        self.tracer = tracer
         self.log = get_logger("daemon")
         self.service = SchedulerService(
             scheduler,
             heartbeat_sink=monitor.beat if monitor is not None else None,
-            tracer=tracer,
         )
         self.io_workers = io_workers
         self.codec = codec

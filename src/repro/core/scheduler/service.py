@@ -30,7 +30,6 @@ from repro.ipc import protocol
 from repro.ipc.unix_socket import DEFER
 from repro.obs.log import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS, REGISTRY
-from repro.obs.trace import Tracer, extract_context
 
 __all__ = ["SchedulerService"]
 
@@ -63,10 +62,6 @@ class SchedulerService:
     explicit ``heartbeat`` notification only matters for idle containers.
     The service trusts the id a message names; the daemon's per-container
     sockets only pass it messages naming their own container.
-
-    ``tracer`` (optional, off by default) records one server-side span per
-    handled message, parented on the trace context the wrapper put on the
-    wire — the daemon half of a wrapper→daemon trace.
     """
 
     def __init__(
@@ -74,11 +69,9 @@ class SchedulerService:
         scheduler: GpuMemoryScheduler,
         *,
         heartbeat_sink: Callable[[str], None] | None = None,
-        tracer: Tracer | None = None,
     ) -> None:
         self.scheduler = scheduler
         self.heartbeat_sink = heartbeat_sink
-        self.tracer = tracer
         # Label resolution takes the family lock; cache the children so the
         # per-message cost is one dict get plus the bare inc()/observe().
         self._message_counts: dict[str, Any] = {}
@@ -103,13 +96,6 @@ class SchedulerService:
         handler = self._dispatch.get(msg_type)
         if handler is None:
             return protocol.make_error_reply(message, f"unsupported type {msg_type!r}")
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.start_span(
-                f"scheduler.{msg_type}",
-                parent=extract_context(message),
-                container_id=message.get("container_id", ""),
-            )
         try:
             reply = handler(message, reply_handle)
         except (
@@ -128,15 +114,6 @@ class SchedulerService:
                     container_id=message.get("container_id", ""),
                     error=str(exc),
                 )
-            if span is not None:
-                span.finish(status="error")
-                span = None
-        if span is not None:
-            if reply is DEFER:
-                span.set_attr("decision", Decision.PAUSE)
-            elif isinstance(reply, dict) and "decision" in reply:
-                span.set_attr("decision", reply["decision"])
-            span.finish()
         if msg_type in protocol.NOTIFICATION_TYPES:
             # Fire-and-forget bookkeeping: the wrapper is not waiting, so
             # no reply goes on the wire (a refusal was logged above).

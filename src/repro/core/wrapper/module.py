@@ -38,7 +38,6 @@ from repro.container.linker import SharedLibrary
 from repro.ipc import protocol
 from repro.ipc.retry import RetryPolicy
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import Span, Tracer, inject_context
 
 __all__ = ["WrapperModule", "INTERCEPTED_SYMBOLS", "WRAPPER_RETRY_POLICY"]
 
@@ -76,18 +75,12 @@ class WrapperModule:
         container_id: str,
         native_driver=None,
         retry_policy: RetryPolicy = WRAPPER_RETRY_POLICY,
-        tracer: Tracer | None = None,
     ) -> None:
         self.native = native
         self.container_id = container_id
         self.pid = native.pid
         self.adjuster = SizeAdjuster()
         self.retry_policy = retry_policy
-        #: Span recorder; when set, every intercepted API opens a span whose
-        #: context rides the IPC messages it sends (one wrapper API = one
-        #: trace, continued daemon-side by the scheduler service).
-        self.tracer = tracer
-        self._current_span: Span | None = None
         #: Transient IPC failures retried (observability / test oracle).
         self.ipc_retries = 0
         #: Cached device properties (the wrapper queries once, §III-C).
@@ -105,32 +98,14 @@ class WrapperModule:
     # ------------------------------------------------------------------
 
     def _ipc(self, msg_type: str, **payload: Any) -> IpcCall:
-        message = protocol.make_request(
-            msg_type, container_id=self.container_id, pid=self.pid, **payload
-        )
-        # Stamp the active API span's context onto the wire so the daemon's
-        # span joins the same trace.  CUDA calls on one process are serial
-        # through this wrapper, so one active-span slot suffices.
-        inject_context(message, self._current_span)
         return IpcCall(
-            message=message,
+            message=protocol.make_request(
+                msg_type, container_id=self.container_id, pid=self.pid, **payload
+            ),
             # Bookkeeping messages are one-way; only size checks and queries
             # block on the scheduler (see protocol.NOTIFICATION_TYPES).
             await_reply=msg_type not in protocol.NOTIFICATION_TYPES,
         )
-
-    def _begin_span(self, name: str, **attrs: Any) -> Span | None:
-        if self.tracer is None:
-            return None
-        span = self.tracer.start_span(name, **attrs)
-        self._current_span = span
-        return span
-
-    def _end_span(self, span: Span | None, err: Any = None) -> None:
-        if span is not None:
-            status = "ok" if err in (None, cudaError.cudaSuccess) else "error"
-            span.finish(status=status)
-            self._current_span = None
 
     def _ipc_retry(self, msg_type: str, **payload: Any) -> ApiGen:
         """One IPC exchange with bounded retry on *transient* failures.
@@ -175,19 +150,16 @@ class WrapperModule:
 
     def _checked_alloc(self, adjusted_size: int, api: str, native_call) -> ApiGen:
         """The grant → allocate → commit/abort protocol around one native call."""
-        span = self._begin_span(f"wrapper.{api}", size=adjusted_size)
         reply = yield from self._ipc_retry(
             protocol.MSG_ALLOC_REQUEST, size=adjusted_size, api=api
         )
         if reply.get("status") != "ok" or reply.get("decision") != "grant":
             # Rejected (over the container limit) — the program sees the
             # same error an exhausted device would produce.
-            self._end_span(span, cudaError.cudaErrorMemoryAllocation)
             return cudaError.cudaErrorMemoryAllocation, None
         err, value = yield from native_call()
         if err is not cudaError.cudaSuccess:
             yield from self._ipc_retry(protocol.MSG_ALLOC_ABORT, size=adjusted_size)
-            self._end_span(span, err)
             return err, None
         address = value[0] if isinstance(value, tuple) else (
             value.ptr if isinstance(value, cudaPitchedPtr) else value
@@ -195,7 +167,6 @@ class WrapperModule:
         yield from self._ipc_retry(
             protocol.MSG_ALLOC_COMMIT, address=address, size=adjusted_size
         )
-        self._end_span(span)
         return cudaError.cudaSuccess, value
 
     # ------------------------------------------------------------------
@@ -265,23 +236,17 @@ class WrapperModule:
 
     def cudaFree(self, dev_ptr: int) -> ApiGen:  # noqa: N802
         """Free natively, then tell the scheduler the address (§III-C)."""
-        span = self._begin_span("wrapper.cudaFree", address=dev_ptr)
         err, value = yield from self.native.cudaFree(dev_ptr)
         if err is cudaError.cudaSuccess and dev_ptr != 0:
             yield from self._ipc_retry(protocol.MSG_ALLOC_RELEASE, address=dev_ptr)
-        self._end_span(span, err)
         return err, value
 
     def cudaMemGetInfo(self) -> ApiGen:  # noqa: N802
         """Answer from scheduler bookkeeping — no device round-trip (§IV-B)."""
-        span = self._begin_span("wrapper.cudaMemGetInfo")
         reply = yield from self._ipc_retry(protocol.MSG_MEM_GET_INFO)
         if reply.get("status") != "ok":
             # Scheduler unavailable: degrade to the native (device-wide) view.
-            result = yield from self.native.cudaMemGetInfo()
-            self._end_span(span, result[0])
-            return result
-        self._end_span(span)
+            return (yield from self.native.cudaMemGetInfo())
         return cudaError.cudaSuccess, (reply["free"], reply["total"])
 
     def cudaGetDeviceProperties(self, ordinal: int = 0) -> ApiGen:  # noqa: N802
@@ -303,13 +268,11 @@ class WrapperModule:
 
     def cudaUnregisterFatBinary(self, handle: FatBinaryHandle) -> ApiGen:  # noqa: N802
         """``__cudaUnregisterFatBinary``: forward, then report process exit."""
-        span = self._begin_span("wrapper.__cudaUnregisterFatBinary")
         err, last = yield from self.native.cudaUnregisterFatBinary(handle)
         if err is cudaError.cudaSuccess and last:
             # The last chance to report: a lost process_exit would pin the
             # pid's allocations (and 66 MiB context charge) forever.
             yield from self._ipc_retry(protocol.MSG_PROCESS_EXIT)
-        self._end_span(span, err)
         return err, last
 
     # ------------------------------------------------------------------

@@ -101,10 +101,8 @@ class ScheduleResult:
     aborted_count: int = 0
     #: Total kernel execution time on the device (lane-seconds).
     gpu_busy_seconds: float = 0.0
-    #: Finished trace spans (populated by ``capture_trace=True``; virtual
-    #: timestamps — feed to :func:`repro.obs.chrome.write_chrome_trace`).
-    spans: list = field(default_factory=list)
-    #: The scheduler's full event log (populated by ``capture_events=True``).
+    #: The scheduler's full event log (populated by ``capture_events=True``;
+    #: virtual timestamps — feed to :func:`repro.obs.chrome.write_chrome_trace`).
     events: list = field(default_factory=list)
 
     @property
@@ -147,7 +145,6 @@ def _simulate(
     *,
     resume_mode: str,
     context_overhead: int | None,
-    capture_trace: bool = False,
     capture_events: bool = False,
 ) -> ScheduleResult:
     """Run ``submissions`` on a fresh ``ConVGPU`` in virtual time."""
@@ -156,18 +153,12 @@ def _simulate(
     def clock() -> float:
         return env.now
 
-    tracer = None
-    if capture_trace:
-        from repro.obs.trace import Tracer
-
-        tracer = Tracer(clock=clock, seed=seed)
     system = ConVGPU(
         policy,
         clock=clock,
         rng=SeedSequenceFactory(seed).generator("policy", policy),
         resume_mode=resume_mode,
         context_overhead=context_overhead,
-        tracer=tracer,
     )
     system.engine.images.add(make_cuda_image(image))
     bridge = SimIpcBridge(env, system.service.handle)
@@ -215,7 +206,6 @@ def _simulate(
         rejected_count=len(system.scheduler.log.of_type(AllocationRejected)),
         aborted_count=len(system.scheduler.log.of_type(AllocationAborted)),
         gpu_busy_seconds=system.device.hyperq.total_kernel_seconds,
-        spans=tracer.finished() if tracer is not None else [],
         events=list(system.scheduler.log) if capture_events else [],
     )
 
@@ -231,7 +221,6 @@ def run_schedule(
     program_margin: int | None = None,
     program_chunks: int = 1,
     arrivals: list[Arrival] | None = None,
-    capture_trace: bool = False,
     capture_events: bool = False,
 ) -> ScheduleResult:
     """Simulate one cloud-usage schedule under one policy.
@@ -241,9 +230,7 @@ def run_schedule(
     overhead-aware user makes).  Setting it to 0 models naive users who
     allocate their full declared limit — used by the overhead ablation.
 
-    ``capture_trace`` wires a virtual-clock tracer through the wrapper and
-    scheduler and returns the finished spans on the result;
-    ``capture_events`` returns the scheduler's event log.  Both feed the
+    ``capture_events`` returns the scheduler's event log, which feeds the
     Chrome trace export (``repro run --chrome-trace``).
     """
     if arrivals is None:
@@ -263,7 +250,7 @@ def run_schedule(
     return _simulate(
         policy, count, seed, "sample", submissions,
         resume_mode=resume_mode, context_overhead=context_overhead,
-        capture_trace=capture_trace, capture_events=capture_events,
+        capture_events=capture_events,
     )
 
 

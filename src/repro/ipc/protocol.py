@@ -26,11 +26,9 @@ type                    sender → receiver                         purpose
 Every request carries ``seq`` (per-connection monotonic) echoed in the
 reply, so a transport can correlate deferred replies with requests.
 
-Messages may additionally carry the optional trace-context fields
-``trace_id``/``span_id`` (strings; see ``docs/PROTOCOL.md`` and
-:mod:`repro.obs.trace`) so one wrapper call is followable across the
-wrapper → daemon boundary as a single trace.  Receivers that predate
-those fields ignore them, per the versioning rule below.
+A field a message type does not declare is ignored on both codecs (the
+binary one carries it in the extension section).  That includes the
+``trace_id``/``span_id`` fields older wrappers sent, whatever their value.
 
 Two codecs carry the same message vocabulary (see ``docs/PROTOCOL.md``):
 
@@ -69,7 +67,6 @@ __all__ = [
     "MSG_HELLO",
     "MAX_FRAME_BYTES",
     "REQUEST_FIELDS",
-    "TRACE_FIELDS",
     "NOTIFICATION_TYPES",
     "CODEC_JSON",
     "CODEC_BINARY",
@@ -136,11 +133,6 @@ REQUEST_FIELDS: dict[str, dict[str, type]] = {
     MSG_HELLO: {"codecs": list},
 }
 
-#: Optional trace-context fields allowed on any message.  When present
-#: they must be strings — a malformed trace id is a protocol violation,
-#: not something to silently forward.
-TRACE_FIELDS: tuple[str, ...] = ("trace_id", "span_id")
-
 # ---------------------------------------------------------------------------
 # codecs
 # ---------------------------------------------------------------------------
@@ -183,7 +175,7 @@ TAG_MESSAGES: dict[int, str] = {tag: name for name, tag in MESSAGE_TAGS.items()}
 #: Per-type field layout for the binary codec, derived from the schema in
 #: declaration order: ints are packed as u64, strings as u32-length-prefixed
 #: UTF-8, lists as u16-counted strings.  Anything beyond the declared
-#: fields (trace context, unknown fields from newer peers) rides in the
+#: fields (unknown fields from newer or older peers) rides in the
 #: tagged extension section, preserving the unknown-fields-are-ignored
 #: versioning rule across both codecs.
 BINARY_FIELDS: dict[str, tuple[tuple[str, type], ...]] = {
@@ -256,11 +248,6 @@ def validate_request(message: Mapping[str, Any]) -> None:
             raise ProtocolError(f"{msg_type}.{name} must be >= 0, got {value}")
         if expected is list and not all(isinstance(item, str) for item in value):
             raise ProtocolError(f"{msg_type}.{name} must be a list of str")
-    for name in TRACE_FIELDS:
-        if name in message and not isinstance(message[name], str):
-            raise ProtocolError(
-                f"{msg_type}.{name} must be str, got {message[name]!r}"
-            )
 
 
 def encode(message: Mapping[str, Any]) -> bytes:

@@ -27,7 +27,6 @@ from typing import Any, Callable
 
 from repro.errors import IpcDisconnected, IpcTimeoutError, TransportError
 from repro.obs.metrics import REGISTRY
-from repro.obs.trace import Tracer, extract_context, inject_context
 
 __all__ = ["RetryPolicy", "ResilientClient", "DEFAULT_RETRY_POLICY"]
 
@@ -146,12 +145,6 @@ class ResilientClient:
 
     ``sleep``/``rng`` are injectable so tests can run the full backoff
     schedule in zero wall-clock time.
-
-    With a ``tracer``, each logical ``call``/``notify`` records exactly one
-    span regardless of how many attempts it took — the trace context is
-    injected into the payload once, before the first attempt, so a re-issued
-    request crosses the wire with the *original* identifiers and the daemon
-    never sees the redial as a different operation.
     """
 
     factory: Callable[[], Any]
@@ -159,7 +152,6 @@ class ResilientClient:
     sleep: Callable[[float], None] = time.sleep
     clock: Callable[[], float] = time.monotonic
     rng: random.Random | None = None
-    tracer: Tracer | None = None
     #: (attempt, exception) pairs observed; observability + test oracle.
     retries: list[tuple[int, str]] = field(default_factory=list)
     _client: Any = field(default=None, init=False, repr=False)
@@ -210,18 +202,6 @@ class ResilientClient:
     # -- resilient operations ---------------------------------------------
 
     def _issue(self, method: str, msg_type: str, payload: dict[str, Any]) -> Any:
-        span = None
-        if self.tracer is not None:
-            # One span per logical operation: opened before the first
-            # attempt, injected once (inject_context skips payloads that
-            # already carry a trace_id, e.g. from the wrapper's own span),
-            # and finished after retries resolve — a redial extends this
-            # span rather than forking a new one.
-            span = self.tracer.start_span(
-                f"ipc.{method}:{msg_type}", parent=extract_context(payload)
-            )
-            inject_context(payload, span)
-
         def operation() -> Any:
             try:
                 client = self._connected()
@@ -234,11 +214,9 @@ class ResilientClient:
         def record(attempt: int, exc: BaseException) -> None:
             self.retries.append((attempt, type(exc).__name__))
             _RETRIES.labels(error=type(exc).__name__).inc()
-            if span is not None:
-                span.set_attr("retries", attempt + 1)
 
         try:
-            result = call_with_retry(
+            return call_with_retry(
                 operation,
                 self.policy,
                 sleep=self.sleep,
@@ -247,17 +225,10 @@ class ResilientClient:
                 clock=self.clock,
             )
         except (IpcDisconnected, IpcTimeoutError):
-            if span is not None:
-                span.finish(status="error")
-            raise
+            raise  # operation() already dropped the connection
         except TransportError:
             self._drop()
-            if span is not None:
-                span.finish(status="error")
             raise
-        if span is not None:
-            span.finish()
-        return result
 
     def call(self, msg_type: str, **payload: Any) -> dict[str, Any]:
         """Blocking request/response with reconnect-and-reissue."""

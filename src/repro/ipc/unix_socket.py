@@ -484,14 +484,13 @@ class _BaseSocketServer:
                 pass
         elapsed = _perf_counter() - began
         if elapsed >= _stages.SLOW_SECONDS:
-            # Slow-outlier catch at batch granularity: armed samples name
-            # exact traces, while this check guarantees a stalled batch is
+            # Slow-outlier catch at batch granularity: armed samples carry
+            # their stage breakdown, while this check guarantees a stalled batch is
             # never missed even when none of its frames were sampled.  The
             # client-visible latency of every reply in the batch includes
             # the whole batch's dispatch time, so the batch clock *is* the
             # right slowness measure for the unsampled stream.
             _stages.note_slow(
-                trace="",
                 msg_type=f"batch[{len(frames)}]",
                 container="",
                 total=elapsed,
@@ -602,7 +601,6 @@ class _BaseSocketServer:
                 clock.mark(_stages.S_ENCODE)
             _stages.finish(
                 clock,
-                trace=message.get("trace_id", ""),
                 msg_type=message["type"],
                 container=message.get("container_id", ""),
             )

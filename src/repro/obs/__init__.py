@@ -6,21 +6,18 @@ deployment of the daemon exposes while it is serving traffic:
 
 - :mod:`repro.obs.metrics` — dependency-free counters, gauges and
   fixed-bucket histograms behind a :class:`~repro.obs.metrics.MetricsRegistry`;
-- :mod:`repro.obs.trace` — spans with a ``trace_id``/``span_id`` context
-  that rides inside the JSON IPC protocol, so one ``cudaMalloc`` is
-  followable wrapper → daemon → policy decision → grant/pause/resume;
 - :mod:`repro.obs.log` — structured JSON-lines logging;
 - :mod:`repro.obs.exporters` — Prometheus text format, JSON snapshots and
   a JSONL sink;
 - :mod:`repro.obs.chrome` — Chrome trace-event (``about://tracing``)
-  export for spans and simulated schedules;
+  export for simulated schedules' scheduler events;
 - :mod:`repro.obs.http` — the daemon's localhost ``/metrics`` endpoint;
 - :mod:`repro.obs.recorder` — the always-on flight recorder (fixed-size
   per-thread rings of typed binary events, dumped as versioned JSONL on
   crash, SIGUSR2, watchdog stall, or ``repro dump``);
 - :mod:`repro.obs.stages` — sampled per-request stage-latency attribution
   (recv → frame → decode → dispatch → lock → transition → fsync_wait →
-  encode → send) with trace-id exemplars and a slow-trace buffer;
+  encode → send) with a slow-request buffer;
 - :mod:`repro.obs.doctor` — post-mortem correlation of a flight dump,
   the journal and a metrics snapshot (what ``repro doctor`` renders).
 
@@ -38,7 +35,6 @@ from repro.obs.metrics import (
     get_registry,
 )
 from repro.obs.recorder import RECORDER, FlightRecorder, read_dump
-from repro.obs.trace import SpanContext, Tracer, extract_context, inject_context
 
 __all__ = [
     "RECORDER",
@@ -50,10 +46,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "Tracer",
-    "SpanContext",
-    "inject_context",
-    "extract_context",
     "get_logger",
     "configure_logging",
 ]

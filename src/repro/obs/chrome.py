@@ -1,13 +1,8 @@
 """Chrome trace-event export (``about://tracing`` / Perfetto).
 
-Two sources feed one timeline:
-
-- finished :class:`~repro.obs.trace.Span` objects become complete
-  (``"ph": "X"``) events, one row per trace participant;
-- a scheduler :class:`~repro.core.scheduler.events.EventLog` becomes
-  instant events plus pause→resume intervals, one row per container —
-  this is how a *simulated* schedule (virtual seconds) renders as a
-  timeline without any tracer wired through it.
+A scheduler :class:`~repro.core.scheduler.events.EventLog` becomes
+instant events plus pause→resume intervals, one row per container — this
+is how a *simulated* schedule (virtual seconds) renders as a timeline.
 
 The produced JSON follows the Trace Event Format's "JSON array" flavour
 (the object flavour with ``traceEvents`` is also accepted by the viewer;
@@ -19,70 +14,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Iterable, Sequence
-
-from repro.obs.trace import Span
+from typing import Any, Sequence
 
 __all__ = [
-    "spans_to_chrome",
     "scheduler_events_to_chrome",
     "chrome_trace_document",
     "write_chrome_trace",
 ]
 
 _US = 1e6  # seconds -> microseconds
-
-
-def spans_to_chrome(
-    spans: Iterable[Span], *, pid: int = 1, name: str = "convgpu"
-) -> list[dict[str, Any]]:
-    """Complete events from finished spans; one tid per trace id.
-
-    Spans of the same trace share a row so parent/child nesting renders
-    as the viewer's flame stacking.
-    """
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": name},
-        }
-    ]
-    tids: dict[str, int] = {}
-    for span in sorted(spans, key=lambda s: (s.start, s.trace_id, s.span_id)):
-        if span.end is None:
-            continue
-        tid = tids.get(span.trace_id)
-        if tid is None:
-            tid = len(tids) + 1
-            tids[span.trace_id] = tid
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": f"trace {span.trace_id[:8]}"},
-                }
-            )
-        args = {"trace_id": span.trace_id, "span_id": span.span_id,
-                "status": span.status}
-        args.update(span.attrs)
-        events.append(
-            {
-                "name": span.name,
-                "cat": "span",
-                "ph": "X",
-                "ts": span.start * _US,
-                "dur": max(span.end - span.start, 0.0) * _US,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
-    return events
 
 
 def scheduler_events_to_chrome(
@@ -188,14 +128,11 @@ def scheduler_events_to_chrome(
 
 def chrome_trace_document(
     *,
-    spans: Iterable[Span] = (),
     scheduler_events: Sequence[Any] = (),
     metadata: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """The full ``about://tracing`` document (object flavour)."""
-    events = spans_to_chrome(spans) if spans else []
-    if scheduler_events:
-        events.extend(scheduler_events_to_chrome(scheduler_events))
+    events = scheduler_events_to_chrome(scheduler_events) if scheduler_events else []
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -206,13 +143,12 @@ def chrome_trace_document(
 def write_chrome_trace(
     path: str,
     *,
-    spans: Iterable[Span] = (),
     scheduler_events: Sequence[Any] = (),
     metadata: dict[str, Any] | None = None,
 ) -> int:
     """Write the trace document to ``path``; returns the event count."""
     document = chrome_trace_document(
-        spans=spans, scheduler_events=scheduler_events, metadata=metadata
+        scheduler_events=scheduler_events, metadata=metadata
     )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh)

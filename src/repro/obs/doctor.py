@@ -82,11 +82,6 @@ def _stage_rows(sections: list[dict[str, Any]]) -> list[dict[str, Any]]:
             "p50": _quantile(buckets, count, 0.50),
             "p99": _quantile(buckets, count, 0.99),
         }
-        exemplars = summary.get("exemplars")
-        if exemplars:
-            worst = max(exemplars, key=lambda e: e["value"])
-            row["worst_trace"] = worst["exemplar"]
-            row["worst_seconds"] = worst["value"]
         rows.append(row)
     return rows
 
@@ -228,20 +223,14 @@ def render(report: dict[str, Any], *, tail: int = 40) -> str:
         out.append("")
         out.append("-- stage latency (sampled) --")
         out.append(
-            f"{'stage':<12}{'count':>8}{'mean':>10}{'p50':>10}{'p99':>10}  worst"
+            f"{'stage':<12}{'count':>8}{'mean':>10}{'p50':>10}{'p99':>10}"
         )
         for row in report["stages"]:
-            worst = ""
-            if "worst_trace" in row:
-                worst = (
-                    f"{row['worst_trace']} "
-                    f"({_fmt_seconds(row['worst_seconds'])})"
-                )
             out.append(
                 f"{row['stage']:<12}{row['count']:>8}"
                 f"{_fmt_seconds(row['mean']):>10}"
                 f"{_fmt_seconds(row['p50']):>10}"
-                f"{_fmt_seconds(row['p99']):>10}  {worst}"
+                f"{_fmt_seconds(row['p99']):>10}"
             )
 
     if report["slow_traces"]:
@@ -257,7 +246,6 @@ def render(report: dict[str, Any], *, tail: int = 40) -> str:
             )
             out.append(
                 f"  {_fmt_seconds(entry['total'])} {entry.get('type', '?')} "
-                f"trace={entry.get('trace') or '-'} "
                 f"container={entry.get('container') or '-'} {breakdown}"
             )
 

@@ -117,20 +117,10 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram (cumulative rendering happens at export).
-
-    Each bucket keeps the *last exemplar* observed into it — an opaque
-    string (typically a trace id) attached via
-    ``observe(value, exemplar=...)`` — so a p99 outlier names the exact
-    request that crossed the bucket.  Exemplar storage is lazy: plain
-    ``observe(value)`` calls never allocate it, keeping the unexemplared
-    hot path exactly as cheap as before.  Exemplars appear only in the
-    JSON surfaces (``sample()``/registry snapshot); the Prometheus text
-    rendering is unchanged.
-    """
+    """Fixed-bucket histogram (cumulative rendering happens at export)."""
 
     kind = "histogram"
-    __slots__ = ("_lock", "bounds", "_counts", "_sum", "_count", "_exemplars")
+    __slots__ = ("_lock", "bounds", "_counts", "_sum", "_count")
 
     def __init__(self, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
         bounds = tuple(sorted(float(b) for b in buckets))
@@ -141,18 +131,13 @@ class Histogram:
         self._counts = [0] * (len(bounds) + 1)  # last slot = +Inf overflow
         self._sum = 0.0
         self._count = 0
-        self._exemplars: dict[int, tuple[str, float]] | None = None
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float) -> None:
         index = bisect.bisect_left(self.bounds, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
-            if exemplar is not None:
-                if self._exemplars is None:
-                    self._exemplars = {}
-                self._exemplars[index] = (exemplar, value)
 
     @property
     def count(self) -> int:
@@ -169,24 +154,12 @@ class Histogram:
         with self._lock:
             counts = list(self._counts)
             total, n = self._sum, self._count
-            exemplars = dict(self._exemplars) if self._exemplars else None
         cumulative: list[tuple[float, int]] = []
         running = 0
         for bound, count in zip(self.bounds, counts):
             running += count
             cumulative.append((bound, running))
-        sample: dict[str, Any] = {"buckets": cumulative, "sum": total, "count": n}
-        if exemplars:
-            # "+Inf" keeps the overflow bucket strict-JSON clean.
-            sample["exemplars"] = [
-                {
-                    "le": self.bounds[i] if i < len(self.bounds) else "+Inf",
-                    "exemplar": ex,
-                    "value": val,
-                }
-                for i, (ex, val) in sorted(exemplars.items())
-            ]
-        return sample
+        return {"buckets": cumulative, "sum": total, "count": n}
 
 
 _CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -287,8 +260,8 @@ class MetricFamily:
     def set(self, value: float) -> None:
         self._default().set(value)
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
-        self._default().observe(value, exemplar)
+    def observe(self, value: float) -> None:
+        self._default().observe(value)
 
     @property
     def value(self) -> float:
@@ -418,8 +391,6 @@ class MetricsRegistry:
                         {"le": bound, "count": count}
                         for bound, count in sample["buckets"]
                     ]
-                    if "exemplars" in sample:
-                        entry["exemplars"] = sample["exemplars"]
                 else:
                     entry["value"] = sample["value"]
                 entries.append(entry)

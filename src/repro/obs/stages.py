@@ -6,10 +6,10 @@ path into named stages::
     recv → frame → decode → dispatch → lock → transition → fsync_wait
          → encode → send
 
-and recording each stage into ``convgpu_stage_seconds{stage=...}`` with
-the request's trace id attached as a bucket *exemplar* — so a p99
-outlier in the histogram names the exact trace and stage that caused it
-(DESIGN.md §13).
+and recording each stage into ``convgpu_stage_seconds{stage=...}``
+(DESIGN.md §13).  Requests slower than ``SLOW_SECONDS`` also land, with
+their per-stage breakdown, in a bounded slow-request buffer that every
+flight dump carries.
 
 Cost model (the always-on <1% budget is enforced by
 ``benchmarks/test_bench_obs_overhead.py``):
@@ -27,9 +27,9 @@ Cost model (the always-on <1% budget is enforced by
   :func:`current`; when no clock is armed that read is a plain
   attribute hit on a defaulted ``threading.local`` subclass, so the
   scheduler's unsampled hot path is effectively untouched.
-* **No unbounded strings on the hot path.**  Trace ids go into the
-  (bounded, locked, cold) slow-trace buffer and histogram exemplars —
-  never into the flight recorder's intern tables.
+* **No unbounded strings on the hot path.**  Container ids go into the
+  (bounded, locked, cold) slow-request buffer — never into the flight
+  recorder's intern tables.
 
 The IoLoop's ``recv``/``frame`` stages and the batch dispatcher's
 amortized ``fsync_wait``/``send`` shares are observed directly via
@@ -91,9 +91,9 @@ STAGES = (
 SAMPLE_EVERY = 128
 #: IoLoop recv/frame stages sampled every Nth readable event.
 IO_SAMPLE_EVERY = 32
-#: Requests slower than this always enter the slow-trace buffer.
+#: Requests slower than this always enter the slow-request buffer.
 SLOW_SECONDS = 0.010
-#: Bounded slow-trace buffer size (cold path, lock-protected).
+#: Bounded slow-request buffer size (cold path, lock-protected).
 SLOW_CAPACITY = 256
 
 _STAGE_SECONDS = REGISTRY.histogram(
@@ -210,29 +210,21 @@ def set_current(clock: StageClock | None) -> None:
             ARMED_CLOCKS += delta
 
 
-def observe_stage(index: int, seconds: float, exemplar: str | None = None) -> None:
+def observe_stage(index: int, seconds: float) -> None:
     """Directly observe one stage (loop recv/frame, batch fsync/send)."""
-    _STAGE_CHILDREN[index].observe(seconds, exemplar)
+    _STAGE_CHILDREN[index].observe(seconds)
 
 
-def finish(
-    clock: StageClock,
-    *,
-    trace: str = "",
-    msg_type: str = "",
-    container: str = "",
-) -> float:
+def finish(clock: StageClock, *, msg_type: str = "", container: str = "") -> float:
     """Flush an armed clock into the stage histograms; returns the total."""
     total = _perf_counter() - clock.began
-    exemplar = trace or None
     durs = clock.durs
     for index, duration in enumerate(durs):
         if duration > 0.0:
-            _STAGE_CHILDREN[index].observe(duration, exemplar)
-    _SAMPLED_SECONDS.observe(total, exemplar)
+            _STAGE_CHILDREN[index].observe(duration)
+    _SAMPLED_SECONDS.observe(total)
     if total >= SLOW_SECONDS:
         note_slow(
-            trace=trace,
             msg_type=msg_type,
             container=container,
             total=total,
@@ -243,17 +235,19 @@ def finish(
 
 def note_slow(
     *,
-    trace: str,
     msg_type: str,
     container: str,
     total: float,
     stages: dict[str, float] | None = None,
 ) -> None:
-    """Record one slow request into the bounded slow-trace buffer."""
+    """Record one slow request into the bounded slow-request buffer.
+
+    The kind stays ``slow_trace`` so dumps written by older daemons (whose
+    entries also carry a ``trace`` key) read the same way.
+    """
     entry: dict[str, Any] = {
         "kind": "slow_trace",
         "ts": time.time(),
-        "trace": trace,
         "type": msg_type,
         "container": container,
         "total": total,
@@ -270,7 +264,7 @@ def slow_traces() -> list[dict[str, Any]]:
 
 
 def dump_sections() -> Iterable[dict[str, Any]]:
-    """Stage summaries + slow traces, embedded in every flight dump so
+    """Stage summaries + slow requests, embedded in every flight dump so
     ``repro doctor`` can report from the dump file alone."""
     lines: list[dict[str, Any]] = []
     for name, child in zip(STAGES, _STAGE_CHILDREN):
@@ -284,8 +278,6 @@ def dump_sections() -> Iterable[dict[str, Any]]:
             "count": sample["count"],
             "buckets": [[le, cum] for le, cum in sample["buckets"]],
         }
-        if "exemplars" in sample:
-            line["exemplars"] = sample["exemplars"]
         lines.append(line)
     lines.extend(slow_traces())
     return lines

@@ -367,6 +367,8 @@ MUTANTS: tuple[Mutant, ...] = (
         what="the selector thread dispatches a readable batch itself instead "
         "of queueing it for a worker: the handler's lock wait, fsync wait "
         "and reply `sendall` all run on the one I/O thread",
+        tier1="tests/ipc/test_loop.py::TestSharedLoop::"
+        "test_handlers_run_on_pool_workers_only",
         edits=((_LOOP, """\
         if frames:
             self._enqueue(state, frames)

@@ -416,8 +416,6 @@ REQUEST_FIELDS: dict = {
     MSG_PING: {"container_id": str},
     MSG_DATA: {"container_id": str, "size": int},
 }
-
-TRACE_FIELDS: tuple = ("trace_id", "span_id")
 """
 
 
@@ -504,7 +502,7 @@ def test_protocol_drift_accepts_declared_vocabulary(lint):
         lint,
         """\
         def send(protocol, client):
-            client.call("data", container_id="c", size=4, trace_id="t")
+            client.call("data", container_id="c", size=4)
             return protocol.make_request(protocol.MSG_PING, seq=2, container_id="c")
         """,
     )

@@ -237,6 +237,27 @@ class TestSharedLoop:
         for server in servers:
             server.stop()
 
+    def test_handlers_run_on_pool_workers_only(self, loop, tmp_path):
+        """The selector thread queues every batch: a handler on it would
+        stall every other connection for the handler's lock, fsync and
+        send waits."""
+        on_worker = []
+
+        def handler(message, reply_handle):
+            on_worker.append(loop.on_worker())
+            return echo_handler(message, reply_handle)
+
+        path = str(tmp_path / "workers.sock")
+        server = UnixSocketServer(path, handler, loop=loop).start()
+        try:
+            with UnixSocketClient(path) as client:
+                for i in range(8):
+                    client.notify(protocol.MSG_HEARTBEAT, container_id=f"w{i}")
+                    client.call(protocol.MSG_CONTAINER_EXIT, container_id=f"w{i}")
+        finally:
+            server.stop()
+        assert len(on_worker) == 16 and all(on_worker)
+
     def test_loop_stop_closes_live_connections(self, tmp_path):
         loop = IoLoop(workers=1).start()
         path = str(tmp_path / "dying.sock")

@@ -11,52 +11,12 @@ from repro.core.scheduler.events import (
 from repro.obs.chrome import (
     chrome_trace_document,
     scheduler_events_to_chrome,
-    spans_to_chrome,
     write_chrome_trace,
 )
-from repro.obs.trace import Tracer
-
-
-class ManualClock:
-    def __init__(self) -> None:
-        self.time = 0.0
-
-    def __call__(self) -> float:
-        return self.time
-
-
-def make_spans():
-    clock = ManualClock()
-    tracer = Tracer(clock=clock, seed=3)
-    root = tracer.start_span("wrapper.cudaMalloc", size=100)
-    clock.time = 1.0
-    child = tracer.start_span("scheduler.alloc_request", parent=root)
-    clock.time = 2.0
-    child.finish()
-    clock.time = 3.0
-    root.finish()
-    return tracer.finished()
-
-
-class TestSpansToChrome:
-    def test_spans_become_complete_events(self):
-        events = spans_to_chrome(make_spans())
-        complete = [e for e in events if e["ph"] == "X"]
-        assert [e["name"] for e in complete] == [
-            "wrapper.cudaMalloc", "scheduler.alloc_request",
-        ]
-        root = complete[0]
-        assert root["ts"] == 0.0 and root["dur"] == 3.0 * 1e6  # µs
-        assert root["args"]["size"] == 100
-
-    def test_same_trace_shares_tid(self):
-        events = [e for e in spans_to_chrome(make_spans()) if e["ph"] == "X"]
-        assert events[0]["tid"] == events[1]["tid"]
-
-    def test_unfinished_spans_skipped(self):
-        tracer = Tracer(seed=1)
-        tracer.start_span("open-forever")
-        assert [e for e in spans_to_chrome(tracer.finished()) if e["ph"] == "X"] == []
+_PAUSE_RESUME = [
+    AllocationPaused(time=0.0, container_id="c1", pid=1, size=8, api="cudaMalloc"),
+    AllocationResumed(time=1.0, container_id="c1", pid=1, size=8, waited=1.0),
+]
 
 
 class TestSchedulerEventsToChrome:
@@ -107,24 +67,16 @@ class TestSchedulerEventsToChrome:
 
 
 class TestDocument:
-    def test_document_combines_sources_and_metadata(self):
+    def test_document_carries_events_and_metadata(self):
         doc = chrome_trace_document(
-            spans=make_spans(),
-            scheduler_events=[
-                AllocationPaused(time=0.0, container_id="c1", pid=1, size=8,
-                                 api="cudaMalloc"),
-                AllocationResumed(time=1.0, container_id="c1", pid=1, size=8,
-                                  waited=1.0),
-            ],
-            metadata={"policy": "BF"},
+            scheduler_events=_PAUSE_RESUME, metadata={"policy": "BF"}
         )
         assert doc["metadata"] == {"policy": "BF"}
-        assert any(e.get("cat") == "span" for e in doc["traceEvents"])
         assert any(e.get("cat") == "pause" for e in doc["traceEvents"])
 
     def test_write_chrome_trace_loads_back(self, tmp_path):
         path = str(tmp_path / "trace.json")
-        count = write_chrome_trace(path, spans=make_spans())
+        count = write_chrome_trace(path, scheduler_events=_PAUSE_RESUME)
         doc = json.load(open(path))
         assert len(doc["traceEvents"]) == count > 0
         assert doc["displayTimeUnit"] == "ms"

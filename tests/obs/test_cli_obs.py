@@ -9,7 +9,9 @@ import pytest
 from repro import cli
 from repro.core.scheduler.core import GpuMemoryScheduler
 from repro.core.scheduler.daemon import SchedulerDaemon
+from repro.core.scheduler.events import AllocationPaused
 from repro.core.scheduler.policies import make_policy
+from repro.experiments.multi import run_schedule
 from repro.ipc.unix_socket import UnixSocketClient
 from repro.units import MiB
 
@@ -37,15 +39,24 @@ class TestChromeTraceFlag:
     def test_run_writes_loadable_trace(self, tmp_path):
         path = str(tmp_path / "trace.json")
         code, out = run_cli(
-            ["run", "--policy", "BF", "--count", "4", "--chrome-trace", path]
+            ["run", "--policy", "BF", "--count", "8", "--seed", "1",
+             "--chrome-trace", path]
         )
         assert code == 0
         assert f"trace events to {path}" in out
         doc = json.load(open(path))
         assert {"traceEvents", "metadata", "displayTimeUnit"} <= set(doc)
         assert doc["metadata"]["policy"] == "BF"
-        phases = {event["ph"] for event in doc["traceEvents"]}
-        assert "X" in phases  # at least one interval (span or pause)
+        # One pause interval per AllocationPaused of the same run, and the
+        # timeline's only intervals are those pauses.
+        paused = run_schedule("BF", 8, 1, capture_events=True).events
+        paused = [e for e in paused if isinstance(e, AllocationPaused)]
+        intervals = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert paused and len(intervals) == len(paused)
+        assert {e["cat"] for e in intervals} == {"pause"}
+
+    def test_events_are_captured_only_on_request(self):
+        assert run_schedule("BF", 2, 2017).events == []
 
     def test_run_without_flag_writes_nothing(self, tmp_path):
         code, out = run_cli(["run", "--policy", "BF", "--count", "2"])

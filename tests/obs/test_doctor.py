@@ -14,7 +14,11 @@ from repro.units import GiB
 
 @pytest.fixture
 def dump_path(tmp_path):
-    """A synthetic flight dump with I/O events and a stage section."""
+    """A synthetic flight dump with I/O events and a stage section.
+
+    The sections are in the format older daemons wrote: histogram
+    exemplars and a ``trace`` key on the slow entry, which the doctor
+    must read and ignore."""
     rec = FlightRecorder(capacity=16)
     read = rec.declare("io.read", a="fd", b="bytes")
     pause = rec.declare("sched.pause", s="container")
@@ -102,11 +106,11 @@ class TestAnalyze:
         assert dispatch["mean"] == pytest.approx(0.001)
         assert dispatch["p50"] == 0.001  # 2/4 cumulative at le=0.001
         assert dispatch["p99"] == 0.005
-        assert dispatch["worst_trace"] == "trace-9"
 
     def test_slow_traces_ranked(self, dump_path):
         report = analyze(dump_path)
-        assert report["slow_traces"][0]["trace"] == "trace-9"
+        assert report["slow_traces"][0]["total"] == 0.02
+        assert report["slow_traces"][0]["container"] == "b"
 
     def test_metrics_snapshot_cross_check(self, dump_path, tmp_path):
         metrics_path = str(tmp_path / "metrics.json")
@@ -130,8 +134,11 @@ class TestRender:
         assert "b: 1 pending" in text
         assert "-- stage latency (sampled) --" in text
         assert "-- slowest traces --" in text
+        assert "alloc_request container=b fsync_wait=15.00ms" in text
         assert "-- timeline" in text
         assert "AllocationPaused" in text
+        # An older dump's exemplars and trace ids are read, not rendered.
+        assert "trace-9" not in text and "worst" not in text
 
     def test_clean_report_says_zero_wedged(self, dump_path):
         text = render(analyze(dump_path))

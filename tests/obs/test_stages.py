@@ -5,7 +5,6 @@ import types
 import pytest
 
 from repro.obs import stages
-from repro.obs.metrics import Histogram
 
 
 @pytest.fixture(autouse=True)
@@ -93,7 +92,7 @@ class TestFinish:
         clock = stages.StageClock()
         clock.add(stages.S_LOCK, 0.001)
         clock.add(stages.S_DISPATCH, 0.002)
-        total = stages.finish(clock, trace="t1", msg_type="alloc_request")
+        total = stages.finish(clock, msg_type="alloc_request")
         assert total >= 0.0
         after = {
             name: child.sample()["count"]
@@ -107,24 +106,21 @@ class TestFinish:
         clock = stages.StageClock()
         clock.add(stages.S_FSYNC, stages.SLOW_SECONDS * 2)
         clock.began -= stages.SLOW_SECONDS * 2  # simulate elapsed wall time
-        stages.finish(clock, trace="slow-1", msg_type="alloc_request",
-                      container="c9")
+        stages.finish(clock, msg_type="alloc_request", container="c9")
         traces = stages.slow_traces()
-        assert traces and traces[-1]["trace"] == "slow-1"
+        assert traces and traces[-1]["type"] == "alloc_request"
         assert traces[-1]["container"] == "c9"
         assert "fsync_wait" in traces[-1]["stages"]
 
     def test_slow_buffer_is_bounded(self):
         for i in range(stages.SLOW_CAPACITY + 10):
-            stages.note_slow(
-                trace=f"t{i}", msg_type="x", container="", total=1.0
-            )
+            stages.note_slow(msg_type=f"x{i}", container="", total=1.0)
         assert len(stages.slow_traces()) == stages.SLOW_CAPACITY
 
 
 class TestDumpSections:
     def test_sections_describe_observed_stages(self):
-        stages.observe_stage(stages.S_DECODE, 0.001, exemplar="trace-42")
+        stages.observe_stage(stages.S_DECODE, 0.001)
         lines = list(stages.dump_sections())
         summaries = {
             line["stage"]: line for line in lines
@@ -135,34 +131,11 @@ class TestDumpSections:
         assert decode["count"] >= 1
         assert decode["sum"] > 0.0
         assert decode["buckets"]
-        exemplars = decode.get("exemplars", [])
-        assert any(e["exemplar"] == "trace-42" for e in exemplars)
 
     def test_slow_traces_ride_in_sections(self):
-        stages.note_slow(trace="s1", msg_type="alloc_request",
-                         container="c1", total=0.5)
+        stages.note_slow(msg_type="alloc_request", container="c1", total=0.5)
         lines = list(stages.dump_sections())
         assert any(
-            line["kind"] == "slow_trace" and line["trace"] == "s1"
+            line["kind"] == "slow_trace" and line["container"] == "c1"
             for line in lines
         )
-
-
-class TestHistogramExemplars:
-    def test_exemplar_attached_to_bucket(self):
-        h = Histogram(buckets=(0.001, 1.0))
-        h.observe(0.5, "trace-a")
-        sample = h.sample()
-        assert sample["exemplars"] == [
-            {"le": 1.0, "exemplar": "trace-a", "value": 0.5}
-        ]
-
-    def test_overflow_bucket_uses_inf_string(self):
-        h = Histogram(buckets=(0.001,))
-        h.observe(5.0, "trace-b")
-        assert h.sample()["exemplars"][0]["le"] == "+Inf"
-
-    def test_no_exemplars_key_when_none_recorded(self):
-        h = Histogram(buckets=(1.0,))
-        h.observe(0.5)
-        assert "exemplars" not in h.sample()
