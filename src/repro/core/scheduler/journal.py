@@ -105,18 +105,24 @@ other line — so what is accepted, and every error message, is the
 reference decoder's.  The scan walks the lines itself and checks an event
 with one subset test against :data:`EVENT_FIELD_SETS`; what a line costs
 is then a UTF-8 decode, one ``scan_once`` (about 80 % of it, the floor for
-parsing every line) and a few dict operations.
+parsing every line) and a few dict operations.  What is left to gain is
+CPUs: a journal of a MiB or more is cut into byte ranges that forked
+children scan beside this process (:mod:`repro.fanout`), and their
+findings are added up in file order (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import threading
 import time
-from typing import Any, BinaryIO, Callable, Iterator, TextIO
+from functools import partial
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, TextIO
 
+from repro import fanout
 from repro.core.scheduler.core import GpuMemoryScheduler
 from repro.core.scheduler.events import (
     AllocationAborted,
@@ -196,6 +202,15 @@ JOURNAL_VERSION = 1
 
 #: Sidecar suffix for the compaction rewrite (``<journal>.compact``).
 COMPACT_SUFFIX = ".compact"
+
+#: Bytes one ``os.pread`` of the validating scan reads: what a stripe holds
+#: of the file at once, whatever the file's size.
+_PIECE_BYTES = 1 << 16
+
+#: Bytes after the meta line a scan needs before it forks: a stripe in a
+#: child costs about 6 ms of fork and pickle, and saves what this process
+#: would spend scanning it, about 15 ms a MiB (DESIGN.md §14).
+_STRIPE_MIN_BYTES = 1 << 20
 
 #: Event-type registry for the codec (name -> dataclass).
 EVENT_TYPES: dict[str, type[SchedulerEvent]] = {
@@ -413,14 +428,22 @@ class JournalReader:
         type with all of :data:`EVENT_FIELD_SETS`' fields present).  No
         event is built, nothing is applied and nothing is kept but the meta
         record, :attr:`snapshot_at` and the counts, so memory is flat in
-        journal size.  Stops at the end of the file or on the
-        ``(event_limit + 1)``-th event — a snapshot between the N-th event
-        and that one still counts — and leaves :attr:`offset` there.  A
-        failed check raises with the counts up to its line in place.
+        journal size.  Stops at the end of the file as it was when the scan
+        began, or on the ``(event_limit + 1)``-th event — a snapshot between
+        the N-th event and that one still counts — and leaves :attr:`offset`
+        there.  A failed check raises with the counts up to its line in
+        place.
 
-        The meta line is read through iteration; every later line is
-        walked here, with the same :func:`_decode_line` and the same torn
-        and corrupt rules, but without a generator frame per line.
+        The meta line is read through iteration.  The bytes after it are cut
+        into byte ranges just after a newline, one per CPU
+        (:func:`repro.fanout.width`, from :data:`_STRIPE_MIN_BYTES` bytes a
+        range), each scanned by :func:`_scan_stripe` — this process's own
+        range here, the others in forked children — through ``os.pread``
+        on this reader's one descriptor, and the findings are added up in
+        file order: the attributes, the error and the counts before it are
+        the one-range scan's.  One range, in this process, for a short
+        file, with an ``event_limit``, on one CPU or while another thread
+        is alive.
         """
         first = next(iter(self), None)
         if first is None or first["kind"] != "meta":
@@ -433,47 +456,33 @@ class JournalReader:
                 f"journal {self.path} version {first.get('version')!r} "
                 f"!= {JOURNAL_VERSION}"
             )
-        offset = self.offset + len(self.meta_raw)
+        fd = self._fh.fileno()
+        start, stop = self.offset + len(self.meta_raw), os.fstat(fd).st_size
+        width = 1
+        if event_limit is None and stop - start >= _STRIPE_MIN_BYTES:
+            width = fanout.width((stop - start) // _STRIPE_MIN_BYTES)
+        spans = _spans(fd, start, stop, width)
+        stripes = fanout.fan_out(
+            partial(_scan_stripe, fd, self.path, event_limit), spans, len(spans)
+        )
         counts = self.event_counts
-        required = EVENT_FIELD_SETS
-        events = replayed = snapshots = 0
-        try:
-            for lineno, raw in enumerate(self._fh, 2):
-                if not raw.endswith(b"\n"):
-                    self.torn = 1
-                    break
-                try:
-                    record = _decode_line(raw)
-                except ValueError as exc:
-                    raise self._corrupt(lineno, exc) from exc
-                kind = record["kind"]
-                if kind == "event":
-                    if events == event_limit:
-                        break
-                    name = record.get("event")
-                    try:
-                        complete = record.keys() >= required[name]
-                    except (KeyError, TypeError):  # unknown or unhashable type
-                        complete = False
-                    if not complete:
-                        _event_fields(record)  # raises the diagnostic
-                    counts[name] = counts.get(name, 0) + 1
-                    events += 1
-                    replayed += 1
-                elif kind == "snapshot":
-                    self.snapshot_at = offset
-                    snapshots += 1
-                    replayed = 0
-                elif kind == "meta":
-                    raise JournalError(f"duplicate meta record in {self.path}")
-                else:
-                    raise JournalError(
-                        f"unknown journal record kind {kind!r} in {self.path}"
-                    )
-                offset += len(raw)
-        finally:
-            self.offset = offset
-            self.events, self.replayed, self.snapshots = events, replayed, snapshots
+        lineno = 2
+        for stripe in stripes:
+            self.events += stripe.events
+            self.snapshots += stripe.snapshots
+            if stripe.snapshot_at is None:
+                self.replayed += stripe.replayed
+            else:
+                self.snapshot_at, self.replayed = stripe.snapshot_at, stripe.replayed
+            for name, count in stripe.event_counts.items():
+                counts[name] = counts.get(name, 0) + count
+            self.offset, self.torn = stripe.stop, stripe.torn
+            lineno += stripe.lines
+            fault = stripe.fault
+            if isinstance(fault, JournalError):
+                raise fault
+            if fault is not None:
+                raise self._corrupt(lineno, fault) from fault
 
     def tail(self) -> Iterator[dict[str, Any]]:
         """After :meth:`scan`: the records a restore applies, re-read.
@@ -520,6 +529,139 @@ def _decode_line(raw: bytes) -> dict[str, Any]:
     if not isinstance(record, dict) or "kind" not in record:
         raise ValueError(f"not a journal record: {record!r}")
     return record
+
+
+class _Stripe(NamedTuple):
+    """What :func:`_scan_stripe` found in its byte range, up to its fault."""
+
+    #: Complete lines that passed every check.
+    lines: int
+    events: int
+    snapshots: int
+    #: Byte offset of the range's newest snapshot, ``None`` without one.
+    snapshot_at: int | None
+    #: Events after that snapshot: every event of a range without one.
+    replayed: int
+    event_counts: dict[str, int]
+    #: Where the scan stopped: just past its last line that passed.
+    stop: int
+    #: 1 when the range ends in an unterminated line (only the file's last
+    #: range can).
+    torn: int
+    #: Why the line after :attr:`lines` failed: the ``ValueError`` of a line
+    #: that did not decode, or the ``JournalError`` of a check that refused it.
+    fault: Exception | None
+
+
+def _scan_stripe(
+    fd: int, path: str, event_limit: int | None, span: tuple[int, int]
+) -> _Stripe:
+    """The validating scan's checks on every line of ``span``, a byte range
+    of a journal's records after its meta line that starts a line.
+
+    Reads with ``os.pread`` (:func:`_line_batches`), so it never moves the
+    descriptor's offset and runs the same in a forked child.  Stops at the
+    first line that fails a check, and on the ``(event_limit + 1)``-th
+    event.
+    """
+    offset, stop = span
+    counts: dict[str, int] = {}
+    required = EVENT_FIELD_SETS
+    lines = events = replayed = snapshots = torn = 0
+    snapshot_at: int | None = None
+    fault: Exception | None = None
+    for batch in _line_batches(fd, offset, stop):
+        for raw in batch:
+            if not raw.endswith(b"\n"):
+                # Unterminated tail: crash mid-append; drop and stop.
+                torn = 1
+                break
+            try:
+                record = _decode_line(raw)
+            except ValueError as exc:
+                fault = exc
+                break
+            kind = record["kind"]
+            if kind == "event":
+                if events == event_limit:
+                    break
+                name = record.get("event")
+                try:
+                    complete = record.keys() >= required[name]
+                except (KeyError, TypeError):  # unknown or unhashable type
+                    complete = False
+                if not complete:
+                    try:
+                        _event_fields(record)  # raises the diagnostic
+                    except JournalError as exc:
+                        fault = exc
+                        break
+                counts[name] = counts.get(name, 0) + 1
+                events += 1
+                replayed += 1
+            elif kind == "snapshot":
+                snapshot_at = offset
+                snapshots += 1
+                replayed = 0
+            elif kind == "meta":
+                fault = JournalError(f"duplicate meta record in {path}")
+                break
+            else:
+                fault = JournalError(f"unknown journal record kind {kind!r} in {path}")
+                break
+            lines += 1
+            offset += len(raw)
+        else:
+            continue
+        break
+    return _Stripe(
+        lines, events, snapshots, snapshot_at, replayed, counts, offset, torn, fault
+    )
+
+
+def _line_batches(fd: int, start: int, stop: int) -> Iterator[list[bytes]]:
+    """The lines of ``[start, stop)``, newline kept, split on ``\\n`` only:
+    one list per ``os.pread`` of at most :data:`_PIECE_BYTES` that ends a
+    line.  Only the last line of the last list can be unterminated."""
+    pending: list[bytes] = []
+    while start < stop:
+        piece = os.pread(fd, min(_PIECE_BYTES, stop - start), start)
+        if not piece:
+            break
+        start += len(piece)
+        cut = piece.rfind(b"\n") + 1
+        if not cut:  # a line longer than a piece
+            pending.append(piece)
+            continue
+        pending.append(piece[:cut])
+        yield io.BytesIO(b"".join(pending)).readlines()
+        pending = [piece[cut:]]
+    rest = b"".join(pending)
+    if rest:
+        yield [rest]
+
+
+def _spans(fd: int, start: int, stop: int, width: int) -> list[tuple[int, int]]:
+    """``[start, stop)`` cut into at most ``width`` byte ranges of about the
+    same size, every cut just after a newline, so each range starts a line."""
+    cuts = [start]
+    for index in range(1, width):
+        at = max(cuts[-1], start + (stop - start) * index // width)
+        while at < stop:
+            piece = os.pread(fd, min(_PIECE_BYTES, stop - at), at)
+            if not piece:
+                at = stop
+                break
+            newline = piece.find(b"\n")
+            if newline >= 0:
+                at += newline + 1
+                break
+            at += len(piece)
+        if at >= stop:
+            break
+        cuts.append(at)
+    cuts.append(stop)
+    return list(zip(cuts, cuts[1:]))
 
 
 def _copy_bytes(src: BinaryIO, dst: BinaryIO, start: int, stop: int) -> None:

@@ -13,13 +13,11 @@ wrapper logic are the identical code paths the live mode uses.
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
+from repro import fanout
 from repro.container.image import make_cuda_image
 from repro.core.middleware import ConVGPU
 from repro.core.scheduler.core import CONTEXT_OVERHEAD_CHARGE
@@ -309,93 +307,11 @@ def _check_grid(policies: tuple[str, ...], counts: tuple[int, ...], repeats: int
 
 
 def _width(tasks: int) -> int:
-    """How many processes ``sweep`` runs ``tasks`` independent schedules
-    in: one per CPU this process may run on (a cgroup CPU quota is not
-    read), or 1 (in-process) where forking is unavailable, unsafe (another
-    Python thread is alive) or would lose a replaced ``run_schedule``'s
-    effects.
-
-    Threads a C library starts on its own are not counted.  Such a library
-    keeps itself fork-safe with ``pthread_atfork``: numpy's OpenBLAS joins
-    its pool before every fork, so the process forks with one thread and
-    Python 3.12's fork-with-threads warning, which counts the threads after
-    the fork, stays quiet.  A native thread that outlives the fork is what
-    that warning reports, and it is left to report it.
-    """
-    if (
-        not hasattr(os, "fork")
-        or threading.active_count() > 1
-        or run_schedule is not _OWN_RUN_SCHEDULE
-    ):
+    """:func:`repro.fanout.width`, or 1 while ``run_schedule`` is replaced:
+    a tracer's or a test double's effects must land in this process."""
+    if run_schedule is not _OWN_RUN_SCHEDULE:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, tasks))
-
-
-def _fan_out(fn: Callable, tasks: list, width: int) -> list:
-    """``[fn(task) for task in tasks]``, striped round-robin over ``width``
-    processes: this one runs stripe 0, a forked child each other stripe.
-
-    Results come back in task order and a stripe's exception is raised
-    here.  Every child is reaped before this returns or raises, the others
-    killed first when a stripe fails.  No thread is started, so no fork
-    races one (a ``ProcessPoolExecutor``'s exiting threads do).
-    """
-    if width == 1:
-        return [fn(task) for task in tasks]
-    from multiprocessing import get_context
-
-    fork = get_context("fork")
-    stripes = [tasks[index::width] for index in range(width)]
-    children = []  # (process, read end of its pipe)
-    results: list = [None] * len(tasks)
-    try:
-        for index in range(1, width):
-            reader, writer = fork.Pipe(duplex=False)
-            child = fork.Process(target=_run_stripe, args=(fn, stripes[index], writer))
-            try:
-                child.start()
-            finally:
-                writer.close()
-            children.append((child, reader))
-        results[0::width] = [fn(task) for task in stripes[0]]
-        for index, (child, reader) in enumerate(children, 1):
-            try:
-                ok, value = reader.recv()
-            except EOFError:
-                child.join()
-                raise ChildProcessError(
-                    f"sweep child {child.pid} sent no results (exit code {child.exitcode})"
-                ) from None
-            if not ok:
-                raise value
-            results[index::width] = value
-    except BaseException:
-        # Nobody will read the other stripes: stop them now.
-        for child, _ in children:
-            child.kill()
-        raise
-    finally:
-        for child, reader in children:
-            reader.close()
-            child.join()
-    return results
-
-
-def _run_stripe(fn: Callable, stripe: list, writer) -> None:
-    """A forked child's side of :func:`_fan_out`: send back the stripe's
-    results, or its exception."""
-    try:
-        writer.send((True, [fn(task) for task in stripe]))
-    except BaseException as exc:
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:  # one the parent could not rebuild: keep its text
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        writer.send((False, exc))
+    return fanout.width(tasks)
 
 
 def _reduce(task: tuple, *, resume_mode: str, context_overhead: int | None) -> tuple:
@@ -429,7 +345,8 @@ def sweep(
     Every ``(policy, count, repetition)`` schedule is independent (seeded
     from ``(count, repetition)`` alone, on a ``ConVGPU`` of its own), so the
     schedules are striped round-robin over one process per CPU this process
-    may run on: this one and a forked child per extra CPU, each schedule
+    may run on (:mod:`repro.fanout`, capped at the cgroup CPU quota): this
+    one and a forked child per extra CPU, each schedule
     reduced to six numbers where it ran.  This process adds each cell up in
     repetition order, so the tables are bit-identical to running every
     schedule here.  It stays in-process on one CPU, without ``os.fork``,
@@ -450,7 +367,7 @@ def sweep(
         for rep in range(repeats)
     ]
     reduce = partial(_reduce, resume_mode=resume_mode, context_overhead=context_overhead)
-    rows = iter(_fan_out(reduce, tasks, _width(len(tasks))))
+    rows = iter(fanout.fan_out(reduce, tasks, _width(len(tasks))))
     tables: list[dict] = [{policy: {} for policy in policies} for _ in range(6)]
     for count in counts:
         for policy in policies:

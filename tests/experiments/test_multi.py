@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import fanout
 from repro.experiments import multi
 from repro.experiments.multi import (
     DEFAULT_SEED,
     SweepGridError,
-    _fan_out,
     run_schedule,
     sweep,
 )
@@ -112,9 +112,10 @@ SMALL = {"policies": ("FIFO", "BF"), "counts": (4,), "repeats": 2, "seed": 7}
 
 def _cpus() -> int:
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, fanout.cpu_quota() or cpus)
 
 
 def _fork_or_skip() -> None:
@@ -217,20 +218,20 @@ class TestFanOut:
         assert len(forks) == min(_cpus(), 4) - 1
 
     def test_results_come_back_in_task_order(self):
-        assert _fan_out(_square, list(range(7)), 3) == [task * task for task in range(7)]
+        assert fanout.fan_out(_square, list(range(7)), 3) == [task * task for task in range(7)]
 
     def test_a_child_exception_is_raised_in_the_parent(self, forks):
         with pytest.raises(LookupError, match="^task 1 failed$"):
-            _fan_out(_fail_on_one, [0, 1, 2, 3], 2)  # task 1: stripe 1, a child's
+            fanout.fan_out(_fail_on_one, [0, 1, 2, 3], 2)  # task 1: stripe 1, a child's
         assert len(forks) == 1
 
     def test_a_child_exception_that_cannot_be_rebuilt_keeps_its_text(self):
         with pytest.raises(RuntimeError, match="TwoArgError: cudaMalloc failed with 2"):
-            _fan_out(_fail_unrebuildably, [0, 1], 2)
+            fanout.fan_out(_fail_unrebuildably, [0, 1], 2)
 
     def test_a_child_that_dies_without_results_names_its_exit_code(self):
         with pytest.raises(ChildProcessError, match="exit code 3"):
-            _fan_out(_die_on_one, [0, 1], 2)
+            fanout.fan_out(_die_on_one, [0, 1], 2)
 
     def test_forks_see_one_thread_and_leave_no_child(self):
         # A fresh interpreter: waitpid(-1) here could reap another test's
@@ -240,7 +241,8 @@ class TestFanOut:
         script = """
 import json
 import os
-from repro.experiments.multi import _fan_out, sweep
+from repro.experiments.multi import sweep
+from repro.fanout import fan_out
 
 threads_at_fork = []
 os.register_at_fork(
@@ -262,7 +264,7 @@ for failing in (0, 1):  # this process's own stripe, then a child's
             raise ValueError("stripe failed")
         return task
     try:
-        _fan_out(fail, [0, 1, 2, 3], 2)
+        fan_out(fail, [0, 1, 2, 3], 2)
     except ValueError:
         pass
     else:
@@ -316,6 +318,77 @@ print(json.dumps(threads_at_fork))
             warnings.simplefilter("always")
             sweep(**SMALL)
         assert [str(warning.message) for warning in caught] == []
+
+
+@pytest.fixture
+def cgroup(tmp_path, monkeypatch):
+    """Point the cgroup CPU limit files at ``tmp_path``; return a writer."""
+    for name, file in (
+        ("CPU_MAX", "cpu.max"),
+        ("CFS_QUOTA", "cpu.cfs_quota_us"),
+        ("CFS_PERIOD", "cpu.cfs_period_us"),
+    ):
+        monkeypatch.setattr(fanout, name, str(tmp_path / file))
+
+    def write(**files: str) -> None:
+        for file, text in files.items():
+            (tmp_path / file.replace("_", ".", 1)).write_text(text)
+
+    return write
+
+
+class TestCpuQuota:
+    @pytest.mark.parametrize(
+        "files, quota",
+        [
+            ({"cpu_max": "150000 100000\n"}, 2),
+            ({"cpu_max": "max 100000\n"}, None),
+            ({"cpu_cfs_quota_us": "50000\n", "cpu_cfs_period_us": "100000\n"}, 1),
+            ({"cpu_cfs_quota_us": "-1\n", "cpu_cfs_period_us": "100000\n"}, None),
+            # v2 wins over v1 where both are mounted.
+            ({"cpu_max": "max 100000\n", "cpu_cfs_quota_us": "50000\n",
+              "cpu_cfs_period_us": "100000\n"}, None),
+            ({}, None),
+        ],
+    )
+    def test_reads_v2_cpu_max_then_the_v1_pair(self, cgroup, files, quota):
+        cgroup(**files)
+        assert fanout.cpu_quota() == quota
+
+    def test_the_width_is_capped_at_the_quota(self, cgroup, monkeypatch):
+        if threading.active_count() > 1:
+            pytest.skip(f"another thread is alive, the width is 1: {threading.enumerate()}")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        cgroup(cpu_max="250000 100000\n")  # 2.5 CPUs: three processes
+        assert (fanout.width(8), fanout.width(2)) == (3, 2)
+        cgroup(cpu_max="max 100000\n")
+        assert fanout.width(8) == 4
+
+    def test_a_quota_of_one_cpu_keeps_the_sweep_and_the_scan_in_process(
+        self, cgroup, monkeypatch, forks, tmp_path
+    ):
+        from repro.core.scheduler import journal as journal_mod
+
+        _fork_or_skip()
+        path = tmp_path / "j.wal"
+        event = {"kind": "event", "event": "ContainerRegistered", "time": 0.0,
+                 "container_id": "c", "limit": 1, "assigned": 1}
+        path.write_text(
+            json.dumps({"kind": "meta", "version": journal_mod.JOURNAL_VERSION}) + "\n"
+            + (json.dumps(event) + "\n") * 4
+        )
+        monkeypatch.setattr(journal_mod, "_STRIPE_MIN_BYTES", 1)
+
+        def scan() -> int:
+            with journal_mod.JournalReader(str(path)) as reader:
+                reader.scan()
+            return reader.events
+
+        assert (scan(), len(forks)) == (4, min(_cpus(), 4) - 1)  # no quota
+        forks.clear()
+        cgroup(cpu_max="100000 100000\n")
+        sweep(**SMALL)
+        assert (scan(), forks) == (4, [])
 
 
 class TestGpuUtilization:

@@ -1,7 +1,8 @@
 """The serving closure (DESIGN.md §11): what a scheduler process imports.
 
 A daemon and ``repro recover`` import only the serving path: the
-scheduler core, the journal, the IPC stack and the observability they
+scheduler core, the journal (with ``repro.fanout``, the fork fan-out its
+scan shares with the sweep), the IPC stack and the observability they
 serve.  Neither loads the simulator, the simulated GPU/CUDA/container
 stack, the figure harness or numpy; numpy comes in only with the Rand
 policy's RNG and ``http.server`` only with a metrics port.  Each check runs in a fresh interpreter, since
@@ -159,6 +160,7 @@ class TestServingClosure:
         assert proc.returncode == 0, stderr
         modules = _importtime_modules(stderr)
         assert "repro.core.scheduler.daemon" in modules
+        assert "repro.fanout" in modules
         assert _forbidden(modules) == []
 
     def test_repro_recover(self, tmp_path):
@@ -174,6 +176,10 @@ class TestServingClosure:
         modules = _importtime_modules(proc.stderr)
         assert "repro.core.scheduler.journal" in modules
         assert _forbidden(modules) == []
+        # The scan's fan-out is loaded, outside repro.experiments, and a
+        # journal below the stripe threshold is scanned without forking.
+        assert "repro.fanout" in modules
+        assert {"multiprocessing", "pickle"}.isdisjoint(modules)
 
 
 class TestPublicNames:
