@@ -4,9 +4,10 @@ The seed journal wrote + flushed (+ fsynced) inside the event-log
 listener, i.e. while the scheduler mutex was held: with durability on,
 every allocation decision serialized behind a disk flush even when the
 deciding threads were touching unrelated containers.  The core/runtime
-split moves appends to a dedicated writer thread — the listener only
-enqueues, and the facade waits for durability *after* releasing the lock —
-so concurrent transitions share one batched flush (classic group commit).
+split moves appends out of the lock — the listener only enqueues, and the
+facade waits for durability *after* releasing the lock, where the first
+waiter leads one write of everything queued — so concurrent transitions
+share one batched flush (classic leader/follower group commit).
 
 Both modes are still in the tree (``SchedulerJournal(mode=...)``); this
 benchmark drives the same threaded workload through each with ``fsync=True``
@@ -101,7 +102,7 @@ def test_bench_journal_group_commit(record_output, tmp_path):
                     "(baseline)",
                 ),
                 (
-                    "group commit (writer thread)",
+                    "group commit (leader writes)",
                     f"{best['group'] * 1000:.1f}",
                     f"{group_rate:,.0f}",
                     f"{speedup:.2f}x",

@@ -29,7 +29,8 @@ threads the daemon itself needed.
 Acceptance criteria asserted at the end:
 
 - the daemon sustains 256 containers with a *bounded* thread count
-  (1 loop + worker pool, independent of container count);
+  (the loop's selector and dispatch threads, independent of container
+  count);
 - binary + pipelining is at least 3x blocking JSON at 256 containers —
   the codec upgrade pays for itself exactly where the paper's scaling
   story needs it.
@@ -57,9 +58,8 @@ REQUESTS_PER_CONTAINER = 32
 #: container (that is what the depth-1 cells measure).
 GENERATOR_THREADS = 8
 
-#: Worker-pool size of the daemon's I/O loop in every cell (the dispatch
-#: pool behind the single selector thread).
-LOOP_WORKERS = 2
+#: Threads the daemon's I/O loop runs: one selector, one dispatch thread.
+LOOP_THREADS = 2
 
 #: (client codec, pipeline depth).  "json"/depth-1 is the pre-binary wire
 #: (the committed baseline); "binary"/depth-32 is the negotiated hot path
@@ -111,7 +111,6 @@ def _run_config(tmp_path, codec, depth, count):
     daemon = SchedulerDaemon(
         scheduler,
         base_dir=str(tmp_path / f"{codec}-{depth}-{count}"),
-        io_workers=LOOP_WORKERS,
     ).start()
     client_codec = "auto" if codec == "binary" else "json"
     client_threads = count if depth == 1 else min(GENERATOR_THREADS, count)
@@ -272,19 +271,19 @@ def test_bench_concurrency_summary(record_output):
             ),
         )
         + f"\n\nbest of {TRIALS} trials per cell.\n"
-        f"daemon: one selector thread + {LOOP_WORKERS} workers.\n"
+        "daemon: one selector thread + one dispatch thread.\n"
         "depth 1: one blocking connection per container (the wrapper's "
         "shape), latencies per call.\n"
         f"depth 32: {GENERATOR_THREADS} generator threads, each overlapping "
         "pipelined 32-request windows across its shard of connections; "
         "latencies are per window, amortized per connection.",
     )
-    # The daemon's thread count is independent of container count: one I/O
-    # thread plus the worker pool (small slack for the control socket's
+    # The daemon's thread count is independent of container count: the
+    # loop's two threads (small slack for the control socket's
     # bookkeeping), even at 256 containers.
     for count in CONTAINER_COUNTS:
         assert _RESULTS[("binary", 32, count)]["daemon_threads"] <= (
-            1 + LOOP_WORKERS + 4
+            LOOP_THREADS + 4
         )
     # The codec upgrade's acceptance bar: negotiated binary + pipelining is
     # at least 3x the blocking-JSON wire at paper scale.

@@ -110,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     daemon_cmd.add_argument("--base-dir", default=None,
                             help="socket directory (temp dir when omitted)")
     daemon_cmd.add_argument(
-        "--io-workers", type=int, default=4, metavar="N",
-        help="dispatch worker pool size of the I/O loop (default: 4)",
-    )
-    daemon_cmd.add_argument(
         "--codec", choices=("auto", "json"), default="auto",
         help="wire codec: auto (default) negotiates binary per connection "
              "and falls back to JSON for old peers; json pins the "
@@ -509,7 +505,6 @@ def _cmd_daemon(args) -> int:
 
     try:
         require_positive({
-            "--io-workers": args.io_workers,
             "--heartbeat-timeout": args.heartbeat_timeout,
             "--reap-interval": args.reap_interval,
             "--watchdog-interval": args.watchdog_interval,
@@ -529,7 +524,6 @@ def _cmd_daemon(args) -> int:
     )
     common = {
         "base_dir": args.base_dir,
-        "io_workers": args.io_workers,
         "codec": args.codec,
         "monitor": monitor,
         "reap_interval": args.reap_interval,

@@ -20,7 +20,7 @@ module is the in-process driver: a placement map plus verb routing.
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, Callable
 
 from repro.cluster.placement import PLACEMENT_POLICIES, make_placement
 from repro.core.scheduler.core import GpuMemoryScheduler
@@ -163,9 +163,12 @@ class MultiGpuScheduler:
         for scheduler in self.schedulers:
             scheduler.begin_batch()
 
-    def commit_batch(self) -> None:
-        for scheduler in self.schedulers:
-            scheduler.commit_batch()
+    def commit_batch(self, then: Callable[[], None] | None = None) -> None:
+        """Commit every device; ``then`` rides the last one, so it runs
+        once every device's decisions are durable."""
+        last = len(self.schedulers) - 1
+        for ordinal, scheduler in enumerate(self.schedulers):
+            scheduler.commit_batch(then if ordinal == last else None)
 
     # ------------------------------------------------------------------
 

@@ -15,12 +15,14 @@ live daemon — and nothing more:
   durability (``journal.wait_durable()``, the group-commit handshake)
   followed by the resume-callback deliveries that perform socket I/O.  An
   unbatched call delivers a batch of one; ``commit_batch`` delivers the
-  whole ``begin_batch`` window.
+  whole ``begin_batch`` window, then runs the callbacks its callers handed
+  it (the window's reply sends and container tear-downs).
 
 That ordering keeps the WAL guarantee of PR 1 — a decision is durable
 before its reply (or any resumed reply) leaves the daemon — while an fsync
-no longer serializes unrelated allocation decisions: appends are batched
-by the journal's writer thread and many transitions share one disk flush.
+no longer serializes unrelated allocation decisions: the first waiter of a
+group commit writes everything queued, and many transitions share one disk
+flush.
 
 The algorithmic behaviour measured in Fig. 7/8 lives entirely in the pure
 core and is pinned byte-for-byte by ``tests/core/test_golden_traces.py``;
@@ -136,9 +138,9 @@ class GpuMemoryScheduler:
         self._lock = threading.RLock()
         #: Set by SchedulerJournal.attach(); None when running unjournaled.
         self.journal: Any = None
-        #: Per-thread batch buffer (``begin_batch``/``commit_batch``).  Each
-        #: transport worker dispatches one connection's frame batch on one
-        #: thread, so thread-local state is exactly per-batch state.
+        #: Per-thread batch buffer (``begin_batch``/``commit_batch``).  A
+        #: dispatch turn runs on one thread, so thread-local state is
+        #: exactly per-turn state.
         self._batch = threading.local()
 
     # -- configuration passthrough (journal meta + callers read these) -----
@@ -305,9 +307,10 @@ class GpuMemoryScheduler:
         """Append the transition's events to the log (caller holds the lock).
 
         EventLog listeners run here — under the lock — which for an
-        attached journal means *enqueueing* the events on the group-commit
-        writer, preserving the global event order at queue-append cost.
-        The disk write, flush and fsync all happen on the writer thread.
+        attached journal means *enqueueing* the events for the next group
+        commit, preserving the global event order at queue-append cost.
+        The disk write, flush and fsync happen in ``wait_durable``, after
+        the lock is released.
         """
         for event in transition.events:
             self.log.append(event)
@@ -317,28 +320,41 @@ class GpuMemoryScheduler:
 
         Until the matching :meth:`commit_batch`, every transition's
         durability wait and resume-callback deliveries are deferred into a
-        per-thread buffer.  The transport's batch dispatcher brackets one
-        readable event's worth of frames with these calls, so N pipelined
-        decisions share a single group-commit handshake with the journal
-        writer instead of paying one ``wait_durable`` round-trip each —
-        and still no reply (direct or resumed) leaves before every
-        decision in the batch is on disk.
+        per-thread buffer.  The transport's dispatch turn brackets every
+        frame it dispatches with these calls, so the turn's decisions share
+        a single ``wait_durable`` instead of paying one each — and still no
+        reply (direct or resumed) leaves before every decision in the turn
+        is on disk.
         """
         depth = getattr(self._batch, "depth", 0)
         if depth == 0:
             self._batch.pending = []
+            self._batch.then = []
         self._batch.depth = depth + 1
 
-    def commit_batch(self) -> None:
-        """Flush the calling thread's deferred effects (one durability wait)."""
+    def commit_batch(self, then: Callable[[], None] | None = None) -> None:
+        """Close one bracket; the outermost flushes the deferred effects.
+
+        ``then`` runs after the outermost bracket's one durability wait and
+        its resume deliveries, in the order the callbacks were handed in —
+        at once when no bracket is open.  If the wait raises, no ``then``
+        runs: a reply whose decision is not durable never leaves.
+        """
         depth = getattr(self._batch, "depth", 0)
         if depth == 0:
+            if then is not None:
+                then()
             return
+        if then is not None:
+            self._batch.then.append(then)
         self._batch.depth = depth - 1
         if depth > 1:
             return
         pending, self._batch.pending = self._batch.pending, []
+        thens, self._batch.then = self._batch.then, []
         self._deliver(pending)
+        for callback in thens:
+            callback()
 
     def _finish(self, transition: Transition) -> None:
         """Execute the transition's effects outside the mutex.
@@ -369,10 +385,10 @@ class GpuMemoryScheduler:
         """Durability wait, then the resume deliveries of ``transitions``.
 
         Order matters (WAL): no reply, resumed or direct, may leave before
-        its decision is on disk.  One wait covers them all: the writer
-        thread drains every enqueued event up to (at least) the last one
-        in strict order, so durability of the last implies durability of
-        all.  The resume callbacks may do socket I/O.
+        its decision is on disk.  One wait covers them all: the journal
+        writes every enqueued event up to (at least) the last one in strict
+        order, so durability of the last implies durability of all.  The
+        resume callbacks may do socket I/O.
         """
         journal = self.journal
         if journal is not None and any(t.events for t in transitions):

@@ -45,7 +45,7 @@ from repro.core.scheduler.policies import SchedulingPolicy
 from repro.core.scheduler.service import SchedulerService
 from repro.errors import SchedulerError
 from repro.ipc import protocol
-from repro.ipc.loop import DEFAULT_IO_WORKERS, IoLoop
+from repro.ipc.loop import IoLoop
 from repro.ipc.unix_socket import UnixSocketServer, refuse
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
@@ -158,8 +158,8 @@ class _ContainerHandler:
     def batch_begin(self) -> None:
         self._service.batch_begin()
 
-    def batch_commit(self) -> None:
-        self._service.batch_commit()
+    def batch_commit(self, then: Callable[[], None] | None = None) -> None:
+        self._service.batch_commit(then)
 
 
 class _ControlHandler:
@@ -172,44 +172,55 @@ class _ControlHandler:
     (which forwards dispatch to ``SchedulerDaemon._handle_control`` and the
     batch hooks to the service) for the control socket.
 
-    ``container_exit`` effect order (DESIGN.md §10): the batch's exits are
-    torn down in :meth:`batch_commit`, *after* the service's commit made
-    the batch durable and delivered its resumes — a paused waiter never
-    sits out the exiting container's socket tear-down — and before the
-    dispatcher flushes the exit replies.
+    ``container_exit`` effect order (DESIGN.md §10): transition → durable →
+    resumes → tear-down → exit reply.  A batch's exits are torn down in the
+    callback :meth:`batch_commit` hands the service, which runs only once
+    the service's outermost commit — the dispatch turn's — made every
+    decision of the turn durable and delivered its resumes (a paused waiter
+    never sits out the exiting container's socket tear-down), and before
+    the dispatcher's flush of the exit replies, which rides that callback.
     """
 
     __slots__ = ("_daemon", "_batch")
 
     def __init__(self, daemon: "SchedulerDaemon") -> None:
         self._daemon = daemon
-        #: Per-thread list of container ids exited by the open batch (the
-        #: control socket's connections are served by several workers).
+        #: Per-thread stack of open brackets, each the container ids its
+        #: batch exited: a dispatch turn nests one bracket per batch inside
+        #: the turn's own.
         self._batch = threading.local()
 
     def __call__(self, message: dict[str, Any], reply_handle) -> Any:
+        brackets = getattr(self._batch, "brackets", None)
         return self._daemon._handle_control(
-            message, reply_handle, getattr(self._batch, "exited", None)
+            message, reply_handle, brackets[-1] if brackets else None
         )
 
     def batch_begin(self) -> None:
-        self._batch.exited = []
+        brackets = getattr(self._batch, "brackets", None)
+        if brackets is None:
+            brackets = self._batch.brackets = []
+        brackets.append([])
         self._daemon.service.batch_begin()
 
-    def batch_commit(self) -> None:
-        exited, self._batch.exited = self._batch.exited, None
-        try:
-            self._daemon.service.batch_commit()
-        finally:
-            for container_id in exited:
-                self._daemon._teardown_container_dir(container_id)
+    def batch_commit(self, then: Callable[[], None] | None = None) -> None:
+        exited = self._batch.brackets.pop()
+
+        def tear_down_then_reply() -> None:
+            try:
+                for container_id in exited:
+                    self._daemon._teardown_container_dir(container_id)
+            finally:
+                if then is not None:
+                    then()
+
+        self._daemon.service.batch_commit(tear_down_then_reply)
 
 
 def require_positive(options: dict[str, float | None]) -> None:
     """Raise :class:`SchedulerError` naming the first option that is set
-    but not positive.  A zero reap interval spins the reaper, a zero
-    watchdog interval dumps after any tick, and a zero worker pool cannot
-    serve at all."""
+    but not positive.  A zero reap interval spins the reaper and a zero
+    watchdog interval dumps after any tick."""
     for name, value in options.items():
         if value is not None and value <= 0:
             raise SchedulerError(f"{name} must be positive, got {value:g}")
@@ -225,10 +236,9 @@ class SchedulerDaemon:
         transport / io: accepted only as ``"unix"`` / ``"loop"`` and
             otherwise unused — every socket is AF_UNIX (§III-A; loopback
             TCP lives only in the IPC ablation) and is served from one
-            shared selector thread plus a bounded worker pool; both survive
+            shared selector thread plus one dispatch thread; both survive
             because the frozen ``benchmarks/perf/_daemon_child.py`` spells
             them out, and go when that call site drops them.
-        io_workers: dispatch pool size of the shared I/O loop (>= 1).
         codec: wire codec offered by every socket the daemon serves —
             ``"auto"`` (default) negotiates binary with capable peers and
             falls back to JSON; ``"json"`` pins the trace-friendly debug
@@ -257,7 +267,6 @@ class SchedulerDaemon:
         *,
         transport: str = "unix",
         io: str = "loop",
-        io_workers: int = DEFAULT_IO_WORKERS,
         codec: str = "auto",
         journal: SchedulerJournal | None = None,
         monitor: HeartbeatMonitor | None = None,
@@ -273,7 +282,6 @@ class SchedulerDaemon:
         if codec not in ("auto", protocol.CODEC_JSON):
             raise SchedulerError(f"unknown codec {codec!r}")
         require_positive({
-            "io_workers": io_workers,
             "reap_interval": reap_interval,
             "watchdog_interval": watchdog_interval,
         })
@@ -286,7 +294,6 @@ class SchedulerDaemon:
             scheduler,
             heartbeat_sink=monitor.beat if monitor is not None else None,
         )
-        self.io_workers = io_workers
         self.codec = codec
         self._control_handler = _ControlHandler(self)
         self._io_loop: IoLoop | None = None
@@ -355,7 +362,7 @@ class SchedulerDaemon:
         # Refuse bad options before the journal is compacted in place.
         require_positive({
             name: daemon_kwargs.get(name)
-            for name in ("io_workers", "reap_interval", "watchdog_interval")
+            for name in ("reap_interval", "watchdog_interval")
         })
         scheduler = restore(journal_path, clock=clock, policy=policy, rng=rng)
         journal = SchedulerJournal(
@@ -375,7 +382,7 @@ class SchedulerDaemon:
         if not self._collector_registered:
             self._collector_registered = True
             REGISTRY.add_collector(self._collector, owner=self)
-        self._io_loop = IoLoop(workers=self.io_workers).start()
+        self._io_loop = IoLoop().start()
         self._control_server = UnixSocketServer(
             self.control_path,
             self._control_handler,

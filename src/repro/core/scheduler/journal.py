@@ -18,28 +18,35 @@ crash-recoverable:
 
 **Group commit** (the default, ``mode="group"``): the scheduler's lock is
 never held across disk I/O.  The event-log listener only *enqueues* the
-event — a list append under a condition variable — and a dedicated writer
-thread drains the queue in batches: one ``write`` + ``flush`` (+ one
-``fsync`` when enabled) per batch, in strict enqueue order.  The runtime
-facade calls :meth:`SchedulerJournal.wait_durable` after releasing the
-scheduler lock and before any reply leaves, so the WAL guarantee is
-unchanged while concurrent transitions share a single flush instead of
-serializing on it (``benchmarks/test_bench_ablation_journal.py`` measures
-the difference; ``mode="sync"`` keeps the seed's write-under-the-lock
-behaviour as the ablation baseline).  The socket servers' pipelined batch
-dispatch leans on the same machinery: a readable event's worth of frames
-is bracketed by ``begin_batch``/``commit_batch`` on the scheduler facade,
-which defers the ``wait_durable`` to the bracket's end — N pipelined
-decisions ride one writer-thread flush, and every reply in the batch still
-leaves only after the events it depends on are durable.
+event — a list append under a condition variable.  The runtime facade
+calls :meth:`SchedulerJournal.wait_durable` after releasing the scheduler
+lock and before any reply leaves, and the first waiter that finds records
+queued and no write in progress becomes the **leader**: it takes the whole
+queue and writes it with one ``write`` + ``flush`` (+ one ``fsync`` when
+enabled) on its own thread, in strict enqueue order, while waiters that
+arrive meanwhile follow — they sleep until a leader has made their records
+durable, or lead the next write themselves.  No thread exists for the
+journal; the WAL guarantee is unchanged while concurrent transitions share
+a single flush instead of serializing on it
+(``benchmarks/test_bench_ablation_journal.py`` measures the difference;
+``mode="sync"`` keeps the seed's write-under-the-lock behaviour as the
+ablation baseline).  The daemon's dispatch turn leans on the same
+machinery: every frame of a turn runs inside one ``begin_batch`` /
+``commit_batch`` bracket on the scheduler facade, which defers the
+``wait_durable`` to the bracket's end — the whole turn rides one leader
+write, and every reply in it still leaves only after the events it
+depends on are durable.  A failed write is fail-stop: the leader and every
+follower of that write raise, and so does every later ``wait_durable``.
 
-Interval snapshots are taken only at **quiescent points**: the writer
-thread briefly takes the scheduler lock with its queue drained — so the
-serialized state exactly matches the journal position — then writes and
-flushes the snapshot *outside* that lock.  ``mode="sync"`` has no writer:
-its interval snapshot is taken in :meth:`SchedulerJournal.wait_durable`,
-the first call after a transition's last event, and is serialized *and*
-written under the scheduler lock.  In neither mode does a snapshot land
+Interval snapshots are taken only at **quiescent points**: when its
+write reaches the interval, the leader briefly takes the scheduler lock
+with the queue drained — so the serialized state exactly matches the
+journal position — and writes the snapshot after the drained records, in
+the same write and fsync, *outside* that lock.  ``mode="sync"``
+writes in the listener itself; its interval snapshot is taken in
+:meth:`SchedulerJournal.wait_durable`, the first call after a
+transition's last event, and is serialized *and* written under the
+scheduler lock.  In neither mode does a snapshot land
 between two events of one transition — every verb applies its events as
 it emits them, so a snapshot there would already contain the events that
 are journaled after it.
@@ -49,10 +56,10 @@ itself grows with total history.  :meth:`SchedulerJournal.compact`
 rewrites the journal down to ``meta + newest snapshot + event tail``
 through a fsynced sidecar (``<path>.compact``) and one atomic
 ``os.rename``, then re-opens the live append handle — producers and the
-writer thread never pause, because the only serialization point is the
+leader never pause, because the only serialization point is the
 journal's internal ``_io_lock`` (file-handle I/O), which the scheduler
 lock never nests inside.  Compaction runs in three places: a background
-compactor thread armed from the writer's quiescent points when the file
+compactor thread armed from the leader's quiescent points when the file
 outgrows ``compact_at_bytes``; an explicit :meth:`compact` call; and the
 offline :func:`compact_journal` (the ``repro compact`` CLI) for journals
 with no live daemon.  A half-written sidecar is invisible to recovery —
@@ -180,7 +187,7 @@ _COMPACT_SECONDS = REGISTRY.histogram(
 )
 _JOURNAL_BYTES = REGISTRY.gauge(
     "convgpu_journal_size_bytes",
-    "Live journal file size, sampled at writer quiescent points",
+    "Live journal file size, sampled at the leader's quiescent points",
 )
 
 __all__ = [
@@ -250,7 +257,7 @@ EVENT_FIELD_SETS: dict[str, frozenset[str]] = {
 # call.  No cycle markers: every record is a fresh tree of dicts, lists and
 # scalars (a flat event, the meta dict, a ``serialize()`` snapshot), so it
 # cannot hold a cycle, and a shared markers dict would be mutable state
-# shared by every journal's writer thread.
+# shared by every thread that leads a journal write.
 if json.encoder.c_make_encoder is not None:
     _c_encode = json.encoder.c_make_encoder(
         None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
@@ -742,7 +749,7 @@ def _fsync_dir(directory: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the journal writer
+# the live journal
 # ---------------------------------------------------------------------------
 
 
@@ -759,12 +766,13 @@ class SchedulerJournal:
             deploy flips it on for durability across power loss (the write
             is still flushed to the OS either way, so it survives a process
             SIGKILL — the failure mode PR 1 defends against).
-        mode: ``"group"`` (default) appends through the background
-            group-commit writer so no disk I/O happens under the scheduler
-            lock; ``"sync"`` writes synchronously inside the event-log
-            listener — the seed behaviour, kept as the ablation baseline.
+        mode: ``"group"`` (default) queues appends for the leader of the
+            next group commit (:meth:`wait_durable`), so no disk I/O
+            happens under the scheduler lock; ``"sync"`` writes
+            synchronously inside the event-log listener — the seed
+            behaviour, kept as the ablation baseline.
         compact_at_bytes: arm the background compactor (group mode only)
-            when the live file exceeds this many bytes at a writer
+            when the live file exceeds this many bytes at a leader's
             quiescent point; ``None`` (default) disables auto-compaction.
             :meth:`compact` can always be called explicitly.
     """
@@ -801,17 +809,18 @@ class SchedulerJournal:
         #: Completed compactions this process lifetime (observability).
         self.compactions = 0
         # Group-commit machinery.  Lock ordering: scheduler lock, then
-        # ``_cond`` — producers enqueue under both; the writer's quiescent
+        # ``_cond`` — producers enqueue under both; the leader's quiescent
         # snapshot acquires them in the same order; never the reverse.
         self._cond = threading.Condition()
         self._queue: list[tuple[str, Any]] = []  # ("event", ev) | ("snapshot", st)
         self._enqueued = 0
         self._durable = 0
-        self._stop = False
+        #: True while one waiter writes the queue it took (the leader).
+        self._leading = False
+        #: The first failed write: every later wait raises it (fail-stop).
         self._error: Exception | None = None
-        self._writer: threading.Thread | None = None
         # Compaction machinery.  ``_io_lock`` serializes file-handle I/O
-        # (writer batches vs the compactor's rename + reopen); it is a
+        # (leader writes vs the compactor's rename + reopen); it is a
         # leaf lock: nothing else is ever acquired inside it, and the
         # scheduler lock never nests around it on the producer path
         # (producers only touch ``_cond``).
@@ -834,9 +843,8 @@ class SchedulerJournal:
         scheduler's configuration; attaching an incompatible scheduler to
         an existing journal raises.  With ``compact=True`` (the recovery
         path) a snapshot of the current state is written immediately.  In
-        group mode the writer thread (and, with ``compact_at_bytes``, the
-        compactor thread) starts here, after the synchronous meta/initial-
-        snapshot writes.
+        group mode with ``compact_at_bytes`` the compactor thread starts
+        here, after the meta and initial-snapshot writes.
 
         Re-attach hygiene: a stale ``<path>.compact`` sidecar (crash mid-
         compaction) is deleted — the live journal is authoritative until
@@ -884,22 +892,15 @@ class SchedulerJournal:
             self.write_snapshot()
         scheduler.log.listeners.append(self.record)
         scheduler.journal = self
-        if self.mode == "group":
-            self._stop = False
-            self._error = None
-            self._writer = threading.Thread(
-                target=self._run_writer, name="journal-writer", daemon=True
+        if self.mode == "group" and self.compact_at_bytes is not None:
+            self._compact_stop = False
+            self._compact_event.clear()
+            self._compactor = threading.Thread(
+                target=self._run_compactor,
+                name="journal-compactor",
+                daemon=True,
             )
-            self._writer.start()
-            if self.compact_at_bytes is not None:
-                self._compact_stop = False
-                self._compact_event.clear()
-                self._compactor = threading.Thread(
-                    target=self._run_compactor,
-                    name="journal-compactor",
-                    daemon=True,
-                )
-                self._compactor.start()
+            self._compactor.start()
 
     @staticmethod
     def _check_meta(meta: dict[str, Any], scheduler: GpuMemoryScheduler) -> None:
@@ -925,11 +926,13 @@ class SchedulerJournal:
             raise JournalError(f"journal/scheduler configuration mismatch: {detail}")
 
     def close(self) -> None:
-        """Detach, stop the compactor, drain the writer, close the file.
+        """Detach, stop the compactor, write what is queued, close the file.
 
         Order matters: the compactor goes first (an in-flight compaction
-        needs the writer alive for its quiescent snapshot), then the
-        writer drains, then the handle closes under ``_io_lock``.
+        waits for its snapshot through :meth:`wait_durable`), then this
+        thread leads one last write of whatever no waiter asked for — not
+        after a failed write, whose records stay off the disk — then the
+        handle closes under ``_io_lock``.
         """
         if self._scheduler is not None:
             try:
@@ -944,18 +947,15 @@ class SchedulerJournal:
             self._compact_event.set()
             compactor.join()
             self._compactor = None
-        writer = self._writer
-        if writer is not None:
-            with self._cond:
-                self._stop = True
-                self._cond.notify_all()
-            writer.join()
-            self._writer = None
-        self._scheduler = None
-        if self._fh is not None:
-            with self._io_lock:
-                self._fh.close()
-                self._fh = None
+        try:
+            if self.mode == "group" and self._fh is not None and self._error is None:
+                self.wait_durable()
+        finally:
+            self._scheduler = None
+            if self._fh is not None:
+                with self._io_lock:
+                    self._fh.close()
+                    self._fh = None
 
     def __enter__(self) -> "SchedulerJournal":
         return self
@@ -968,83 +968,109 @@ class SchedulerJournal:
     def record(self, event: SchedulerEvent) -> None:
         """EventLog listener (called under the scheduler lock): one event.
 
-        Group mode: enqueue only — a list append and a notify; the writer
-        thread does the disk I/O.  Sync mode: the seed's behaviour, write +
-        flush (+ fsync) right here under the lock.  Never a snapshot: the
-        listener runs *between* the events of one transition, whose state
-        already holds all of them (see :meth:`wait_durable`).
+        Group mode: enqueue only — a list append; the next leader of
+        :meth:`wait_durable` does the disk I/O.  Sync mode: the seed's
+        behaviour, write + flush (+ fsync) right here under the lock.  Never
+        a snapshot: the listener runs *between* the events of one
+        transition, whose state already holds all of them (see
+        :meth:`wait_durable`).
         """
         if self._fh is None:
             raise JournalError(f"journal {self.path} is closed")
-        if self._writer is None:
+        if self.mode == "sync":
             self._write_items([("event", event)])
             return
         with self._cond:
             self._enqueued += 1
             self._queue.append(("event", event))
-            self._cond.notify()
 
     def wait_durable(self) -> None:
         """Block until everything enqueued so far is written and flushed.
 
         The runtime facade calls this *after* releasing the scheduler lock
         and before any reply leaves — the group-commit half of the WAL
-        ordering guarantee.  In sync mode appends were already durable
-        when the listener returned; this call — the first point after a
-        transition's last event — is where that mode takes its interval
-        snapshot, so none ever lands between two events of one transition.
+        ordering guarantee.  The caller that finds records queued and no
+        leader becomes the leader (:meth:`_lead`): it writes the whole
+        queue itself.  A caller that finds a leader writing follows: it
+        sleeps until that write ends, then returns if it covered its
+        records or leads the next one.  A failed write raises in the leader
+        and in every follower, and in every later call: no reply may leave
+        once the journal cannot make decisions durable.
 
-        A dead writer thread is a durability failure, never a silent
-        success: if it died recording an error, that error is re-raised;
-        if it died without one (killed, interpreter teardown), a
-        :class:`~repro.errors.JournalError` is raised — returning normally
-        here would let a reply leave with its events stranded in the
-        queue.
+        In sync mode appends were already durable when the listener
+        returned; this call — the first point after a transition's last
+        event — is where that mode takes its interval snapshot, so none
+        ever lands between two events of one transition.
         """
-        writer = self._writer
-        if writer is None:
-            if self._error is not None:
-                raise self._error
+        if self.mode == "sync":
             if self._snapshot_due() and self._scheduler is not None:
                 self.write_snapshot()
             return
         with self._cond:
             target = self._enqueued
-            while self._durable < target and self._error is None:
-                if not writer.is_alive():
-                    raise JournalError(
-                        f"journal writer for {self.path} died with "
-                        f"{target - self._durable} record(s) not durable"
-                    )
-                self._cond.wait(0.05)
-            if self._error is not None:
-                raise self._error
+            while True:
+                if self._error is not None:
+                    raise self._error
+                if self._durable >= target:
+                    return
+                if not self._leading:
+                    break
+                self._cond.wait()
+            self._leading = True
+            batch = self._queue
+            self._queue = []
+        self._lead(batch)
+
+    def _lead(self, batch: list[tuple[str, Any]]) -> None:
+        """The leader's write: ``batch`` (and a due interval snapshot).
+
+        Runs with ``_leading`` set and no lock held, so producers keep
+        enqueueing behind it.  The compaction trigger runs here too, after
+        the write; a failure in any of it is recorded for every waiter and
+        re-raised.
+        """
+        try:
+            items, written = self._maybe_snapshot_at_quiescent_point(batch)
+            self._write_items(items)
+            self._maybe_request_compaction()
+        except BaseException as exc:
+            with self._cond:
+                self._error = (
+                    exc
+                    if isinstance(exc, Exception)
+                    else JournalError(f"journal write interrupted: {exc!r}")
+                )
+                self._leading = False
+                self._cond.notify_all()
+            raise
+        with self._cond:
+            self._durable += written
+            self._leading = False
+            self._cond.notify_all()
 
     def write_snapshot(self) -> None:
         """Append a compacted snapshot of the attached scheduler's state.
 
         The state is serialized under the scheduler lock *while taking
         its position in the write order* (so no event can slip between the
-        two): with the writer running that is the enqueue, and the call
-        returns once the snapshot is durable; without one (``mode="sync"``,
-        and :meth:`attach` before the writer starts) it is the write.
+        two): in group mode that is the enqueue, and the call returns once
+        a leader — usually this caller — made the snapshot durable; in
+        ``mode="sync"`` it is the write.
         """
         scheduler = self._scheduler
         if scheduler is None:
             raise JournalError("journal not attached to a scheduler")
         with scheduler._lock:
             state = _snapshot_and_trim(scheduler)
-            if self._writer is None:
+            if self.mode == "sync":
                 # reprolint: ignore[lock-discipline] -- mode="sync" is by
                 # definition the journal that writes under the scheduler
-                # lock (record() does too); group mode reaches this line
-                # only from attach(), before any thread shares the journal.
+                # lock (record() does too).
                 self._write_items([("snapshot", state)])
                 return
             with self._cond:
                 self._enqueued += 1
                 self._queue.append(("snapshot", state))
-                self._cond.notify()
         self.wait_durable()
 
     # -- compaction ----------------------------------------------------------
@@ -1056,8 +1082,8 @@ class SchedulerJournal:
         scan and sidecar write are lock-free (the journal is append-only,
         so every byte below the scan's stopping offset is immutable), and
         only the final swap — delta copy, rename, reopen — holds the
-        journal's internal ``_io_lock``, briefly blocking the writer
-        thread's next flush but never a producer (producers only enqueue
+        journal's internal ``_io_lock``, briefly blocking the next leader's
+        flush but never a producer (producers only enqueue
         under ``_cond``).  The scheduler lock is not held across any of
         this I/O.
 
@@ -1115,7 +1141,7 @@ class SchedulerJournal:
     def _swap_in(self, sidecar: str, offset: int) -> None:
         """Atomically replace the live journal with the prepared sidecar.
 
-        Under ``_io_lock`` — so the writer thread cannot append mid-swap —
+        Under ``_io_lock`` — so no leader can append mid-swap —
         the delta (bytes appended past ``offset`` since the scan; always
         whole lines, because batches flush under the same lock) is copied
         onto the sidecar and fsynced, the sidecar is ``os.rename``d over
@@ -1139,7 +1165,7 @@ class SchedulerJournal:
             old.close()
 
     def _run_compactor(self) -> None:
-        """Background compactor: waits for the writer's size trigger."""
+        """Background compactor: waits for the leader's size trigger."""
         while True:
             self._compact_event.wait()
             if self._compact_stop:
@@ -1156,8 +1182,8 @@ class SchedulerJournal:
     def _maybe_request_compaction(self) -> None:
         """Arm the compactor when the live file outgrows the threshold.
 
-        Runs on the writer thread at quiescent points (after each drained
-        batch), off the producers' path.  The ``2 × floor`` term keeps a
+        Runs in the leader at quiescent points (after each write), with
+        no lock held.  The ``2 × floor`` term keeps a
         live state bigger than ``compact_at_bytes`` from re-arming the
         compactor on every batch: each compaction must have had room to
         halve the file before the next one is worth anything.
@@ -1175,63 +1201,32 @@ class SchedulerJournal:
         if size >= self.compact_at_bytes and size >= 2 * self._compact_floor:
             self._compact_event.set()
 
-    # -- the group-commit writer thread --------------------------------------
-
-    def _run_writer(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stop:
-                    self._cond.wait()
-                batch = self._queue
-                self._queue = []
-                stopping = self._stop
-            if batch:
-                try:
-                    self._write_items(batch)
-                except Exception as exc:  # surface via wait_durable
-                    with self._cond:
-                        self._error = exc
-                        self._durable += len(batch)
-                        self._cond.notify_all()
-                    return
-                with self._cond:
-                    self._durable += len(batch)
-                    self._cond.notify_all()
-                try:
-                    self._maybe_snapshot_at_quiescent_point()
-                    self._maybe_request_compaction()
-                except Exception as exc:
-                    with self._cond:
-                        self._error = exc
-                        self._cond.notify_all()
-                    return
-            elif stopping:
-                return
-
     def _write_items(self, items: list[tuple[str, Any]]) -> None:
         """The journal's one append routine: a batch of records, one flush.
 
-        Serialize + write every item, one flush, one fsync — the writer
-        thread's batches, and (as batches of one) the meta record,
-        ``mode="sync"`` events and snapshots taken before the writer runs.
+        Serialize + write every item, one flush, one fsync — a leader's
+        batch, and (as batches of one) the meta record and ``mode="sync"``
+        events and snapshots.
         The file I/O holds ``_io_lock`` so a concurrent compaction swap
-        cannot rename the file out from under a half-written batch; the
-        serialization and metric observation stay outside it.
+        cannot rename the file out from under a half-written batch, and so
+        do the counters it moves: successive leaders are different threads.
+        The serialization and metric observation stay outside it.
         """
         began = time.perf_counter()
         lines: list[str] = []
         snapshots = 0
         events = 0
-        since_snapshot = self._events_since_snapshot
+        #: Events after the batch's last snapshot (all of them without one).
+        tail = 0
         for kind, payload in items:
             if kind == "event":
                 record = encode_event(payload)
                 events += 1
-                since_snapshot += 1
+                tail += 1
             elif kind == "snapshot":  # pre-serialized state
                 record = {"kind": "snapshot", "state": payload}
                 snapshots += 1
-                since_snapshot = 0
+                tail = 0
             else:  # meta: the record as given
                 record = payload
             lines.append(_encode_json(record) + "\n")
@@ -1246,8 +1241,11 @@ class SchedulerJournal:
                 fsync_began = time.perf_counter()
                 os.fsync(self._fh.fileno())
                 fsync_elapsed = time.perf_counter() - fsync_began
-        self.events_written += events
-        self._events_since_snapshot = since_snapshot
+            self.events_written += events
+            if snapshots:
+                self._events_since_snapshot = tail
+            else:
+                self._events_since_snapshot += tail
         if self.fsync:
             _FSYNC_SECONDS.observe(fsync_elapsed)
         elapsed = time.perf_counter() - began
@@ -1258,33 +1256,35 @@ class SchedulerJournal:
         for _ in range(snapshots):
             _REC.record(_EV_SNAPSHOT)
 
-    def _snapshot_due(self) -> bool:
+    def _snapshot_due(self, pending: int = 0) -> bool:
+        """Whether ``pending`` more records reach the snapshot interval."""
         return (
             self.snapshot_interval is not None
-            and self._events_since_snapshot >= self.snapshot_interval
+            and self._events_since_snapshot + pending >= self.snapshot_interval
         )
 
-    def _maybe_snapshot_at_quiescent_point(self) -> None:
-        """Interval compaction, only ever between batches.
+    def _maybe_snapshot_at_quiescent_point(
+        self, batch: list[tuple[str, Any]]
+    ) -> tuple[list[tuple[str, Any]], int]:
+        """The leader's records to write: ``batch``, and when the interval
+        is due, everything queued since and a snapshot after it.
 
         Quiescence: the scheduler lock is taken with the queue drained, so
-        the serialized state corresponds exactly to the current journal
-        position.  The lock is released before the snapshot (and any
-        events drained with it) hit the disk — no I/O under the lock.
+        the serialized state corresponds exactly to the journal position
+        after the drained records.  The lock is released before anything
+        hits the disk — no I/O under the lock — and the snapshot rides the
+        batch's own write and fsync.  Returns the records and how many of
+        them are queued records (the snapshot is not one).
         """
         scheduler = self._scheduler
-        if scheduler is None or not self._snapshot_due():
-            return
+        if scheduler is None or not self._snapshot_due(len(batch)):
+            return batch, len(batch)
         with scheduler._lock:
             with self._cond:
                 drained = self._queue
                 self._queue = []
             state = _snapshot_and_trim(scheduler)
-        self._write_items(drained + [("snapshot", state)])
-        if drained:
-            with self._cond:
-                self._durable += len(drained)
-                self._cond.notify_all()
+        return batch + drained + [("snapshot", state)], len(batch) + len(drained)
 
 
 # ---------------------------------------------------------------------------

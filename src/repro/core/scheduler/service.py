@@ -124,15 +124,16 @@ class SchedulerService:
 
     # -- batch hooks ------------------------------------------------------
     #
-    # The socket servers' batch dispatcher brackets each readable event's
-    # frame batch with these, so N pipelined decisions share one journal
-    # group-commit wait (see GpuMemoryScheduler.begin_batch).
+    # The socket servers' batch dispatcher brackets each frame batch with
+    # these, and a dispatch turn holds a bracket open around all of its
+    # batches, so the turn's decisions share one journal group-commit wait
+    # (see GpuMemoryScheduler.begin_batch).  ``then`` runs after that wait.
 
     def batch_begin(self) -> None:
         self.scheduler.begin_batch()
 
-    def batch_commit(self) -> None:
-        self.scheduler.commit_batch()
+    def batch_commit(self, then: Callable[[], None] | None = None) -> None:
+        self.scheduler.commit_batch(then)
 
     # -- per-message handlers --------------------------------------------
 

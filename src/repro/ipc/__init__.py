@@ -12,8 +12,8 @@ Three interchangeable transports share one handler contract
   and the discrete-event simulation.
 
 Both socket transports are served one way: a selector loop
-(:mod:`repro.ipc.loop` — one I/O thread plus a fixed worker pool
-multiplexes every listener and connection).  Pass ``loop=IoLoop(...)`` to
+(:mod:`repro.ipc.loop` — one I/O thread multiplexes every listener and
+connection, one dispatch thread runs the handlers).  Pass ``loop=IoLoop()`` to
 share one loop across servers, as the daemon does; a server built without
 it owns a private loop between ``start()`` and ``stop()`` (DESIGN.md §10).
 
@@ -24,7 +24,7 @@ errors that the retry loop keys on.
 """
 
 from repro.ipc.channel import ChannelReplyHandle, InProcessChannel, PendingReply
-from repro.ipc.loop import DEFAULT_IO_WORKERS, IoLoop
+from repro.ipc.loop import IoLoop
 from repro.ipc.protocol import (
     MAX_FRAME_BYTES,
     MSG_ALLOC_ABORT,
@@ -75,7 +75,6 @@ __all__ = [
     "decode",
     "DEFER",
     "IoLoop",
-    "DEFAULT_IO_WORKERS",
     "ReplyHandle",
     "UnixSocketServer",
     "UnixSocketClient",

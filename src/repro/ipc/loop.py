@@ -5,36 +5,40 @@ thread-per-connection server would spend two threads per container (accept
 + reader) and grow without bound under churn.  :class:`IoLoop` is the one
 way this repo serves a socket, the classic reactor shape:
 
-- **one I/O thread** multiplexes every registered listener and connection
-  through :mod:`selectors` — accepting, reading, and splitting the byte
-  stream into frames with :func:`repro.ipc.protocol.split_frames` (both
-  codecs);
-- **a small bounded worker pool** runs protocol decode and the scheduler
-  handler, so a deferred (paused) reply or a slow handler never blocks
-  reads for the other few hundred containers;
-- **per-connection frame ordering** is preserved: a connection's frames are
-  processed by at most one worker at a time, in arrival order — ``notify``
-  followed by ``call`` stays in sequence and the ``seq`` correlation
-  invariant holds;
-- **batch dispatch**: every complete frame found in one readable event is
-  handed to the connection's ``on_batch`` callback as one unit (contiguous
-  batches already queued for the same connection are merged), so a
-  pipelining client's burst is decoded and dispatched together and the
-  server can cover the whole burst with a single group-commit ``fsync``.
+- **one selector thread** multiplexes every registered listener and
+  connection through :mod:`selectors` — accepting, reading, and splitting
+  the byte stream into frames with :func:`repro.ipc.protocol.split_frames`
+  (both codecs).  It never runs a handler, so a deferred (paused) reply or
+  a slow handler never blocks reads for the other few hundred containers;
+- **one dispatch thread** runs protocol decode and the handlers in
+  **turns**: a turn takes every connection that has frames queued — and
+  every one that queues frames while the turn runs, each at most once —
+  hands each connection's frames (everything it sent since its last turn,
+  as one list) to its ``on_batch`` callback, and then runs the callbacks
+  the batches deferred with :meth:`IoLoop.at_turn_end`, last deferred
+  first.
+  The socket servers defer their handler's batch commit there, so one
+  group-commit ``fsync`` covers the whole turn — every connection, every
+  frame — and no reply of the turn leaves before it;
+- **per-connection frame ordering** is trivially preserved: one thread
+  dispatches, a connection appears at most once per turn, and its frames
+  keep arrival order — ``notify`` followed by ``call`` stays in sequence
+  and the ``seq`` correlation invariant holds.
 
 Every socket server (:class:`repro.ipc.unix_socket.UnixSocketServer` and
 its loopback-TCP ablation subclass) registers its listener with a loop and
 spawns no threads of its own; the scheduler daemon creates one
 loop and shares it (``loop=``) across the control socket and every
-per-container socket, so the daemon's thread count is ``1 + workers``
+per-container socket, so the daemon's thread count is the loop's two
 regardless of how many containers are attached.  A server built without
 ``loop=`` owns a private loop for its own lifetime.
 
-Sockets stay in **blocking** mode: the loop performs exactly one ``recv``
-per readiness event (a level-triggered selector re-reports a socket that
-still has buffered bytes), and replies keep using plain ``sendall`` from
-worker or scheduler threads under the per-connection write lock (see
-``docs/PROTOCOL.md`` for the wire contract).
+The loop performs exactly one ``recv`` per readiness event (a
+level-triggered selector re-reports a socket that still has buffered
+bytes), and replies use ``sendall`` from the dispatch thread (or a thread
+completing a deferred reply) under the per-connection write lock, bounded
+by the servers' reply deadline (see ``docs/PROTOCOL.md`` for the wire
+contract).
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ import selectors
 import socket
 import threading
 import time
+import weakref
 from collections import deque
-from queue import Queue
 from typing import Any, Callable
 
 from repro.errors import ProtocolError, TransportError
@@ -53,7 +57,7 @@ from repro.obs import stages as _stages
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 
-__all__ = ["IoLoop", "DEFAULT_IO_WORKERS"]
+__all__ = ["IoLoop"]
 
 _perf_counter = time.perf_counter
 # Every connection speaks the ConVGPU wire: frames split by the protocol's
@@ -70,14 +74,9 @@ _EV_CLOSE = RECORDER.declare("io.close", a="fd")
 _EV_OVERFLOW = RECORDER.declare("io.overflow", a="fd", b="buffered")
 _EV_FRAME_ERROR = RECORDER.declare("io.frame_error", s="error", a="fd")
 
-#: Worker threads running decode + handler for a shared loop.  The scheduler
-#: core serializes decisions behind one RLock anyway, so a handful of workers
-#: is enough to keep the socket layer ahead of the scheduler.
-DEFAULT_IO_WORKERS = 4
-
 _QUEUE_DEPTH = REGISTRY.gauge(
     "convgpu_ioloop_queue_depth",
-    "Connections queued for a worker in the shared I/O loop",
+    "Connections queued for the next dispatch turn of the shared I/O loop",
 )
 _LOOP_CONNECTIONS = REGISTRY.gauge(
     "convgpu_ioloop_connections",
@@ -97,8 +96,6 @@ class _Sentinel:
 
 #: Queued after a connection's last frame once the peer hung up.
 _CLOSE = _Sentinel("CLOSE")
-#: Worker shutdown marker.
-_STOP = _Sentinel("STOP")
 
 
 class _BadFrame:
@@ -106,7 +103,8 @@ class _BadFrame:
 
     Either the splitter rejected it (carries the
     :class:`~repro.errors.ProtocolError` message) or the peer exceeded the
-    frame cap.  A worker sends the in-band error reply before hanging up —
+    frame cap.  The dispatch thread sends the in-band error reply before
+    hanging up —
     the selector thread itself never writes and never dies on a hostile
     peer.
     """
@@ -122,7 +120,7 @@ class _ConnState:
 
     __slots__ = (
         "sock", "on_batch", "on_close", "on_frame_error",
-        "buffer", "pending", "scheduled", "lock", "finished",
+        "buffer", "pending", "scheduled", "finished",
     )
 
     def __init__(
@@ -137,39 +135,40 @@ class _ConnState:
         self.on_close = on_close
         self.on_frame_error = on_frame_error
         self.buffer = b""
-        #: Frame batches (and finally a _CLOSE/_BadFrame sentinel)
-        #: awaiting a worker.
-        self.pending: deque[Any] = deque()
-        #: True while the connection sits in the worker queue or a worker is
-        #: draining it — the exclusion that keeps frames in per-conn order.
+        #: Frame lists (and finally a _CLOSE/_BadFrame sentinel) awaiting
+        #: the next turn; guarded by the loop's ``_cond``.
+        self.pending: list[Any] = []
+        #: True while the connection waits in the loop's ready list, so it
+        #: is queued at most once per turn; guarded by the loop's ``_cond``.
         self.scheduled = False
-        self.lock = threading.Lock()
         self.finished = False
 
 
 class IoLoop:
-    """One selector thread + a bounded worker pool, shared by many servers.
+    """One selector thread + one dispatch thread, shared by many servers.
 
-    Args:
-        workers: size of the dispatch pool (>= 1).
-        queue_size: bound on connections awaiting a worker; the I/O thread
-            blocks (backpressure) when all workers are busy and the queue is
-            full, which is the intended behaviour — clients see latency, the
-            daemon never sees unbounded memory.
+    The dispatch thread runs turns (module docstring).  Frames read but
+    not yet dispatched wait in their connection's pending list; a
+    closed-loop client (every ConVGPU wrapper) has at most one window of
+    them outstanding.
     """
 
-    def __init__(self, *, workers: int = DEFAULT_IO_WORKERS, queue_size: int = 1024) -> None:
-        if workers < 1:
-            raise TransportError(f"IoLoop needs at least one worker: {workers}")
-        self.workers = workers
+    def __init__(self) -> None:
         self._selector: selectors.BaseSelector | None = None
-        self._queue: Queue[Any] = Queue(maxsize=queue_size)
+        #: Guards every connection's ``pending``/``scheduled``/``finished``
+        #: and the ready list; the dispatch thread waits on it.
+        self._cond = threading.Condition()
+        self._ready: list[_ConnState] = []
+        self._closing = False
         self._conns: dict[socket.socket, _ConnState] = {}
         self._listeners: dict[socket.socket, Callable[[socket.socket], None]] = {}
         self._ops: deque[Callable[[], None]] = deque()
         self._ops_lock = threading.Lock()
         self._thread: threading.Thread | None = None
-        self._worker_threads: list[threading.Thread] = []
+        self._dispatcher: threading.Thread | None = None
+        #: Callbacks deferred to the end of the running turn (dispatch
+        #: thread only); ``None`` between turns.
+        self._turn: list[Callable[[], None]] | None = None
         self._stopping = threading.Event()
         self._wake_r: socket.socket | None = None
         self._wake_w: socket.socket | None = None
@@ -185,18 +184,34 @@ class IoLoop:
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
-    def on_worker(self) -> bool:
-        """True when the caller is one of this loop's pool workers.
+    def on_dispatch_thread(self) -> bool:
+        """True when the caller is this loop's dispatch thread.
 
-        A worker must never wait for work only the pool can do (a close, a
-        queued batch): with every worker waiting nothing is left to do it.
+        The dispatch thread must never wait for work only it can do (a
+        close, a queued batch): nothing else would ever do it.
         """
-        return threading.current_thread() in self._worker_threads
+        return threading.current_thread() is self._dispatcher
+
+    def at_turn_end(self, callback: Callable[[], None]) -> bool:
+        """Defer ``callback`` to the end of the running dispatch turn.
+
+        Returns ``False`` (and defers nothing) unless the caller is the
+        dispatch thread inside a turn.  Deferred callbacks run after every
+        connection of the turn has dispatched, **last deferred first**: a
+        batch that opens a bracket here and closes it in its callback nests
+        inside every bracket an earlier batch of the turn opened.
+        """
+        turn = self._turn
+        if turn is None or not self.on_dispatch_thread():
+            return False
+        turn.append(callback)
+        return True
 
     def start(self) -> "IoLoop":
         if self._thread is not None:
             raise TransportError("IoLoop already started")
         self._stopping.clear()
+        self._closing = False
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
@@ -205,18 +220,19 @@ class IoLoop:
             target=self._run, name="convgpu-ioloop", daemon=True
         )
         self._thread.start()
-        for i in range(self.workers):
-            worker = threading.Thread(
-                target=self._worker, name=f"convgpu-ioworker-{i}", daemon=True
-            )
-            worker.start()
-            self._worker_threads.append(worker)
-        # Queue depth is sampled at scrape time; the weakref owner keeps the
-        # process-global registry from pinning a stopped loop alive.
-        queue = self._queue
+        self._dispatcher = threading.Thread(
+            target=self._dispatch, name="convgpu-dispatch", daemon=True
+        )
+        self._dispatcher.start()
+        # Queue depth is sampled at scrape time; the weakref owner (and the
+        # weak reference here) keep the process-global registry from
+        # pinning a stopped loop alive.
+        loop_ref = weakref.ref(self)
 
         def collect() -> None:
-            _QUEUE_DEPTH.set(queue.qsize())
+            loop = loop_ref()
+            if loop is not None:
+                _QUEUE_DEPTH.set(len(loop._ready))
 
         self._collector = collect
         REGISTRY.add_collector(collect, owner=self)
@@ -241,13 +257,15 @@ class IoLoop:
             except OSError:
                 pass
         self._listeners.clear()
-        # FIFO queue: workers drain every pending frame/close before the
-        # stop markers reach them.
-        for _ in self._worker_threads:
-            self._queue.put(_STOP)
-        for worker in self._worker_threads:
-            worker.join(timeout=5.0)
-        self._worker_threads.clear()
+        # The dispatch thread runs every turn still queued — the closes
+        # above included — before it sees the loop closing.
+        with self._cond:
+            self._closing = True
+            self._cond.notify()
+        dispatcher = self._dispatcher
+        if dispatcher is not None and dispatcher is not threading.current_thread():
+            dispatcher.join(timeout=5.0)
+        self._dispatcher = None
         if self._selector is not None:
             try:
                 self._selector.close()
@@ -315,17 +333,17 @@ class IoLoop:
     ) -> None:
         """Register an accepted connection for read multiplexing.
 
-        ``on_batch(frames)`` runs on a worker thread and receives every
-        complete frame of a readable event (plus any batches already queued
-        for the connection) as one list; batches of one connection are
-        delivered strictly in order.
+        ``on_batch(frames)`` runs on the dispatch thread, at most once per
+        turn, and receives every complete frame the connection sent since
+        its last turn as one list, strictly in order; it may defer work to
+        the end of the turn with :meth:`at_turn_end`.
         ``on_close()`` runs exactly once when the connection is finished
         (peer EOF, error, :meth:`close_connection` or :meth:`stop`).
         The stream is framed by :func:`repro.ipc.protocol.split_frames`
         (both codecs).  Unrecoverable framing (bad binary header), and a
         peer that exceeds :data:`~repro.ipc.protocol.MAX_FRAME_BYTES`
         without completing a frame, is routed to ``on_frame_error(message)``
-        on a worker and then closes the connection.
+        on the dispatch thread and then closes the connection.
         """
         state = _ConnState(conn, on_batch, on_close, on_frame_error)
 
@@ -453,8 +471,8 @@ class IoLoop:
             frames, state.buffer = _split_frames(state.buffer)
         except ProtocolError as exc:
             # Unrecoverable framing (bad magic/version/length): the stream
-            # position is meaningless from here on.  A worker reports the
-            # error in-band and hangs up; the selector thread survives.
+            # position is meaningless from here on.  The dispatch thread
+            # reports the error in-band and hangs up; the selector survives.
             if self._drop(state.sock) is not None:
                 _REC.record(_EV_FRAME_ERROR, s=str(exc)[:120], a=state.sock.fileno())
                 self._enqueue(state, _BadFrame(str(exc)))
@@ -466,8 +484,8 @@ class IoLoop:
         if frames:
             self._enqueue(state, frames)
         if len(state.buffer) > _MAX_FRAME_BYTES:
-            # A frame that large can never be valid; stop reading and let a
-            # worker send the in-band error and hang up.
+            # A frame that large can never be valid; stop reading and let the
+            # dispatch thread send the in-band error and hang up.
             if self._drop(state.sock) is not None:
                 _REC.record(_EV_OVERFLOW, a=state.sock.fileno(), b=len(state.buffer))
                 self._enqueue(
@@ -488,64 +506,93 @@ class IoLoop:
                 pass
         return state
 
-    # -- worker pool ---------------------------------------------------------
+    # -- dispatch thread -----------------------------------------------------
 
     def _enqueue(self, state: _ConnState, item: Any) -> None:
-        """Queue one frame/sentinel, scheduling the connection if idle."""
-        with state.lock:
+        """Queue one frame list/sentinel, readying the connection if idle."""
+        with self._cond:
             state.pending.append(item)
             if state.scheduled:
                 return
             state.scheduled = True
-        # reprolint: ignore[loop-blocking] -- deliberate backpressure: when
-        # all workers are busy and the queue is full the I/O thread waits,
-        # trading client latency for bounded daemon memory (class docstring).
-        self._queue.put(state)
+            self._ready.append(state)
+            self._cond.notify()
 
-    def _worker(self) -> None:
+    def _dispatch(self) -> None:
+        """The dispatch thread: one turn per wake-up, until the loop closes."""
+        cond = self._cond
         while True:
-            state = self._queue.get()
-            if state is _STOP:
-                return
-            while True:
-                with state.lock:
-                    if not state.pending:
-                        state.scheduled = False
-                        break
-                    item = state.pending.popleft()
-                    if isinstance(item, list):
-                        # Merge batches that piled up while this worker was
-                        # busy: one dispatch (and one journal fsync) covers
-                        # everything the peer has sent so far.
-                        while state.pending and isinstance(state.pending[0], list):
-                            item = item + state.pending.popleft()
-                self._process(state, item)
+            with cond:
+                while not self._ready and not self._closing:
+                    cond.wait()
+                if not self._ready:
+                    return
+            self._run_turn()
 
-    def _process(self, state: _ConnState, item: Any) -> None:
-        if item is _CLOSE:
+    def _take_ready(
+        self, taken: set[_ConnState]
+    ) -> list[tuple[_ConnState, list[Any]]]:
+        """Every ready connection not yet ``taken`` by the turn, with its
+        queued items; one already taken stays ready for the next turn."""
+        with self._cond:
+            batch, later = [], []
+            for state in self._ready:
+                if state in taken:
+                    later.append(state)
+                    continue
+                taken.add(state)
+                batch.append((state, state.pending))
+                state.pending = []
+                state.scheduled = False
+            self._ready = later
+        return batch
+
+    def _run_turn(self) -> None:
+        """Dispatch every ready connection once, then close the turn.
+
+        Each connection's frame lists become one batch.  Connections that
+        become ready while the turn dispatches join it, each at most once,
+        so the turn ends and one commit covers them all.  The callbacks
+        batches deferred run next, last first; a connection that hung up or
+        broke its framing is finished only after them, so its own replies of
+        this turn go out before its in-band error and its close.
+        """
+        deferred: list[Callable[[], None]] = []
+        ending: list[tuple[_ConnState, Any]] = []
+        taken: set[_ConnState] = set()
+        self._turn = deferred
+        while batch := self._take_ready(taken):
+            for state, items in batch:
+                frames: list[bytes] = []
+                for item in items:
+                    if isinstance(item, list):
+                        frames += item
+                    else:
+                        ending.append((state, item))
+                if frames:
+                    self._call(state.on_batch, frames)
+        self._turn = None
+        for callback in reversed(deferred):
+            self._call(callback)
+        for state, item in ending:
+            if isinstance(item, _BadFrame) and state.on_frame_error is not None:
+                self._call(state.on_frame_error, item.message)
             self._finish(state)
-            return
-        if isinstance(item, _BadFrame):
-            if state.on_frame_error is not None:
-                try:
-                    state.on_frame_error(item.message)
-                # reprolint: ignore[swallowed-exception] -- the in-band
-                # error reply is best-effort (the peer may already be gone);
-                # the close below is the real handling.
-                except Exception:
-                    pass
-            self._finish(state)
-            return
+
+    @staticmethod
+    def _call(callback: Callable[..., Any], *args: Any) -> None:
         try:
-            state.on_batch(item)
+            callback(*args)
         # reprolint: ignore[swallowed-exception] -- handler bugs are
-        # reported in-band by the server's dispatch; anything escaping
-        # to here must not kill the shared worker.
+        # reported in-band by the server's dispatch, and the in-band frame
+        # error is best-effort (the peer may be gone); anything escaping to
+        # here must not kill the one dispatch thread, nor skip the rest of
+        # its turn.
         except Exception:
             pass
 
     def _finish(self, state: _ConnState) -> None:
-        with state.lock:
+        with self._cond:
             if state.finished:
                 return
             state.finished = True
@@ -565,6 +612,6 @@ class IoLoop:
             state.on_close()
         # reprolint: ignore[swallowed-exception] -- on_close runs exactly
         # once per connection during teardown; a buggy callback must not
-        # leak the socket or kill the worker.
+        # leak the socket or kill the dispatch thread.
         except Exception:
             pass

@@ -21,7 +21,7 @@ suspends a container ("the response from the scheduler will be suspended
 until the required size of memory is available", §III-D).
 
 Every server is driven by a :class:`repro.ipc.loop.IoLoop` — one selector
-thread and a bounded worker pool — and spawns no threads of its own.
+thread and one dispatch thread — and spawns no threads of its own.
 ``loop=`` only says whose loop: a server given one registers its listener
 there and never stops it (the daemon shares one loop across hundreds of
 container sockets); a server built without one starts a private
@@ -51,10 +51,18 @@ from repro.obs.log import ObsLogger, get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 
-__all__ = ["DEFER", "ReplyHandle", "UnixSocketServer", "UnixSocketClient",
-           "listen_unix", "map_os_error", "refuse"]
+__all__ = ["DEFER", "REPLY_DEADLINE_S", "ReplyHandle", "UnixSocketServer",
+           "UnixSocketClient", "listen_unix", "map_os_error", "refuse"]
 
 _perf_counter = time.perf_counter
+
+#: Seconds a server gives one reply ``sendall`` (every accepted socket's
+#: timeout).  A peer that does not read its replies fills its socket buffer
+#: and would block the sender — the one dispatch thread every container
+#: shares; past this deadline the server hangs up on it instead, and its
+#: state is what a crashed client leaves.  A peer that reads drains a full
+#: buffer in microseconds.
+REPLY_DEADLINE_S = 1.0
 
 # Module alias for the obs-overhead benchmark's stub idiom.
 _REC = RECORDER
@@ -132,6 +140,24 @@ def map_os_error(exc: OSError, context: str) -> TransportError:
     return TransportError(f"{context}: {exc}")
 
 
+def _send_or_hang_up(conn: socket.socket, payload: bytes) -> None:
+    """``sendall`` within :data:`REPLY_DEADLINE_S`; hang up if it fails.
+
+    Caller holds the connection's write lock.  A timed-out or failed send
+    leaves a partial frame on the wire, so the stream is unusable: shutting
+    the socket down makes the loop read EOF and close the connection the
+    way it closes a client that went away.  The error is re-raised.
+    """
+    try:
+        conn.sendall(payload)
+    except OSError:
+        try:
+            conn.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        raise
+
+
 def listen_unix(path: str) -> socket.socket:
     """Bound, listening AF_UNIX socket at ``path``.
 
@@ -163,7 +189,7 @@ Handler = Callable[[dict[str, Any], "ReplyHandle"], Any]
 class _ConnCtx:
     """Per-connection negotiated state, shared by dispatch and handles.
 
-    Mutated only by the single loop worker that processes the
+    Mutated only by the loop's dispatch thread, which processes the
     connection's frames in order, so no lock is needed; reply handles
     capture the value at decode time.  ``sample_n`` is the stage-sampling
     batch counter (:func:`repro.obs.stages.maybe_start`) — a plain slot
@@ -183,7 +209,7 @@ class ReplyHandle:
 
     The handle owns the connection socket and its per-connection write
     lock, so a deferred (paused) reply can be completed from *any* thread —
-    a loop worker or the scheduler thread that resumes a paused container.
+    the dispatch thread or another thread that resumes a paused container.
     The reply is encoded with
     the codec of the frame that carried the request, captured at decode
     time — on a negotiated connection that is the negotiated codec.
@@ -209,10 +235,10 @@ class ReplyHandle:
                 raise TransportError(f"reply for seq={self.seq} already sent")
             self._sent = True
             try:
-                self._conn.sendall(protocol.encode_as(reply, self.codec))
+                _send_or_hang_up(self._conn, protocol.encode_as(reply, self.codec))
             except OSError as exc:
-                # Client vanished (container killed while paused): the
-                # scheduler's exit path cleans its state; nothing to do here.
+                # Client vanished (container killed while paused) or stopped
+                # reading: the scheduler's exit path cleans its state.
                 raise TransportError(f"send failed: {exc}") from exc
 
     def render(self, reply: Mapping[str, Any]) -> bytes:
@@ -220,7 +246,7 @@ class ReplyHandle:
 
         The batch dispatcher uses this to coalesce every immediate reply of
         one frame batch into a single ``sendall`` — flushed only after the
-        batch's group commit, so no decision leaves before it is durable.
+        turn's group commit, so no decision leaves before it is durable.
         At-most-once is preserved: a handle rendered here raises on a later
         :meth:`send`, exactly as if it had been sent.
         """
@@ -326,14 +352,13 @@ class _BaseSocketServer:
                 conns = list(self._conns)
             for conn in conns:
                 loop.close_connection(conn)
-            # The loop's workers complete the closes (after draining any
-            # frames already queued for those connections).  An outside
-            # caller waits (bounded) for the last _forget so stop() is
-            # observably complete for well-behaved peers; a loop worker —
-            # container_exit tear-down runs on one — must not: the closes
-            # it would wait for need a worker of the same pool, and a full
-            # pool of waiting workers starves every connection on the loop.
-            if not loop.on_worker():
+            # The loop's dispatch thread completes the closes (after
+            # draining any frames already queued for those connections).
+            # An outside caller waits (bounded) for the last _forget so
+            # stop() is observably complete for well-behaved peers; the
+            # dispatch thread — container_exit tear-down runs on it — must
+            # not: the closes it would wait for are its own work.
+            if not loop.on_dispatch_thread():
                 with self._conns_lock:
                     self._conns_empty.wait_for(
                         lambda: not self._conns, timeout=2.0
@@ -354,6 +379,7 @@ class _BaseSocketServer:
     def _loop_accept(self, conn: socket.socket) -> None:
         """Accept callback run on the loop thread: register, don't read."""
         self._configure_conn(conn)
+        conn.settimeout(REPLY_DEADLINE_S)
         write_lock = threading.Lock()
         ctx = _ConnCtx()
         with self._conns_lock:
@@ -412,7 +438,7 @@ class _BaseSocketServer:
         reply = protocol.make_error_reply({"type": "unknown", "seq": 0}, message)
         try:
             with write_lock:
-                conn.sendall(protocol.encode(reply))
+                _send_or_hang_up(conn, protocol.encode(reply))
         except OSError:
             pass
 
@@ -423,15 +449,19 @@ class _BaseSocketServer:
         ctx: _ConnCtx,
         frames: list[bytes],
     ) -> None:
-        """Decode and dispatch every frame of one readable event as a unit.
+        """Decode and dispatch one connection's frames as a unit.
 
         Immediate replies are encoded into ``out`` (consuming their handles)
-        and flushed with one ``sendall`` *after* the handler's batch-commit
-        hook — so a single group-commit ``fsync`` makes every decision in
-        the batch durable before any reply reaches a client.  Deferred
-        (paused) replies keep their handles and are sent whenever the
-        scheduler resumes them; resumes triggered *by this batch* happen
-        inside ``batch_commit``, after that same fsync.
+        and flushed with one ``sendall`` that the handler's ``batch_commit``
+        runs after its group commit — so no decision leaves before it is
+        durable.  In a dispatch turn the batch also opens a bracket that the
+        turn closes once every connection of the turn has dispatched
+        (:meth:`IoLoop.at_turn_end`): this batch's own commit then only
+        queues its flush, and one ``fsync`` covers the whole turn.  Driven
+        directly, outside a turn, the batch commits and flushes by itself.
+        Deferred (paused) replies keep their handles and are sent whenever
+        the scheduler resumes them; resumes triggered by the turn run in
+        that same commit, before the flushes.
         """
         out: list[bytes] = []
         began = _perf_counter()
@@ -446,68 +476,75 @@ class _BaseSocketServer:
         begin = getattr(self.handler, "batch_begin", None)
         commit = getattr(self.handler, "batch_commit", None)
         if begin is not None:
+            loop = self._loop
+            if loop is not None and loop.at_turn_end(commit):
+                begin()  # the turn's bracket, closed when the turn ends
             begin()
         try:
             for frame in frames:
                 self._dispatch_one(conn, write_lock, ctx, frame, out, clock)
                 clock = None
-        finally:
+        except BaseException:
             if commit is not None:
-                if timed:
-                    commit_began = _perf_counter()
-                    commit()
-                    # One group-commit fsync covered the whole batch; each
-                    # request's durability share is the amortized cost.
-                    _stages.observe_stage(
-                        _stages.S_FSYNC,
-                        (_perf_counter() - commit_began) / max(1, len(frames)),
-                    )
-                else:
-                    commit()
-        out_bytes = 0
-        if out:
-            payload = b"".join(out)
-            out_bytes = len(payload)
-            self._coalesced_bytes.observe(out_bytes)
-            try:
-                if timed:
-                    send_began = _perf_counter()
+                commit()
+            raise
+        committed = _perf_counter()
+
+        def flush() -> None:
+            out_bytes = 0
+            if timed and commit is not None:
+                # One group-commit fsync covered the whole turn; each
+                # request's durability share is its wait, amortized.
+                _stages.observe_stage(
+                    _stages.S_FSYNC,
+                    (_perf_counter() - committed) / max(1, len(frames)),
+                )
+            if out:
+                payload = b"".join(out)
+                out_bytes = len(payload)
+                self._coalesced_bytes.observe(out_bytes)
+                send_began = _perf_counter()
+                try:
                     with write_lock:
-                        conn.sendall(payload)
+                        _send_or_hang_up(conn, payload)
+                except OSError:
+                    pass
+                if timed:
                     _stages.observe_stage(
                         _stages.S_SEND, _perf_counter() - send_began
                     )
-                else:
-                    with write_lock:
-                        conn.sendall(payload)
-            except OSError:
-                pass
-        elapsed = _perf_counter() - began
-        if elapsed >= _stages.SLOW_SECONDS:
-            # Slow-outlier catch at batch granularity: armed samples carry
-            # their stage breakdown, while this check guarantees a stalled batch is
-            # never missed even when none of its frames were sampled.  The
-            # client-visible latency of every reply in the batch includes
-            # the whole batch's dispatch time, so the batch clock *is* the
-            # right slowness measure for the unsampled stream.
-            _stages.note_slow(
-                msg_type=f"batch[{len(frames)}]",
-                container="",
-                total=elapsed,
-            )
-        # Real batches (pipelined clients) always leave a flight event; a
-        # depth-1 stream records only its sampled batches — the loop's
-        # per-chunk io.read events already cover every frame, and the
-        # blocking wire is exactly where a per-message record would eat
-        # the always-on budget.
-        if timed or len(frames) > 1:
-            _REC.record(
-                _EV_BATCH,
-                s=self.transport,
-                a=len(frames),
-                b=out_bytes,
-                x=elapsed,
-            )
+            elapsed = _perf_counter() - began
+            if elapsed >= _stages.SLOW_SECONDS:
+                # Slow-outlier catch at batch granularity: armed samples
+                # carry their stage breakdown, while this check guarantees a
+                # stalled batch is never missed even when none of its frames
+                # were sampled.  The client-visible latency of every reply in
+                # the batch includes the whole turn's dispatch time, so the
+                # batch clock *is* the right slowness measure for the
+                # unsampled stream.
+                _stages.note_slow(
+                    msg_type=f"batch[{len(frames)}]",
+                    container="",
+                    total=elapsed,
+                )
+            # Real batches (pipelined clients) always leave a flight event;
+            # a depth-1 stream records only its sampled batches — the
+            # loop's per-chunk io.read events already cover every frame,
+            # and the blocking wire is exactly where a per-message record
+            # would eat the always-on budget.
+            if timed or len(frames) > 1:
+                _REC.record(
+                    _EV_BATCH,
+                    s=self.transport,
+                    a=len(frames),
+                    b=out_bytes,
+                    x=elapsed,
+                )
+
+        if commit is None:
+            flush()
+        else:
+            commit(flush)
 
     def _dispatch_one(
         self,

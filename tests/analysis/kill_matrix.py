@@ -244,16 +244,16 @@ MUTANTS: tuple[Mutant, ...] = (
         source="PR 4, DESIGN.md §11 (group commit)",
         harm=HANG,
         tier1="tests/core/test_cli_recover.py::test_table_says_what_a_restore_replays",
-        san_lane=frozenset({"san-race"}),
         what="the journal listener writes and fsyncs each event itself, "
-        "under the scheduler lock, even with a writer thread running",
+        "under the scheduler lock, in group mode (and queues sync mode's "
+        "for a leader it never gets)",
         edits=((_JOURNAL, """\
-        if self._writer is None:
+        if self.mode == "sync":
             self._write_items([("event", event)])
             return
         with self._cond:
             self._enqueued += 1""", """\
-        if self._writer is not None:
+        if self.mode != "sync":
             self._write_items([("event", event)])
             return
         with self._cond:
@@ -293,7 +293,7 @@ MUTANTS: tuple[Mutant, ...] = (
         source="PR 1, journal docstring",
         harm=HANG,
         san_lane=frozenset({"san-lock-order"}),
-        what="the writer's quiescent snapshot takes `_cond` before the "
+        what="the leader's quiescent snapshot takes `_cond` before the "
         "scheduler lock, the reverse of every producer: the two deadlock",
         edits=((_JOURNAL, _QUIESCENT, """\
         with self._cond:
@@ -365,16 +365,21 @@ MUTANTS: tuple[Mutant, ...] = (
         source="PR 3, DESIGN.md §10",
         harm=HANG,
         what="the selector thread dispatches a readable batch itself instead "
-        "of queueing it for a worker: the handler's lock wait, fsync wait "
-        "and reply `sendall` all run on the one I/O thread",
-        tier1="tests/ipc/test_loop.py::TestSharedLoop::"
-        "test_handlers_run_on_pool_workers_only",
+        "of queueing it for the dispatch thread: the handler's lock wait, "
+        "fsync wait and reply `sendall` all run on the one I/O thread",
+        notes="with one dispatch thread, `make san` sees the selector and "
+        "the dispatch thread trading writes; "
+        "`test_handlers_run_on_the_dispatch_thread_only` fails too",
+        tier1="tests/core/test_journal.py::TestWaitDurable::"
+        "test_failed_write_lets_no_reply_of_the_turn_leave",
+        san_lane=frozenset({"san-race"}),
         edits=((_LOOP, """\
         if frames:
             self._enqueue(state, frames)
 """, """\
         if frames:
-            self._process(state, frames)
+            self._enqueue(state, frames)
+            self._run_turn()
 """),),
     ),
     Mutant(
@@ -594,21 +599,23 @@ MESSAGE_TAGS: dict[str, int] = {
         source="PR 3, DESIGN.md §10",
         harm=HANG,
         san_lane=frozenset({"san-race"}),
-        what="the selector thread queues a batch without the connection's "
-        "lock: racing a worker that is just going idle, it sees the "
-        "connection still scheduled, and the batch is never dispatched",
+        what="the selector thread queues a batch and tests the connection's "
+        "`scheduled` flag before taking the loop's lock: racing the "
+        "dispatch thread that is just taking the connection's frames, it "
+        "sees the connection still scheduled, and the batch is never "
+        "dispatched",
         edits=((_LOOP, """\
-        with state.lock:
+        with self._cond:
             state.pending.append(item)
             if state.scheduled:
                 return
             state.scheduled = True
 """, """\
-        if True:
-            state.pending.append(item)
-            if state.scheduled:
-                return
-            state.scheduled = True
+        state.pending.append(item)
+        if state.scheduled:
+            return
+        state.scheduled = True
+        with self._cond:
 """),),
     ),
     Mutant(
@@ -633,7 +640,7 @@ MESSAGE_TAGS: dict[str, int] = {
         source="PR 10, DESIGN.md §16",
         harm=HANG,
         san_lane=frozenset({"san-lock-order"}),
-        what="the writer drains its queue and snapshots through a helper "
+        what="the leader drains the queue and snapshots through a helper "
         "that takes the scheduler lock while `_cond` is held: the reverse "
         "of every producer, behind a call the static graph does not "
         "follow, and the two deadlock",
@@ -642,7 +649,7 @@ MESSAGE_TAGS: dict[str, int] = {
         with self._cond:
             drained, state = self._drain_and_snapshot(scheduler)
 """),
-            (_JOURNAL, "    def _maybe_snapshot_at_quiescent_point(self) -> None:\n",
+            (_JOURNAL, "    def _maybe_snapshot_at_quiescent_point(\n",
              """\
     def _drain_and_snapshot(self, scheduler):
         with scheduler._lock:
@@ -650,7 +657,7 @@ MESSAGE_TAGS: dict[str, int] = {
             self._queue = []
             return drained, _snapshot_and_trim(scheduler)
 
-    def _maybe_snapshot_at_quiescent_point(self) -> None:
+    def _maybe_snapshot_at_quiescent_point(
 """),
         ),
     ),

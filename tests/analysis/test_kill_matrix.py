@@ -133,9 +133,11 @@ def _two_threads_register(core_module, _tmp_path):
 
 
 def _journaled_transitions(journal_module, tmp_path):
-    """Transitions on a journal that snapshots after every batch.  Each
-    waits for the writer's snapshot before the next takes the scheduler
-    lock, so the driver never deadlocks on the order under test."""
+    """Transitions on a journal that snapshots after every write.  Each
+    transition leads its own group commit, so the leader's quiescent
+    snapshot (the scheduler lock taken by the leader) is done before the
+    next transition takes the lock, and this run never deadlocks on the
+    order under test."""
     from repro.core.scheduler.core import GpuMemoryScheduler
     from repro.core.scheduler.policies import make_policy
 
@@ -156,9 +158,9 @@ def _journaled_transitions(journal_module, tmp_path):
 
 def _batches_one_at_a_time(loop_module, _tmp_path):
     """Frames sent one at a time over one connection: the selector thread
-    schedules each batch and a worker retires it, so the connection's
-    ``scheduled`` flag changes hands every frame."""
-    loop = loop_module.IoLoop(workers=1).start()
+    schedules each batch and the dispatch thread retires it, so the
+    connection's ``scheduled`` flag changes hands every frame."""
+    loop = loop_module.IoLoop().start()
     ours, peer = socket.socketpair()
     batches: queue.Queue = queue.Queue()
     loop.add_connection(ours, on_batch=batches.put, on_close=lambda: None)

@@ -416,13 +416,11 @@ class TestExitEffectOrder:
 
 
 class TestNumericOptions:
-    """Non-positive intervals and pool sizes are refused up front: a zero
-    reap interval would spin the reaper, a zero watchdog interval would
-    dump after any tick, and a zero pool cannot serve."""
+    """Non-positive intervals are refused up front: a zero reap interval
+    would spin the reaper, and a zero watchdog interval would dump after
+    any tick."""
 
-    @pytest.mark.parametrize(
-        "option", ("io_workers", "reap_interval", "watchdog_interval")
-    )
+    @pytest.mark.parametrize("option", ("reap_interval", "watchdog_interval"))
     @pytest.mark.parametrize("value", (0, -1))
     def test_constructor_refuses_non_positive(self, tmp_path, option, value):
         scheduler = GpuMemoryScheduler(TOTAL, make_policy("FIFO"))
@@ -446,8 +444,7 @@ class TestNumericOptions:
 
     @pytest.mark.parametrize(
         "flag",
-        ("--io-workers", "--heartbeat-timeout",
-         "--reap-interval", "--watchdog-interval"),
+        ("--heartbeat-timeout", "--reap-interval", "--watchdog-interval"),
     )
     def test_cli_refuses_before_touching_disk(
         self, tmp_path, capsys, monkeypatch, flag

@@ -367,7 +367,7 @@ class TestWireCodecInvariance:
             traces[("private", codec)] = self._drive_over_wire(
                 None, client_codec, path
             )
-            with IoLoop(workers=2) as loop:
+            with IoLoop() as loop:
                 path = str(tmp_path / f"loop-{codec}.sock")
                 traces[("loop", codec)] = self._drive_over_wire(
                     loop, client_codec, path

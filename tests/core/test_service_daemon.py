@@ -3,21 +3,26 @@
 import io
 import json
 import os
+import socket
+import threading
+import time
 
 import pytest
 
 from repro.core.scheduler.core import CONTEXT_OVERHEAD_CHARGE, GpuMemoryScheduler
+import repro.core.scheduler.journal as journal_mod
 from repro.core.scheduler.daemon import (
     CONTAINER_SOCKET_NAME,
     WRAPPER_SONAME,
     SchedulerDaemon,
 )
+from repro.core.scheduler.journal import SchedulerJournal
 from repro.core.scheduler.policies import make_policy
 from repro.core.scheduler.service import SchedulerService
 from repro.errors import SchedulerError
 from repro.ipc import protocol
 from repro.ipc.channel import InProcessChannel
-from repro.ipc.unix_socket import DEFER, UnixSocketClient
+from repro.ipc.unix_socket import REPLY_DEADLINE_S, DEFER, UnixSocketClient
 from repro.obs import log as obs_log
 from repro.units import GiB, MiB
 
@@ -223,3 +228,129 @@ class TestDaemon:
         scheduler = GpuMemoryScheduler(5 * GiB, make_policy("BF"))
         with pytest.raises(SchedulerError):
             SchedulerDaemon(scheduler, base_dir=str(tmp_path), io="threads")
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+def _register(daemon, ids, limit):
+    with UnixSocketClient(daemon.control_path) as control:
+        for container_id in ids:
+            reply = control.call(
+                protocol.MSG_REGISTER_CONTAINER,
+                container_id=container_id, limit=limit,
+            )
+            assert reply["status"] == "ok"
+
+
+class TestOneDispatchThread:
+    def test_concurrent_depth1_requests_share_fsyncs(self, tmp_path, monkeypatch):
+        """Eight containers each block in one `alloc_request` against an
+        fsync journal.  A dispatch turn takes every connection with frames
+        queued and commits them together, so the eight decisions ride at
+        most three fsyncs; served one connection per commit they pay
+        eight."""
+        scheduler = GpuMemoryScheduler(16 * GiB, make_policy("FIFO"))
+        journal = SchedulerJournal(str(tmp_path / "j.wal"), fsync=True)
+        journal.attach(scheduler)
+        daemon = SchedulerDaemon(
+            scheduler, base_dir=str(tmp_path / "sock"), journal=journal
+        ).start()
+        ids = [f"c{i}" for i in range(8)]
+        clients = []
+        try:
+            _register(daemon, ids, GiB)
+            clients = [
+                UnixSocketClient(daemon.container_socket_path(cid), timeout=10.0)
+                for cid in ids
+            ]
+            real_fsync = os.fsync
+            fsyncs = []
+
+            def slow_fsync(fd):
+                fsyncs.append(fd)
+                time.sleep(0.05)
+                real_fsync(fd)
+
+            monkeypatch.setattr(journal_mod.os, "fsync", slow_fsync)
+            start = threading.Barrier(len(ids))
+            replies = {}
+
+            def request(client, container_id):
+                start.wait(timeout=10.0)
+                replies[container_id] = client.call(
+                    protocol.MSG_ALLOC_REQUEST,
+                    container_id=container_id, pid=1, size=MiB, api="cudaMalloc",
+                )
+
+            threads = [
+                threading.Thread(target=request, args=pair)
+                for pair in zip(clients, ids)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20.0)
+                assert not thread.is_alive()
+            assert sorted(replies) == ids
+            assert all(r["decision"] == "grant" for r in replies.values())
+            assert 1 <= len(fsyncs) <= 3, fsyncs
+        finally:
+            for client in clients:
+                client.close()
+            daemon.stop()
+
+    def test_a_tenant_that_never_reads_is_hung_up_on(self, tmp_path):
+        """Tenant A pipelines queries and never reads a reply.  Its socket
+        buffer fills and the reply write stalls the one dispatch thread —
+        for at most REPLY_DEADLINE_S: then the daemon hangs up on A, which
+        is left as a crashed client leaves it, and tenant B's blocking
+        calls are answered throughout."""
+        scheduler = GpuMemoryScheduler(4 * GiB, make_policy("FIFO"))
+        daemon = SchedulerDaemon(scheduler, base_dir=str(tmp_path / "sock")).start()
+        flooder = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            _register(daemon, ("a", "b"), GiB)
+            server_a = daemon._container_servers["a"]
+            flooder.connect(daemon.container_socket_path("a"))
+            frame = protocol.encode(protocol.make_request(
+                protocol.MSG_MEM_GET_INFO, seq=1, container_id="a", pid=1
+            ))
+            burst = frame * ((1 << 20) // len(frame))  # about 1 MiB of queries
+            sent = threading.Event()
+
+            def flood():
+                try:
+                    flooder.sendall(burst)
+                except OSError:
+                    pass  # hung up on mid-burst
+                sent.set()
+
+            threading.Thread(target=flood, daemon=True).start()
+            worst = 0.0
+            with UnixSocketClient(
+                daemon.container_socket_path("b"), timeout=10.0
+            ) as tenant_b:
+                until = time.monotonic() + 2 * REPLY_DEADLINE_S + 1.0
+                while time.monotonic() < until:
+                    began = time.monotonic()
+                    reply = tenant_b.call(
+                        protocol.MSG_MEM_GET_INFO, container_id="b", pid=1
+                    )
+                    worst = max(worst, time.monotonic() - began)
+                    assert reply["status"] == "ok"
+            assert worst < REPLY_DEADLINE_S + 2.0, worst
+            assert sent.wait(5.0)
+            _wait_until(lambda: server_a._conns == [])
+            flooder.settimeout(5.0)
+            while flooder.recv(1 << 20):
+                pass  # what was written before the hang-up, then EOF
+            scheduler.check_invariants()
+            assert [r.container_id for r in scheduler.containers()] == ["a", "b"]
+        finally:
+            flooder.close()
+            daemon.stop()

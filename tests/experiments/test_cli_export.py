@@ -62,9 +62,9 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["daemon", "--help"])
         out = capsys.readouterr().out
-        # --io-workers stays; the backend selector is gone.
-        assert "--io-workers" in out
-        assert "--io" not in out.replace("--io-workers", "")
+        # Neither the backend selector nor a pool size: the daemon serves
+        # from one selector thread and one dispatch thread.
+        assert "--io" not in out
 
     def test_daemon_has_no_transport_flags(self, capsys):
         with pytest.raises(SystemExit):

@@ -68,7 +68,7 @@ def wait_until(predicate, timeout=10.0, message="condition not reached"):
 @pytest.fixture(params=("loop",))
 def backend(request):
     """A shared loop, as the daemon serves (param kept for stable test ids)."""
-    with IoLoop(workers=2) as loop:
+    with IoLoop() as loop:
         yield loop
 
 

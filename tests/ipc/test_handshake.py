@@ -117,7 +117,7 @@ class LegacyJsonServer:
 @pytest.fixture(params=("loop",))
 def backend(request):
     """A shared loop, as the daemon serves (param kept for stable test ids)."""
-    with IoLoop(workers=2) as loop:
+    with IoLoop() as loop:
         yield loop
 
 

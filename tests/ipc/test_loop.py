@@ -19,7 +19,7 @@ from repro.core.scheduler.daemon import SchedulerDaemon
 from repro.core.scheduler.policies import make_policy
 from repro.errors import IpcDisconnected, TransportError
 from repro.ipc import protocol, unix_socket
-from repro.ipc.loop import DEFAULT_IO_WORKERS, IoLoop
+from repro.ipc.loop import IoLoop
 from repro.ipc.tcp_socket import TcpSocketClient, TcpSocketServer
 from repro.ipc.unix_socket import (
     DEFER,
@@ -38,7 +38,7 @@ def echo_handler(message, reply_handle):
 
 @pytest.fixture
 def loop():
-    with IoLoop(workers=2) as lp:
+    with IoLoop() as lp:
         yield lp
 
 
@@ -237,17 +237,17 @@ class TestSharedLoop:
         for server in servers:
             server.stop()
 
-    def test_handlers_run_on_pool_workers_only(self, loop, tmp_path):
+    def test_handlers_run_on_the_dispatch_thread_only(self, loop, tmp_path):
         """The selector thread queues every batch: a handler on it would
         stall every other connection for the handler's lock, fsync and
         send waits."""
-        on_worker = []
+        on_dispatch = []
 
         def handler(message, reply_handle):
-            on_worker.append(loop.on_worker())
+            on_dispatch.append(loop.on_dispatch_thread())
             return echo_handler(message, reply_handle)
 
-        path = str(tmp_path / "workers.sock")
+        path = str(tmp_path / "dispatch.sock")
         server = UnixSocketServer(path, handler, loop=loop).start()
         try:
             with UnixSocketClient(path) as client:
@@ -256,10 +256,10 @@ class TestSharedLoop:
                     client.call(protocol.MSG_CONTAINER_EXIT, container_id=f"w{i}")
         finally:
             server.stop()
-        assert len(on_worker) == 16 and all(on_worker)
+        assert len(on_dispatch) == 16 and all(on_dispatch)
 
     def test_loop_stop_closes_live_connections(self, tmp_path):
-        loop = IoLoop(workers=1).start()
+        loop = IoLoop().start()
         path = str(tmp_path / "dying.sock")
         server = UnixSocketServer(path, lambda m, h: DEFER, loop=loop).start()
         client = UnixSocketClient(path)
@@ -286,16 +286,12 @@ class TestSharedLoop:
         assert isinstance(errors[0], IpcDisconnected)
 
     def test_loop_restart_rejected_while_running(self):
-        loop = IoLoop(workers=1).start()
+        loop = IoLoop().start()
         try:
             with pytest.raises(TransportError):
                 loop.start()
         finally:
             loop.stop()
-
-    def test_workers_validated(self):
-        with pytest.raises(TransportError):
-            IoLoop(workers=0)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -325,7 +321,8 @@ class TestPrivateLoop:
         threads_before = threading.active_count()
         server, connect = self._bare(transport, tmp_path)
         server.start()
-        assert threading.active_count() == threads_before + 1 + DEFAULT_IO_WORKERS
+        # The private loop's selector and dispatch threads, nothing else.
+        assert threading.active_count() == threads_before + 2
         self._echo(connect, "first")
         held = connect()  # still open when the server goes down
         try:
@@ -356,7 +353,7 @@ class TestPrivateLoop:
 
 class TestStopNeverPolls:
     """``stop()`` is event-driven: the last ``_forget`` wakes an outside
-    caller, and a loop worker never waits on its own pool (DESIGN.md §10)."""
+    caller, and the dispatch thread never waits on itself (DESIGN.md §10)."""
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_outside_stop_returns_with_every_connection_closed(
@@ -390,11 +387,11 @@ class TestStopNeverPolls:
 
     # One value: the daemon serves AF_UNIX only; the param keeps the ``[unix]`` id.
     @pytest.mark.parametrize("transport", ("unix",))
-    def test_exit_storm_never_parks_the_pool(self, tmp_path, transport):
-        """``2 x io_workers`` concurrent exits of containers that each hold
-        a live data connection: every tear-down runs on a loop worker, and
-        the closes it hands off need a worker too.  Waiting for them there
-        starved the pool — every exit sat out the full 2 s deadline."""
+    def test_exit_storm_never_parks_the_dispatcher(self, tmp_path, transport):
+        """Eight concurrent exits of containers that each hold a live data
+        connection: every tear-down runs on the dispatch thread, and the
+        closes it hands off need that thread too.  Waiting for them there
+        would park it — every exit would sit out the full 2 s deadline."""
         scheduler = GpuMemoryScheduler(
             1024 * MiB, make_policy("FIFO"), context_overhead=0
         )
@@ -410,7 +407,7 @@ class TestStopNeverPolls:
         gauge = OPEN_CONNECTIONS.labels(transport=transport)
         before = gauge.value
         threads_before = threading.active_count()
-        ids = [f"storm{i}" for i in range(2 * daemon.io_workers)]
+        ids = [f"storm{i}" for i in range(8)]
         took = {}
         start = threading.Barrier(len(ids))
 

@@ -279,7 +279,7 @@ class TestBinaryFramingAgainstLiveLoop:
         def handler(message, reply_handle):
             return protocol.make_reply(message)
 
-        with IoLoop(workers=2) as loop:
+        with IoLoop() as loop:
             path = str(tmp_path / "fuzz.sock")
             server = UnixSocketServer(path, handler, loop=loop).start()
             yield loop, path
