@@ -49,7 +49,6 @@ san:             ## reprosan: churn + fault-injection suites under the lockset r
 		tests/ipc/test_connection_churn.py \
 		tests/core/test_daemon_lifecycle.py \
 		tests/core/test_journal_properties.py \
-		tests/cluster/test_multigpu.py \
 		tests/integration/test_failure_injection.py \
 		tests/integration/test_concurrency_stress.py
 

@@ -44,7 +44,6 @@ class LintConfig:
             "repro/core/scheduler/core.py",
             "repro/core/scheduler/journal.py",
             "repro/core/scheduler/daemon.py",
-            "repro/cluster/multigpu.py",
         )
     )
     #: Call names (last dotted segment) that block or touch the outside

@@ -6,7 +6,7 @@ metric observation and resume callbacks all run after release.  Two rules
 hold that line:
 
 - **lock-discipline** — inside a syntactic ``with *_lock:`` block in the
-  scheduler runtime/journal/cluster modules, calling into a configured
+  scheduler runtime/journal/daemon modules, calling into a configured
   blocking/effectful set (``fsync``, ``flush``, socket ops,
   ``wait_durable``, user callbacks) is a finding.
 

@@ -68,34 +68,18 @@ class ConVGPU:
         rng: np.random.Generator | None = None,
         context_overhead: int | None = None,
         resume_mode: str = "fit",
-        device_count: int = 1,
-        placement: str = "most-free",
     ) -> None:
         if live and clock is None:
             import time
 
             clock = time.monotonic
-        if device_count < 1:
-            raise ValueError(f"device_count must be >= 1, got {device_count}")
-        if device_count > 1 and not managed:
-            raise ValueError(
-                "multi-device hosts require managed=True (placement happens "
-                "at the scheduler's registration step)"
-            )
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.managed = managed
         self.live = live
 
         # --- GPU + CUDA substrate ---------------------------------------
-        from repro.gpu.device import DeviceRegistry
-
-        self.devices = DeviceRegistry(
-            [GpuDevice(i, properties) for i in range(device_count)]
-        )
-        #: Device 0, kept as the single-device shorthand (most callers).
-        self.device = self.devices.get(0)
-        self.contexts_by_device = [ContextTable(d) for d in self.devices]
-        self.contexts = self.contexts_by_device[0]
+        self.device = GpuDevice(0, properties)
+        self.contexts = ContextTable(self.device)
         self.fatbins = FatBinaryRegistry()
 
         # --- scheduler core ----------------------------------------------
@@ -105,16 +89,9 @@ class ConVGPU:
         scheduler_kwargs: dict[str, Any] = {"clock": self.clock, "resume_mode": resume_mode}
         if context_overhead is not None:
             scheduler_kwargs["context_overhead"] = context_overhead
-        if device_count > 1:
-            from repro.cluster.multigpu import MultiGpuScheduler
-
-            self.scheduler = MultiGpuScheduler(
-                self.devices, policy, placement=placement, **scheduler_kwargs
-            )
-        else:
-            self.scheduler = GpuMemoryScheduler(
-                self.device.properties.total_global_mem, policy, **scheduler_kwargs
-            )
+        self.scheduler = GpuMemoryScheduler(
+            self.device.properties.total_global_mem, policy, **scheduler_kwargs
+        )
         self.service = SchedulerService(self.scheduler)
         self.channel = InProcessChannel(self.service.handle)
 
@@ -191,30 +168,12 @@ class ConVGPU:
     # per-process library providers
     # ------------------------------------------------------------------
 
-    def device_of(self, scheduler_key: str) -> int:
-        """The device ordinal a container was placed on (0 on 1-GPU hosts)."""
-        if len(self.devices) == 1:
-            return 0
-        try:
-            return self.scheduler.device_of(scheduler_key)
-        except Exception:
-            # Unregistered (non-CUDA container): anything it links sees
-            # device 0, like a process on a host whose GPUs it cannot open.
-            return 0
-
     def runtime_for(self, scheduler_key: str, host_pid: int) -> CudaRuntime:
         """The (memoized) native CUDA runtime of one process."""
         key = (scheduler_key, host_pid)
         runtime = self._runtimes.get(key)
         if runtime is None:
-            ordinal = self.device_of(scheduler_key)
-            runtime = CudaRuntime(
-                self.devices.get(ordinal),
-                host_pid,
-                self.contexts_by_device[ordinal],
-                self.fatbins,
-            )
-            runtime.device_count = len(self.devices)
+            runtime = CudaRuntime(self.device, host_pid, self.contexts, self.fatbins)
             self._runtimes[key] = runtime
         return runtime
 
@@ -223,12 +182,7 @@ class ConVGPU:
         key = (scheduler_key, host_pid)
         driver = self._drivers.get(key)
         if driver is None:
-            ordinal = self.device_of(scheduler_key)
-            driver = CudaDriver(
-                self.devices.get(ordinal),
-                host_pid,
-                self.contexts_by_device[ordinal],
-            )
+            driver = CudaDriver(self.device, host_pid, self.contexts)
             self._drivers[key] = driver
         return driver
 

@@ -68,8 +68,8 @@ class CandidateIndex:
     choice among current candidates, or ``None`` when there is none.
 
     One index serves exactly one :class:`SchedulerState` — built via
-    :meth:`SchedulingPolicy.make_index`, so a single policy instance can be
-    shared across the per-device states of a multi-GPU cluster.
+    :meth:`SchedulingPolicy.make_index`, so one policy instance can serve
+    two states at once (a journal restored beside the live state).
     """
 
     def __init__(self, state: "SchedulerState") -> None:

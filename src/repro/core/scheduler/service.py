@@ -51,10 +51,9 @@ _DECISION_SECONDS = REGISTRY.histogram(
 class SchedulerService:
     """Stateless adapter from protocol messages to scheduler-core calls.
 
-    ``scheduler`` is a :class:`GpuMemoryScheduler` or the multi-device
-    :class:`~repro.cluster.multigpu.MultiGpuScheduler`, which routes the
-    same verbs (``begin_batch``/``commit_batch`` and ``policy`` included)
-    to per-device ones; the service calls all of them directly.
+    ``scheduler`` is the one device's :class:`GpuMemoryScheduler`; the
+    service calls its verbs (``begin_batch``/``commit_batch`` and
+    ``policy`` included) directly.
 
     ``heartbeat_sink`` (when set by the daemon) receives the container id of
     every handled message — any traffic from a container is proof of life,
@@ -139,7 +138,7 @@ class SchedulerService:
 
     def _on_register_container(self, message: dict[str, Any], reply_handle) -> Any:
         try:
-            result = self.scheduler.register_container(
+            record = self.scheduler.register_container(
                 message["container_id"], message["limit"]
             )
         except SchedulerError as exc:
@@ -159,17 +158,6 @@ class SchedulerService:
                 limit=record.limit,
                 reattached=True,
             )
-        if isinstance(result, tuple):
-            # Multi-GPU scheduler: placement decided at registration; the
-            # reply tells nvidia-docker which /dev/nvidiaN to attach.
-            ordinal, record = result
-            return protocol.make_reply(
-                message,
-                assigned=record.assigned,
-                limit=record.limit,
-                device=ordinal,
-            )
-        record = result
         return protocol.make_reply(
             message, assigned=record.assigned, limit=record.limit
         )

@@ -93,8 +93,8 @@ class CudaRuntime(AsyncRuntimeMixin):
         self.streams = StreamTable()
         #: Pinned host allocations (cudaMallocHost) — host-side only.
         self.host_pinned = HostPinnedRegistry()
-        #: How many devices cudaGetDeviceCount reports (the facade raises
-        #: this when a multi-GPU registry is attached).
+        #: How many devices cudaGetDeviceCount reports: the one the runtime
+        #: is bound to.
         self.device_count = 1
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Stands in for the NVIDIA Tesla K20m of the paper's testbed; see DESIGN.md
 for the substitution rationale.
 """
 
-from repro.gpu.device import DeviceRegistry, GpuDevice, MemInfo
+from repro.gpu.device import GpuDevice, MemInfo
 from repro.gpu.hyperq import HyperQEngine, KernelRecord
 from repro.gpu.latency import DEFAULT_API_COSTS, ApiCostTable, LatencyModel
 from repro.gpu.memory import Allocation, GpuMemoryAllocator
@@ -12,7 +12,6 @@ from repro.gpu.properties import TESLA_K20M, DeviceProperties, make_properties
 
 __all__ = [
     "GpuDevice",
-    "DeviceRegistry",
     "MemInfo",
     "HyperQEngine",
     "KernelRecord",

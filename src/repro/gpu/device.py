@@ -18,7 +18,7 @@ from repro.gpu.memory import Allocation, GpuMemoryAllocator
 from repro.gpu.properties import TESLA_K20M, DeviceProperties
 from repro.units import format_size
 
-__all__ = ["GpuDevice", "MemInfo", "DeviceRegistry"]
+__all__ = ["GpuDevice", "MemInfo"]
 
 
 @dataclass(frozen=True)
@@ -85,43 +85,3 @@ class GpuDevice:
             f"{format_size(self.allocator.used)} used of "
             f"{format_size(self.allocator.total)}>"
         )
-
-
-class DeviceRegistry:
-    """An ordered collection of devices (the host's ``nvidia-smi`` view).
-
-    The paper evaluates one device; the future-work extension
-    (:mod:`repro.cluster`) schedules across several, so the registry is the
-    seam where the single- and multi-GPU stacks meet.
-    """
-
-    def __init__(self, devices: list[GpuDevice] | None = None) -> None:
-        self._devices: list[GpuDevice] = []
-        for device in devices or []:
-            self.add(device)
-
-    @classmethod
-    def single(cls, properties: DeviceProperties | None = None) -> "DeviceRegistry":
-        """A registry holding one device (the paper's configuration)."""
-        return cls([GpuDevice(0, properties)])
-
-    def add(self, device: GpuDevice) -> None:
-        if device.ordinal != len(self._devices):
-            raise InvalidDeviceError(
-                f"device ordinals must be dense: expected {len(self._devices)}, "
-                f"got {device.ordinal}"
-            )
-        self._devices.append(device)
-
-    def get(self, ordinal: int) -> GpuDevice:
-        if not 0 <= ordinal < len(self._devices):
-            raise InvalidDeviceError(
-                f"device {ordinal} out of range (have {len(self._devices)})"
-            )
-        return self._devices[ordinal]
-
-    def __len__(self) -> int:
-        return len(self._devices)
-
-    def __iter__(self):
-        return iter(self._devices)

@@ -278,15 +278,6 @@ class NvidiaDocker:
                     raise ContainerError(
                         f"scheduler refused container: {reply.get('error')}"
                     )
-                if "device" in reply:
-                    # Multi-GPU host: attach only the device the scheduler
-                    # placed this container on (the NV_GPU narrowing real
-                    # nvidia-docker performs).
-                    devices = (
-                        f"/dev/nvidia{reply['device']}",
-                        "/dev/nvidiactl",
-                        "/dev/nvidia-uvm",
-                    )
                 socket_dir = reply.get("socket_dir", f"/var/convgpu/{final_name}")
                 final_mounts.append(
                     Mount(source=socket_dir, target=CONTAINER_WRAPPER_DIR)

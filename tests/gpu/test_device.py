@@ -1,9 +1,9 @@
-"""Tests for GpuDevice, DeviceRegistry, properties, and the latency model."""
+"""Tests for GpuDevice, properties, and the latency model."""
 
 import pytest
 
 from repro.errors import InvalidDeviceError, OutOfMemoryError
-from repro.gpu.device import DeviceRegistry, GpuDevice
+from repro.gpu.device import GpuDevice
 from repro.gpu.latency import ApiCostTable, LatencyModel
 from repro.gpu.properties import TESLA_K20M, DeviceProperties, make_properties
 from repro.units import GiB, MiB
@@ -61,28 +61,6 @@ class TestDevice:
         record = device.submit_kernel(0.0, 2.0)
         assert record.completion_time == 2.0
         assert device.hyperq.submitted == 1
-
-
-class TestDeviceRegistry:
-    def test_single(self):
-        registry = DeviceRegistry.single()
-        assert len(registry) == 1
-        assert registry.get(0).ordinal == 0
-
-    def test_dense_ordinals_enforced(self):
-        registry = DeviceRegistry()
-        registry.add(GpuDevice(0))
-        with pytest.raises(InvalidDeviceError):
-            registry.add(GpuDevice(5))
-
-    def test_out_of_range_get(self):
-        registry = DeviceRegistry.single()
-        with pytest.raises(InvalidDeviceError):
-            registry.get(3)
-
-    def test_iteration(self):
-        registry = DeviceRegistry([GpuDevice(0), GpuDevice(1)])
-        assert [d.ordinal for d in registry] == [0, 1]
 
 
 class TestLatencyModel:

@@ -49,11 +49,6 @@ class TestExamples:
         assert "trace replay under FIFO" in out
         assert "failures 0" in out
 
-    def test_cluster_scaling(self, monkeypatch, capsys):
-        out = run_example(monkeypatch, capsys, "cluster_scaling.py")
-        assert "multi-GPU placement" in out
-        assert "4 node(s)" in out
-
     @pytest.mark.integration
     def test_live_sockets(self, monkeypatch, capsys):
         out = run_example(monkeypatch, capsys, "live_sockets.py")

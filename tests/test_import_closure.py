@@ -8,8 +8,8 @@ stack, the figure harness or numpy; numpy comes in only with the Rand
 policy's RNG and ``http.server`` only with a metrics port.  Each check runs in a fresh interpreter, since
 this test process has loaded everything.
 
-The public names of ``repro`` and ``repro.cluster`` resolve lazily (PEP
-562); the second half of this module checks that they all still resolve.
+The public names of ``repro`` resolve lazily (PEP 562); the second half of
+this module checks that they all still resolve.
 """
 
 from __future__ import annotations
@@ -183,14 +183,14 @@ class TestServingClosure:
 
 
 class TestPublicNames:
-    @pytest.mark.parametrize("package", ["repro", "repro.cluster"])
+    @pytest.mark.parametrize("package", ["repro"])
     def test_every_exported_name_resolves(self, package):
         module = importlib.import_module(package)
         for name in module.__all__:
             assert getattr(module, name) is not None, name
         assert set(module.__all__) <= set(dir(module))
 
-    @pytest.mark.parametrize("package", ["repro", "repro.cluster"])
+    @pytest.mark.parametrize("package", ["repro"])
     def test_star_import(self, package):
         namespace: dict = {}
         exec(f"from {package} import *", namespace)
@@ -219,6 +219,6 @@ class TestPublicNames:
         assert register_policy is defined
 
     def test_plain_import_loads_nothing_heavy(self):
-        modules = _script_modules("import repro, repro.cluster")
+        modules = _script_modules("import repro")
         assert _forbidden(modules) == []
         assert "repro.core.scheduler" not in modules
