@@ -8,7 +8,8 @@ The scheduler tracks, per container:
   exceeds the device);
 - ``used``      — bytes of live allocations (plus per-pid context overhead);
 - ``inflight``  — bytes granted but not yet committed (the window between
-  the wrapper's size check and its address report, §III-C/D);
+  the wrapper's size check and its address report, §III-C/D), kept per
+  pid so that a process's exit returns its grants with its allocations;
 - every allocation "using hash structure" — address → (pid, size);
 - pause state: the FIFO of withheld allocation replies, plus the
   suspension timestamps Fig. 8 aggregates.
@@ -19,7 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-__all__ = ["AllocationRecord", "PendingAllocation", "ContainerRecord"]
+__all__ = [
+    "AllocationRecord",
+    "PendingAllocation",
+    "ContainerRecord",
+    "UNATTRIBUTED_PID",
+]
+
+#: The owner of inflight bytes restored from a snapshot written before
+#: inflight was kept per pid (DESIGN.md §7): no wire pid (they are >= 0),
+#: so no process exit returns them and no commit or abort draws on them.
+UNATTRIBUTED_PID = -1
 
 
 @dataclass(frozen=True)
@@ -58,7 +69,11 @@ class ContainerRecord:
     created_at: float
     assigned: int = 0
     used: int = 0
+    #: The sum of ``inflight_by_pid``, cached.
     inflight: int = 0
+    #: pid -> bytes granted to it and not yet committed or aborted; a pid
+    #: with none has no entry.
+    inflight_by_pid: dict[int, int] = field(default_factory=dict)
     #: address -> AllocationRecord (the paper's hash structure).
     allocations: dict[int, AllocationRecord] = field(default_factory=dict)
     #: pids that have been charged the first-allocation context overhead.

@@ -53,6 +53,7 @@ from repro.core.scheduler.events import (
 )
 from repro.core.scheduler.policies import CandidateIndex, SchedulingPolicy
 from repro.core.scheduler.records import (
+    UNATTRIBUTED_PID,
     AllocationRecord,
     ContainerRecord,
     PendingAllocation,
@@ -160,7 +161,7 @@ class SchedulerState:
         #: Sum of the containers' ``assigned``, maintained incrementally.
         self._reserved = 0
         #: The policy's incremental candidate index over *this* state (one
-        #: index per state, so one policy instance can serve many devices).
+        #: index per state, so one policy instance can serve several states).
         self._index: CandidateIndex = policy.make_index(self)
 
     # ------------------------------------------------------------------
@@ -221,6 +222,20 @@ class SchedulerState:
                 raise SchedulerError(
                     f"{record.container_id}: used {record.used} != "
                     f"sum(allocations) {committed}"
+                )
+            by_pid = record.inflight_by_pid
+            if sum(by_pid.values()) != record.inflight or min(
+                by_pid.values(), default=1
+            ) <= 0:
+                raise SchedulerError(
+                    f"{record.container_id}: inflight {record.inflight} != "
+                    f"sum of its pids' {by_pid}"
+                )
+            uncharged = by_pid.keys() - record.pids_charged - {UNATTRIBUTED_PID}
+            if uncharged:
+                raise SchedulerError(
+                    f"{record.container_id}: pids {sorted(uncharged)} hold "
+                    f"inflight bytes but were never charged"
                 )
             reserved += record.assigned
         if reserved > self.total_memory:
@@ -398,10 +413,11 @@ class SchedulerState:
                 f"duplicate commit for address {address:#x} in {container_id}"
             )
         total = size + (self.context_overhead if pid in record.overhead_pending else 0)
-        if total > record.inflight:
+        inflight = self._inflight_for(record, pid, total)
+        if total > inflight:
             raise SchedulerError(
-                f"commit of {format_size(total)} exceeds inflight "
-                f"{format_size(record.inflight)} in {container_id}"
+                f"commit of {format_size(total)} exceeds pid {pid}'s inflight "
+                f"{format_size(inflight)} in {container_id}"
             )
         self._emit(
             transition,
@@ -419,18 +435,21 @@ class SchedulerState:
         """The wrapper reports that the *native* allocation failed.
 
         Rolls the inflight reservation back (including the overhead charge
-        when the pid has no committed allocation yet), then re-checks this
-        container's own pending queue — the freed headroom may unblock it.
+        when it was the last grant of a pid with no committed allocation
+        yet), then re-checks this container's own pending queue — the freed
+        headroom may unblock it.
         """
         transition = Transition()
         record = self.container(container_id)
-        effective = size + (
+        # While the pid owes its charge, the charge stays inflight with it.
+        needed = size + (
             self.context_overhead if pid in record.overhead_pending else 0
         )
-        if effective > record.inflight:
+        inflight = self._inflight_for(record, pid, needed)
+        if needed > inflight:
             raise SchedulerError(
-                f"abort of {format_size(effective)} exceeds inflight "
-                f"{format_size(record.inflight)} in {container_id}"
+                f"abort of {format_size(needed)} exceeds pid {pid}'s inflight "
+                f"{format_size(inflight)} in {container_id}"
             )
         self._emit(
             transition,
@@ -476,11 +495,12 @@ class SchedulerState:
 
         Drops *all* allocation records of the pid — "some program may not
         free its allocated GPU memory" — including its context-overhead
-        charge.  ``value`` is the bytes reclaimed into the reservation.
+        charge, and the bytes it was granted but never committed.
+        ``value`` is the bytes reclaimed into the reservation.
         """
         transition = Transition()
         record = self.container(container_id)
-        reclaimed = record.usage_of_pid(pid)
+        reclaimed = record.usage_of_pid(pid) + record.inflight_by_pid.get(pid, 0)
         self._emit(
             transition,
             ProcessExited(
@@ -677,17 +697,26 @@ class SchedulerState:
             head = record.pending.pop(0)
             record.suspended_total += event.time - head.requested_at
             record.inflight += head.size
+            by_pid = record.inflight_by_pid
+            by_pid[head.pid] = by_pid.get(head.pid, 0) + head.size
+            if head.pid not in record.pids_charged:
+                # The pid exited while it waited: its grant charges it again,
+                # owing the overhead if the request carried one.
+                record.pids_charged.add(head.pid)
+                if head.size != head.requested_size:
+                    record.overhead_pending.add(head.pid)
             if not record.pending:
                 self._index.on_resume(record)
         elif kind in (AllocationGranted, AllocationPaused):
-            effective = record.effective_size(
-                event.pid, event.size, self.context_overhead
-            )
-            if effective != event.size:
+            effective = event.size
+            if event.pid not in record.pids_charged:
+                effective += self.context_overhead
                 record.pids_charged.add(event.pid)
                 record.overhead_pending.add(event.pid)
             if kind is AllocationGranted:
                 record.inflight += effective
+                by_pid = record.inflight_by_pid
+                by_pid[event.pid] = by_pid.get(event.pid, 0) + effective
             else:
                 record.pending.append(
                     PendingAllocation(
@@ -702,22 +731,45 @@ class SchedulerState:
                 record.last_suspended_at = event.time
                 record.pause_count += 1
                 self._index.on_pause(record)
-        elif kind is AllocationCommitted:
-            overhead = 0
-            if event.pid in record.overhead_pending:
-                overhead = self.context_overhead
-                record.overhead_pending.discard(event.pid)
-            total = event.size + overhead
-            record.inflight -= total
-            record.used += total
-            record.allocations[event.address] = AllocationRecord(
-                address=event.address, pid=event.pid, size=event.size
-            )
-            if overhead:
-                key = self._overhead_key(event.pid)
-                record.allocations[key] = AllocationRecord(
-                    address=key, pid=event.pid, size=overhead, is_context_overhead=True
+        elif kind is AllocationCommitted or kind is AllocationAborted:
+            pid = event.pid
+            amount = event.size
+            if kind is AllocationCommitted:
+                record.allocations[event.address] = AllocationRecord(
+                    address=event.address, pid=pid, size=event.size
                 )
+                if pid in record.overhead_pending:
+                    amount += self.context_overhead
+                    record.overhead_pending.discard(pid)
+                    key = self._overhead_key(pid)
+                    record.allocations[key] = AllocationRecord(
+                        address=key,
+                        pid=pid,
+                        size=self.context_overhead,
+                        is_context_overhead=True,
+                    )
+                record.used += amount
+            elif self._returns_charge(record, pid, amount):
+                amount += self.context_overhead
+                record.overhead_pending.discard(pid)
+                record.pids_charged.discard(pid)
+            # Take the bytes off the pid's inflight.
+            by_pid = record.inflight_by_pid
+            held = by_pid.pop(pid, 0)
+            if held > amount:
+                by_pid[pid] = held - amount
+            elif held < amount:
+                # Only a journal written before inflight was kept per pid
+                # gets here (a live transition refuses the overdraw): the
+                # rest comes from the bytes its snapshot left unattributed,
+                # as far as they go; beyond them, the pid's exit already
+                # returned it.
+                legacy = by_pid.pop(UNATTRIBUTED_PID, 0)
+                taken = min(legacy, amount - held)
+                if legacy > taken:
+                    by_pid[UNATTRIBUTED_PID] = legacy - taken
+                amount = held + taken
+            record.inflight -= amount
         elif kind is AllocationReleased:
             allocation = record.allocations.pop(event.address, None)
             if allocation is None:
@@ -725,13 +777,6 @@ class SchedulerState:
                     f"release of unknown address {event.address:#x} during replay"
                 )
             record.used -= allocation.size
-        elif kind is AllocationAborted:
-            effective = event.size
-            if event.pid in record.overhead_pending:
-                effective += self.context_overhead
-                record.overhead_pending.discard(event.pid)
-                record.pids_charged.discard(event.pid)
-            record.inflight -= effective
         elif kind in (AllocationResumed, AllocationRejected):
             pass  # resumed: applied by the preceding grant; rejected: no change
         elif kind in (MemoryAssigned, ReservationReclaimed):
@@ -743,6 +788,7 @@ class SchedulerState:
             for allocation in doomed:
                 del record.allocations[allocation.address]
             record.used -= sum(a.size for a in doomed)
+            record.inflight -= record.inflight_by_pid.pop(event.pid, 0)
             record.pids_charged.discard(event.pid)
             record.overhead_pending.discard(event.pid)
         elif kind is ContainerClosed:
@@ -774,6 +820,9 @@ class SchedulerState:
                     "assigned": r.assigned,
                     "used": r.used,
                     "inflight": r.inflight,
+                    "inflight_by_pid": [
+                        [pid, size] for pid, size in sorted(r.inflight_by_pid.items())
+                    ],
                     "allocations": [
                         [a.address, a.pid, a.size, a.is_context_overhead]
                         for a in r.allocations.values()
@@ -823,6 +872,10 @@ class SchedulerState:
                 )
                 for address, pid, size, overhead in entry["allocations"]
             }
+            if "inflight_by_pid" in entry:
+                record.inflight_by_pid = dict(entry["inflight_by_pid"])
+            elif record.inflight:  # written before inflight was kept per pid
+                record.inflight_by_pid = {UNATTRIBUTED_PID: record.inflight}
             record.pids_charged = set(entry["pids_charged"])
             record.overhead_pending = set(entry["overhead_pending"])
             record.pending = [
@@ -841,6 +894,25 @@ class SchedulerState:
         self._index.rebuild()
 
     # ------------------------------------------------------------------
+
+    def _returns_charge(self, record: ContainerRecord, pid: int, size: int) -> bool:
+        """Whether an abort of ``size`` returns the pid's overhead charge
+        too: only with the last grant of a pid that still owes it (a grant
+        the pid keeps inflight still needs the context)."""
+        return (
+            pid in record.overhead_pending
+            and record.inflight_by_pid.get(pid) == size + self.context_overhead
+        )
+
+    @staticmethod
+    def _inflight_for(record: ContainerRecord, pid: int, amount: int) -> int:
+        """The inflight bytes a commit or abort of ``amount`` by ``pid`` may
+        draw on: the pid's own, and the unattributed ones if those fall
+        short (DESIGN.md §7)."""
+        inflight = record.inflight_by_pid.get(pid, 0)
+        if amount > inflight:
+            inflight += record.inflight_by_pid.get(UNATTRIBUTED_PID, 0)
+        return inflight
 
     @staticmethod
     def _overhead_key(pid: int) -> int:

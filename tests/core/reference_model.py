@@ -23,14 +23,15 @@ class Refused(Exception):
 class RefContainer:
     def __init__(self, created_seq, limit, assigned):
         self.created_seq, self.limit, self.assigned = created_seq, limit, assigned
-        self.inflight = 0
+        self.granted = {}  # pid -> bytes granted and not yet committed or aborted
         self.closed = False
         self.allocations = {}  # address -> (pid, size); -pid: the context charge
         self.charged = set()  # pids charged the first-allocation overhead
         self.owed = set()  # ... whose charge is still inflight
-        self.queue = []  # withheld requests, in order: (pid, effective size)
+        self.queue = []  # withheld requests, in order: (pid, effective, size)
 
     used = property(lambda self: sum(size for _, size in self.allocations.values()))
+    inflight = property(lambda self: sum(self.granted.values()))
     insufficiency = property(lambda self: max(0, self.limit - self.assigned))
 
     def view(self):
@@ -70,22 +71,22 @@ class ReferenceModel:
         effective = size + (0 if pid in c.charged else self.overhead)
         if c.used + c.inflight + effective > c.limit:
             return "reject"
-        if effective != size:
+        if pid not in c.charged:
             c.charged.add(pid)
             c.owed.add(pid)
         if not c.queue and c.used + c.inflight + effective <= c.assigned:
-            c.inflight += effective
+            self._grant(c, pid, effective)
             return "grant"
-        c.queue.append((pid, effective))
+        c.queue.append((pid, effective, size))
         self._break_wedge()
         return "pause"
 
     def commit(self, cid, pid, address, size):
         c = self._open(cid)
         overhead = self.overhead if pid in c.owed else 0
-        if address in c.allocations or size + overhead > c.inflight:
+        if address in c.allocations or size + overhead > c.granted.get(pid, 0):
             raise Refused(f"commit of {size} at {address:#x}")
-        c.inflight -= size + overhead
+        self._take(c, pid, size + overhead)
         c.allocations[address] = (pid, size)
         if overhead:
             c.owed.discard(pid)
@@ -93,11 +94,13 @@ class ReferenceModel:
 
     def abort(self, cid, pid, size):
         c = self._open(cid)
-        overhead = self.overhead if pid in c.owed else 0
-        if size + overhead > c.inflight:
+        # The charge goes back with the pid's last grant only.
+        last = pid in c.owed and c.granted.get(pid) == size + self.overhead
+        overhead = self.overhead if last else 0
+        if size + overhead > c.granted.get(pid, 0):
             raise Refused(f"abort of {size}")
-        c.inflight -= size + overhead
-        if overhead:
+        self._take(c, pid, size + overhead)
+        if last:
             c.owed.discard(pid)
             c.charged.discard(pid)
         self._resume_all()
@@ -114,6 +117,7 @@ class ReferenceModel:
     def process_exit(self, cid, pid):
         c = self._open(cid)
         c.allocations = {a: v for a, v in c.allocations.items() if v[0] != pid}
+        c.granted.pop(pid, None)  # what it was granted goes with it
         c.charged.discard(pid)
         c.owed.discard(pid)
         self._resume_all()
@@ -123,15 +127,30 @@ class ReferenceModel:
         c = self.containers.get(cid)
         if c is None or c.closed:
             return
-        c.closed, c.assigned, c.inflight = True, 0, 0
+        c.closed, c.assigned, c.granted = True, 0, {}
         c.allocations, c.queue = {}, []
         self._hand_out()
         self._break_wedge()
 
+    @staticmethod
+    def _grant(c, pid, effective):
+        c.granted[pid] = c.granted.get(pid, 0) + effective
+
+    @staticmethod
+    def _take(c, pid, amount):
+        c.granted[pid] -= amount
+        if not c.granted[pid]:
+            del c.granted[pid]
+
     def _resume_all(self):
         for c in self._live():
             while c.queue and c.used + c.inflight + c.queue[0][1] <= c.assigned:
-                c.inflight += c.queue.pop(0)[1]
+                pid, effective, size = c.queue.pop(0)
+                self._grant(c, pid, effective)
+                if pid not in c.charged:  # it exited while it waited
+                    c.charged.add(pid)
+                    if effective != size:
+                        c.owed.add(pid)
 
     def _hand_out(self):
         """§III-D: repeatedly top up the policy's pick among paused containers."""

@@ -9,11 +9,16 @@ and amounts — defines the Fig. 7/8 schedules, so it is pinned here
 byte-for-byte.
 
 ``tests/core/golden/trace_<POLICY>.jsonl`` holds the journal-codec encoding
-of the full event log produced by :func:`drive_scenario` under the seed
-(pre-refactor) implementation, one JSON object per line.  The test replays
-the identical scenario on the current code and compares the serialized
-log byte-identically.  Any divergence — a different policy pick, a
-reordered event, a changed float — fails loudly.
+of the full event log produced by :func:`drive_scenario`, one JSON object
+per line.  The test replays the identical scenario on the current code and
+compares the serialized log byte-identically.  Any divergence — a different
+policy pick, a reordered event, a changed float — fails loudly.
+
+The traces were written by the seed (pre-refactor) implementation and
+regenerated once, when a process's exit began returning the bytes it was
+granted and never committed (DESIGN.md §7): the scenario's processes exit
+holding grants, and until then the harness committed those grants after the
+exit.
 
 Regenerate (only when the *intended* semantics change, never to paper over
 an accidental divergence)::
@@ -158,7 +163,9 @@ def drive_scenario(policy_name: str, seed: int = SEED) -> GpuMemoryScheduler:
             sched.release_allocation(cid, pid, addr)
         elif op == "pexit":
             sched.process_exit(cid, pid)
+            # The exit takes the pid's allocations and its grants with it.
             committed[cid] = [(a, p) for (a, p) in committed[cid] if p != pid]
+            inflight[cid] = [(p, s) for (p, s) in inflight[cid] if p != pid]
         elif op == "cexit" and (len(open_ids) > 2 or exited < 40):
             sched.container_exit(cid)
             open_ids.remove(cid)

@@ -162,6 +162,24 @@ class TestCommitAbortRelease:
         assert record.inflight == 0
         assert 1 not in record.pids_charged  # next request re-charges
 
+    def test_abort_keeps_the_charge_while_the_pid_holds_another_grant(self, sched):
+        sched.register_container("a", GiB)
+        sched.request_allocation("a", 1, 100 * MiB)  # carries the charge
+        sched.request_allocation("a", 1, 50 * MiB)
+        sched.abort_allocation("a", 1, 50 * MiB)
+        record = sched.container("a")
+        assert record.inflight_by_pid == {1: 100 * MiB + OVH}
+        assert 1 in record.pids_charged and 1 in record.overhead_pending
+        sched.check_invariants()
+        sched.commit_allocation("a", 1, 0x1000, 100 * MiB)
+        assert (record.used, record.inflight) == (100 * MiB + OVH, 0)
+
+    def test_a_pid_cannot_commit_another_pids_grant(self, sched):
+        sched.register_container("a", GiB)
+        assert sched.request_allocation("a", 1, 100 * MiB).granted
+        with pytest.raises(SchedulerError, match="pid 2's inflight"):
+            sched.commit_allocation("a", 2, 0x1000, 10 * MiB)
+
     def test_release_returns_size_and_shrinks_used(self, sched):
         sched.register_container("a", GiB)
         full_alloc(sched, "a", 1, 100 * MiB, 0x1000)
@@ -191,6 +209,46 @@ class TestProcessExit:
         full_alloc(sched, "a", 2, 50 * MiB, 0x2000)
         sched.process_exit("a", 1)
         assert sched.container("a").used == 50 * MiB + OVH
+
+    def test_exit_returns_what_the_pid_was_granted(self):
+        """A grant the pid never committed goes with its exit: otherwise
+        the container's next process is refused for bytes nobody holds."""
+        state = SchedulerState(10, make_policy("FIFO"), context_overhead=0)
+        state.register("c", 4, 0.0)
+        assert state.request("c", 1, 2, "cudaMalloc", None, 1.0).value.granted
+        assert state.process_exit("c", 1, 2.0).value == 2
+        assert (state.container("c").inflight, state.container("c").inflight_by_pid) == (0, {})
+        state.check_invariants()
+        assert state.request("c", 2, 3, "cudaMalloc", None, 3.0).value.granted
+        state.check_invariants()
+
+    def test_exit_returns_only_the_exiting_pids_grants(self, sched):
+        sched.register_container("a", GiB)
+        full_alloc(sched, "a", 1, 100 * MiB, 0x1000)
+        assert sched.request_allocation("a", 1, 10 * MiB).granted
+        assert sched.request_allocation("a", 2, 20 * MiB).granted
+        assert sched.process_exit("a", 1) == 110 * MiB + OVH
+        record = sched.container("a")
+        assert record.inflight_by_pid == {2: 20 * MiB + OVH}
+        with pytest.raises(SchedulerError, match="pid 1's inflight"):
+            sched.commit_allocation("a", 1, 0x2000, 10 * MiB)
+        sched.commit_allocation("a", 2, 0x3000, 20 * MiB)
+        sched.check_invariants()
+
+    def test_a_request_that_waited_out_its_pids_exit_charges_it_again(self, sched):
+        sched.register_container("b", 4 * GiB)
+        sched.register_container("a", 2 * GiB)  # gets the 1 GiB left
+        full_alloc(sched, "a", 1, 500 * MiB, 0x1000)
+        assert sched.request_allocation("a", 2, 500 * MiB).paused
+        sched.process_exit("a", 2)  # pid 2 charged nothing committed
+        sched.process_exit("a", 1)  # the 566 MiB free up: pid 2 resumes
+        record = sched.container("a")
+        assert not record.paused
+        assert record.inflight_by_pid == {2: 500 * MiB + OVH}
+        assert 2 in record.pids_charged and 2 in record.overhead_pending
+        sched.check_invariants()
+        sched.commit_allocation("a", 2, 0x2000, 500 * MiB)
+        assert (record.used, record.inflight) == (500 * MiB + OVH, 0)
 
 
 class TestContainerExit:
@@ -447,4 +505,18 @@ class TestInvariantChecker:
         sched.register_container("a", GiB)
         sched.container("a").used = 123  # corrupt directly
         with pytest.raises(SchedulerError):
+            sched.check_invariants()
+
+    def test_inflight_must_be_the_sum_of_its_pids(self, sched):
+        sched.register_container("a", GiB)
+        sched.request_allocation("a", 1, 10 * MiB)
+        sched.container("a").inflight_by_pid[1] -= 1  # corrupt directly
+        with pytest.raises(SchedulerError, match="sum of its pids"):
+            sched.check_invariants()
+
+    def test_inflight_pids_must_be_charged(self, sched):
+        sched.register_container("a", GiB)
+        sched.request_allocation("a", 1, 10 * MiB)
+        sched.container("a").pids_charged.clear()  # corrupt directly
+        with pytest.raises(SchedulerError, match="never charged"):
             sched.check_invariants()
