@@ -146,8 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon_cmd.add_argument(
         "--watchdog-interval", type=float, default=5.0, metavar="SECONDS",
-        help="I/O-loop stall threshold for the flight-dump watchdog "
-             "(default: 5)",
+        help="I/O-loop stall threshold for the flight-dump watchdog: a "
+             "selector iteration or a dispatch turn that takes longer dumps "
+             "(must exceed the 1 s select timeout; default: 5)",
     )
     daemon_cmd.add_argument(
         "--no-metrics", action="store_true",
@@ -499,7 +500,10 @@ def _cmd_daemon(args) -> int:
         SchedulerJournal,
         make_policy,
     )
-    from repro.core.scheduler.daemon import require_positive
+    from repro.core.scheduler.daemon import (
+        require_positive,
+        require_watchdog_interval,
+    )
     from repro.errors import SchedulerError
     from repro.units import MiB
 
@@ -509,6 +513,7 @@ def _cmd_daemon(args) -> int:
             "--reap-interval": args.reap_interval,
             "--watchdog-interval": args.watchdog_interval,
         })
+        require_watchdog_interval(args.watchdog_interval, "--watchdog-interval")
     except SchedulerError as exc:
         print(exc, file=sys.stderr)
         return 2

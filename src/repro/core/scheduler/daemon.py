@@ -45,7 +45,7 @@ from repro.core.scheduler.policies import SchedulingPolicy
 from repro.core.scheduler.service import SchedulerService
 from repro.errors import SchedulerError
 from repro.ipc import protocol
-from repro.ipc.loop import IoLoop
+from repro.ipc.loop import SELECT_TIMEOUT_S, IoLoop
 from repro.ipc.unix_socket import UnixSocketServer, refuse
 from repro.obs.log import get_logger
 from repro.obs.metrics import REGISTRY
@@ -226,6 +226,17 @@ def require_positive(options: dict[str, float | None]) -> None:
             raise SchedulerError(f"{name} must be positive, got {value:g}")
 
 
+def require_watchdog_interval(value: float, name: str = "watchdog_interval") -> None:
+    """Raise :class:`SchedulerError` unless ``value`` exceeds the I/O
+    loop's select timeout: an idle selector ticks only that often, so a
+    shorter interval would read every idle daemon as stalled."""
+    if value <= SELECT_TIMEOUT_S:
+        raise SchedulerError(
+            f"{name} must exceed the I/O loop's {SELECT_TIMEOUT_S:g} s "
+            f"select timeout, got {value:g}"
+        )
+
+
 class SchedulerDaemon:
     """Host daemon: control socket + per-container sockets and directories.
 
@@ -256,8 +267,10 @@ class SchedulerDaemon:
             (and where :meth:`dump_flight` writes by default — the CLI's
             SIGUSR2 handler and crash hook route here).  Enables the I/O
             watchdog thread.
-        watchdog_interval: seconds the shared I/O loop may go without an
-            iteration before the watchdog declares a stall and dumps (> 0).
+        watchdog_interval: seconds the I/O loop's selector may go without
+            an iteration, or its dispatch thread spend in one turn, before
+            the watchdog declares a stall and dumps; more than the loop's
+            ``SELECT_TIMEOUT_S``.
     """
 
     def __init__(
@@ -285,6 +298,7 @@ class SchedulerDaemon:
             "reap_interval": reap_interval,
             "watchdog_interval": watchdog_interval,
         })
+        require_watchdog_interval(watchdog_interval)
         self.scheduler = scheduler
         self.journal = journal
         self.monitor = monitor
@@ -364,6 +378,8 @@ class SchedulerDaemon:
             name: daemon_kwargs.get(name)
             for name in ("reap_interval", "watchdog_interval")
         })
+        if "watchdog_interval" in daemon_kwargs:
+            require_watchdog_interval(daemon_kwargs["watchdog_interval"])
         scheduler = restore(journal_path, clock=clock, policy=policy, rng=rng)
         journal = SchedulerJournal(
             journal_path,
@@ -652,23 +668,27 @@ class SchedulerDaemon:
         return path
 
     def _watchdog_loop(self) -> None:
-        """Dump the flight recorder once if the shared I/O loop stalls.
+        """Dump the flight recorder once if either I/O loop thread stalls.
 
-        A wedged selector thread (handler deadlock, runaway callback) stops
-        advancing ``IoLoop.last_tick``; when the gap exceeds
+        A wedged selector thread stops advancing ``IoLoop.last_tick``; a
+        wedged handler (deadlock, runaway callback, a blocked write) keeps
+        the dispatch thread in one turn, whose start is
+        ``IoLoop.turn_started``.  When either gap exceeds
         ``watchdog_interval`` the recorder still holds the events leading up
-        to the wedge — exactly what ``repro doctor`` needs.  One-shot: a
-        stalled loop would otherwise be re-dumped every interval.
+        to the wedge — exactly what ``repro doctor`` needs.  An idle loop
+        is no stall: the selector ticks every ``SELECT_TIMEOUT_S``, below
+        any accepted interval, and no turn runs.  One-shot: a stalled loop
+        would otherwise be re-dumped every interval.
         """
         poll = max(0.2, self.watchdog_interval / 4.0)
         while not self._watchdog_stop.wait(poll):
             loop = self._io_loop
             if loop is None or self._stall_dumped:
                 continue
-            last = loop.last_tick
-            if last == 0.0:
+            ticks = [t for t in (loop.last_tick, loop.turn_started) if t]
+            if not ticks:
                 continue
-            stalled = time.time() - last
+            stalled = time.time() - min(ticks)
             if stalled > self.watchdog_interval:
                 self._stall_dumped = True
                 _REC.record(_EV_STALL, x=stalled)

@@ -57,7 +57,10 @@ from repro.obs import stages as _stages
 from repro.obs.metrics import REGISTRY
 from repro.obs.recorder import RECORDER
 
-__all__ = ["IoLoop"]
+__all__ = ["IoLoop", "SELECT_TIMEOUT_S"]
+
+#: The selector thread's longest wait: an idle loop still ticks this often.
+SELECT_TIMEOUT_S = 1.0
 
 _perf_counter = time.perf_counter
 # Every connection speaks the ConVGPU wire: frames split by the protocol's
@@ -174,9 +177,12 @@ class IoLoop:
         self._wake_w: socket.socket | None = None
         self._collector: Callable[[], None] | None = None
         #: Wall-clock timestamp of the selector thread's last iteration;
-        #: the daemon's watchdog reads it to detect a stalled loop (the
-        #: select timeout bounds the gap to ~1s when healthy).
+        #: the daemon's watchdog reads it to detect a stalled loop
+        #: (``SELECT_TIMEOUT_S`` bounds the gap when healthy).
         self.last_tick = 0.0
+        #: Wall-clock start of the dispatch thread's running turn, 0.0
+        #: between turns: the watchdog's view of a wedged handler.
+        self.turn_started = 0.0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -411,7 +417,7 @@ class IoLoop:
             self.last_tick = time.time()
             self._run_ops()
             try:
-                events = selector.select(timeout=1.0)
+                events = selector.select(timeout=SELECT_TIMEOUT_S)
             except OSError:
                 continue
             for key, _mask in events:
@@ -560,6 +566,7 @@ class IoLoop:
         deferred: list[Callable[[], None]] = []
         ending: list[tuple[_ConnState, Any]] = []
         taken: set[_ConnState] = set()
+        self.turn_started = time.time()
         self._turn = deferred
         while batch := self._take_ready(taken):
             for state, items in batch:
@@ -578,6 +585,7 @@ class IoLoop:
             if isinstance(item, _BadFrame) and state.on_frame_error is not None:
                 self._call(state.on_frame_error, item.message)
             self._finish(state)
+        self.turn_started = 0.0
 
     @staticmethod
     def _call(callback: Callable[..., Any], *args: Any) -> None:

@@ -106,7 +106,6 @@ _POLICIES = "src/repro/core/scheduler/policies.py"
 _JOURNAL = "src/repro/core/scheduler/journal.py"
 _DAEMON = "src/repro/core/scheduler/daemon.py"
 _SERVICE = "src/repro/core/scheduler/service.py"
-_MULTIGPU = "src/repro/cluster/multigpu.py"
 _LOOP = "src/repro/ipc/loop.py"
 _RETRY = "src/repro/ipc/retry.py"
 _PROTOCOL = "src/repro/ipc/protocol.py"
@@ -179,8 +178,8 @@ MUTANTS: tuple[Mutant, ...] = (
         harm=WRONG_RESULT,
         tier1="tests/core/test_exited_containers.py::test_history_leaves_no_trace[FIFO]",
         what="`created_seq` is drawn from a module-global counter: two "
-        "schedulers in one process (devices, a restore beside the live "
-        "state) number their containers from one sequence",
+        "schedulers in one process (a restore beside the live state) "
+        "number their containers from one sequence",
         edits=(
             (_STATE, "from dataclasses import dataclass, field\n",
              "from dataclasses import dataclass, field\n\n_REGISTRATIONS = 0\n"),
@@ -304,43 +303,6 @@ MUTANTS: tuple[Mutant, ...] = (
 """),),
     ),
     Mutant(
-        id="lock-order-placements-reversal",
-        check="lock-order",
-        source="DESIGN.md §12 (lock-order's MultiGpuScheduler scope)",
-        harm=HANG,
-        san_lane=frozenset({"san-lock-order"}),
-        what="`container_exit` calls into the device while it holds "
-        "`_placements_lock`, and the invariant check reads the placements "
-        "while it holds a device's lock: an exit and a check on two "
-        "threads deadlock",
-        edits=(
-            (_MULTIGPU, """\
-        with self._placements_lock:
-            ordinal = self._placements.pop(container_id, None)
-        if ordinal is None:
-            return 0
-        return self.schedulers[ordinal].container_exit(container_id)
-""", """\
-        with self._placements_lock:
-            ordinal = self._placements.pop(container_id, None)
-            if ordinal is None:
-                return 0
-            return self.schedulers[ordinal].container_exit(container_id)
-"""),
-            (_MULTIGPU, """\
-        for scheduler in self.schedulers:
-            scheduler.check_invariants()
-""", """\
-        for ordinal, scheduler in enumerate(self.schedulers):
-            scheduler.check_invariants()
-            with scheduler._lock:
-                with self._placements_lock:
-                    for record in scheduler.state.records():
-                        assert self._placements[record.container_id] == ordinal
-"""),
-        ),
-    ),
-    Mutant(
         id="loop-blocking-backoff-sleep",
         check="loop-blocking",
         source="PR 3, DESIGN.md §10",
@@ -349,11 +311,11 @@ MUTANTS: tuple[Mutant, ...] = (
         what="the selector thread backs off a second after a failed "
         "`select`: every connection freezes for that second",
         edits=((_LOOP, """\
-                events = selector.select(timeout=1.0)
+                events = selector.select(timeout=SELECT_TIMEOUT_S)
             except OSError:
                 continue
 """, """\
-                events = selector.select(timeout=1.0)
+                events = selector.select(timeout=SELECT_TIMEOUT_S)
             except OSError:
                 time.sleep(1.0)
                 continue
