@@ -28,8 +28,9 @@ __all__ = [
 ]
 
 #: The owner of inflight bytes restored from a snapshot written before
-#: inflight was kept per pid (DESIGN.md §7): no wire pid (they are >= 0),
-#: so no process exit returns them and no commit or abort draws on them.
+#: inflight was kept per pid (DESIGN.md §7.10): no wire pid (they are
+#: >= 0), so no process exit returns them; a commit or abort draws on them
+#: only when its own pid's bytes fall short.
 UNATTRIBUTED_PID = -1
 
 

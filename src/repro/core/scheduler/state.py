@@ -908,7 +908,7 @@ class SchedulerState:
     def _inflight_for(record: ContainerRecord, pid: int, amount: int) -> int:
         """The inflight bytes a commit or abort of ``amount`` by ``pid`` may
         draw on: the pid's own, and the unattributed ones if those fall
-        short (DESIGN.md §7)."""
+        short (DESIGN.md §7.10)."""
         inflight = record.inflight_by_pid.get(pid, 0)
         if amount > inflight:
             inflight += record.inflight_by_pid.get(UNATTRIBUTED_PID, 0)

@@ -487,8 +487,8 @@ MESSAGE_TAGS: dict[str, int] = {
         check="event-drift",
         source="PR 7, DESIGN.md §13",
         harm=WRONG_RESULT,
-        tier1="tests/cluster/test_multigpu_facade.py::"
-        "TestPlacementThroughNvidiaDocker::test_same_workload_serializes_on_one_gpu",
+        tier1="tests/core/test_daemon_lifecycle.py::"
+        "TestReapWhilePaused::test_paused_client_unblocks_cleanly_on_reap[loop]",
         what="`record()` is passed the event's name instead of its tag: the "
         "ring's struct pack raises on the first pause",
         edits=((_CORE, "_REC.record(_EV_PAUSE, s=_container_of(transition))",
