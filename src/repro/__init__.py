@@ -15,29 +15,9 @@ stack or numpy (DESIGN.md §11, "the serving closure").
 See README.md and examples/quickstart.py.
 """
 
-import sys
 from importlib import import_module
 
 __version__ = "1.0.0"
-
-
-def _lazy_exports(package: str, exports: dict[str, str]):
-    """PEP 562 ``__getattr__``/``__dir__`` for ``package``: each public name
-    in ``exports`` (name -> defining module) is imported on first use."""
-    namespace = sys.modules[package].__dict__
-
-    def __getattr__(name: str):
-        module = exports.get(name)
-        if module is None:
-            raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(import_module(module), name)
-        return value
-
-    def __dir__() -> list[str]:
-        return sorted({*namespace, *exports})
-
-    return __getattr__, __dir__
-
 
 #: Public name -> the module that defines it.
 _EXPORTS = {
@@ -58,4 +38,16 @@ _EXPORTS = {
 }
 
 __all__ = [*_EXPORTS, "__version__"]
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+
+
+def __getattr__(name: str):
+    """PEP 562: each public name is imported from its module on first use."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
