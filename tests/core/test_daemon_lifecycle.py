@@ -20,6 +20,7 @@ from repro.core.scheduler.liveness import HeartbeatMonitor
 from repro.core.scheduler.policies import make_policy
 from repro.errors import IpcDisconnected, SchedulerError, UnknownContainerError
 from repro.ipc import protocol
+from repro.ipc.loop import SELECT_TIMEOUT_S
 from repro.ipc.unix_socket import ReplyHandle, UnixSocketClient
 from repro.units import MiB
 
@@ -428,6 +429,34 @@ class TestNumericOptions:
         with pytest.raises(SchedulerError, match=option):
             SchedulerDaemon(scheduler, base_dir=str(base_dir), **{option: value})
         assert not base_dir.exists()
+
+    @pytest.mark.parametrize("value", (0.5, SELECT_TIMEOUT_S))
+    def test_constructor_refuses_a_watchdog_interval_within_the_select_timeout(
+        self, tmp_path, value
+    ):
+        """An idle selector ticks once per select timeout: a watchdog no
+        longer than that would dump an idle daemon."""
+        scheduler = GpuMemoryScheduler(TOTAL, make_policy("FIFO"))
+        base_dir = tmp_path / "base"
+        with pytest.raises(SchedulerError, match="select timeout"):
+            SchedulerDaemon(
+                scheduler, base_dir=str(base_dir), watchdog_interval=value
+            )
+        assert not base_dir.exists()
+
+    def test_recover_refuses_a_watchdog_interval_before_compacting(self, tmp_path):
+        path = tmp_path / "j.wal"
+        scheduler = GpuMemoryScheduler(TOTAL, make_policy("FIFO"))
+        with SchedulerJournal(str(path)) as journal:
+            journal.attach(scheduler)
+            scheduler.register_container("c", 10 * MiB)
+        before = path.read_bytes()
+        with pytest.raises(SchedulerError, match="watchdog_interval"):
+            SchedulerDaemon.recover(
+                str(path), watchdog_interval=SELECT_TIMEOUT_S,
+                base_dir=str(tmp_path / "base"),
+            )
+        assert path.read_bytes() == before
 
     def test_recover_refuses_before_compacting_the_journal(self, tmp_path):
         path = tmp_path / "j.wal"
